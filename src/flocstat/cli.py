@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -570,28 +571,29 @@ def monitor_columns(m: int) -> list[str]:
 
 def write_monitors_csv(path: Path, result: SimulationResult) -> None:
     """Write the per-step monitor table (fixed column set, repr floats)."""
-    m = result.initial.m
-    cols = monitor_columns(m)
-    monitors = result.monitors
-    rows = len(monitors["t"])
-    with path.open("w", newline="") as handle:
-        handle.write(",".join(cols) + "\n")
-        for k in range(rows):
-            handle.write(",".join(_fmt(monitors[c][k]) for c in cols) + "\n")
+    cols = monitor_columns(result.initial.m)
+    _write_float_table(path, cols, [result.monitors[c] for c in cols])
 
 
 def write_snapshot_csv(path: Path, state: StateField) -> None:
-    grid = state.grid
     header = ["x", "S"]
-    for i in range(1, state.m + 1):
-        header += [f"u_{i}", f"v_{i}"]
+    columns = [state.grid.x, state.S]
+    for i in range(state.m):
+        header += [f"u_{i + 1}", f"v_{i + 1}"]
+        columns += [state.u[i], state.v[i]]
+    _write_float_table(path, header, columns)
+
+
+def _write_float_table(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length float columns as CSV, each cell formatted by _fmt.
+
+    ``tolist`` turns a column into Python floats once; their ``repr`` is the
+    text _fmt gives, without converting each numpy scalar on its own.
+    """
     with path.open("w", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for j in range(grid.n):
-            row = [grid.x[j], state.S[j]]
-            for i in range(state.m):
-                row += [state.u[i, j], state.v[i, j]]
-            handle.write(",".join(_fmt(val) for val in row) + "\n")
+        for row in zip(*(col.tolist() for col in columns)):
+            handle.write(",".join(map(repr, row)) + "\n")
 
 
 def write_outputs(out_dir: Path, config: RunConfig, result: SimulationResult) -> None:
@@ -729,9 +731,10 @@ def sweep(
             for i, value in enumerate(axis.values)
         ]
     with (out_path / "summary.csv").open("w", newline="") as handle:
-        handle.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in rows:
-            handle.write(",".join(row[c] for c in SUMMARY_COLUMNS) + "\n")
+        # quotes only fields that need it, such as error messages with commas
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(SUMMARY_COLUMNS)
+        writer.writerows([row[c] for c in SUMMARY_COLUMNS] for row in rows)
     return rows
 
 

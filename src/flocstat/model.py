@@ -43,6 +43,9 @@ def _as_float_tuple(value: Union[float, Sequence[float]], m: int, name: str) -> 
 # ---------------------------------------------------------------------------
 # Growth laws  f_i(S), g_i(S)
 # ---------------------------------------------------------------------------
+#
+# Calling a law checks that the substrate is nonnegative; ``_rate`` is the
+# same formula unchecked, for the reaction kernel of the time stepper.
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,9 @@ class Monod:
 
     def __call__(self, S):
         _require_nonneg_substrate(S)
+        return self._rate(S)
+
+    def _rate(self, S):
         return self.a * S / (self.b + S)
 
     @property
@@ -91,6 +97,9 @@ class Haldane:
 
     def __call__(self, S):
         _require_nonneg_substrate(S)
+        return self._rate(S)
+
+    def _rate(self, S):
         return self.a * S / (self.b + S + self.c * S * S)
 
     @property
@@ -109,6 +118,9 @@ class ZeroGrowth:
 
     def __call__(self, S):
         _require_nonneg_substrate(S)
+        return self._rate(S)
+
+    def _rate(self, S):
         return np.zeros_like(np.asarray(S, dtype=float)) if np.ndim(S) else 0.0
 
     @property
@@ -407,17 +419,28 @@ def reaction_field(params: ModelParams, kin: KineticsSpec, S, u, v) -> Array:
         raise ValueError("isolated densities must be nonnegative")
     if v_arr.size and float(v_arr.min()) < 0.0:
         raise ValueError("attached densities must be nonnegative")
+    _require_nonneg_substrate(S_arr)
+    return _reaction_terms(params, kin, S_arr, u_arr, v_arr)
 
-    out = np.zeros((2 * params.m + 1,) + S_arr.shape, dtype=float)
+
+def _reaction_terms(params: ModelParams, kin: KineticsSpec, S: Array, u: Array,
+                    v: Array) -> Array:
+    """:func:`reaction_field` without its checks.
+
+    The caller guarantees what ``reaction_field`` verifies: float arrays of
+    matching shapes, with nonnegative entries.  The time stepper calls this
+    on every step, with states that construction and clamping keep valid.
+    """
+    out = np.zeros((2 * params.m + 1,) + S.shape, dtype=float)
     for i in range(params.m):
-        fi = kin.f[i](S_arr)
-        gi = kin.g[i](S_arr)
-        ai = kin.alpha[i](u_arr, v_arr)
-        bi = kin.beta[i](u_arr, v_arr)
-        growth_u = fi * u_arr[i]
-        growth_v = gi * v_arr[i]
-        attach = ai * u_arr[i]
-        detach = bi * v_arr[i]
+        fi = kin.f[i]._rate(S)
+        gi = kin.g[i]._rate(S)
+        ai = kin.alpha[i](u, v)
+        bi = kin.beta[i](u, v)
+        growth_u = fi * u[i]
+        growth_v = gi * v[i]
+        attach = ai * u[i]
+        detach = bi * v[i]
         out[0] -= growth_u + growth_v
         out[1 + 2 * i] = growth_u - attach / params.yu[i] + detach
         out[2 + 2 * i] = growth_v + attach - detach / params.yv[i]

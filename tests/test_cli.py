@@ -1,5 +1,7 @@
 """Tests for config parsing, presets, CSV outputs, sweeps, and exit codes."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,21 @@ class TestSweep:
             "l1_S,l1_u_1,l1_v_1,R_u,R_v,error"
         )
         assert len(summary) == 3
+
+    def test_error_with_commas_reads_back_as_one_field(self, tmp_path, monkeypatch):
+        message = "grid too coarse: d=0.001, n=502, use n >= 501"
+
+        def failing_run(config, out_dir):
+            raise ValueError(message)
+
+        monkeypatch.setattr("flocstat.cli.run_experiment", failing_run)
+        cfg = fs.parse_config(MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 5\n")
+        fs.sweep(cfg, tmp_path)
+        with (tmp_path / "summary.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 1
+        assert None not in rows[0] and len(rows[0]) == 13
+        assert rows[0]["error"] == f"ValueError: {message}"
 
     def test_rows_in_sweep_order_regardless_of_threads(self, tmp_path):
         text = MINIMAL + "\n[sweep]\nparameter = yu\nvalues = 0.1 0.2 0.3\n"

@@ -37,6 +37,11 @@ class TestGrowthLaws:
         f = fs.Monod(4.0, 1.0)
         np.testing.assert_allclose(f(S), 4.0 * S / (1.0 + S), rtol=1e-15)
 
+    @pytest.mark.parametrize("law", [fs.Monod(4.0, 1.0), fs.Haldane(3.0, 1.0, 1.0), fs.ZeroGrowth()])
+    def test_rejects_negative_substrate(self, law):
+        with pytest.raises(ValueError, match="nonnegative substrate"):
+            law(np.array([0.5, -1e-3]))
+
     @given(st.floats(min_value=0.0, max_value=1e6))
     def test_monod_bounded_by_sup(self, S):
         f = fs.Monod(4.0, 1.0)
@@ -174,6 +179,20 @@ class TestReactionField:
         # substrate zero: growth vanishes so consumption vanishes
         fS = fs.reaction_field(p, kin, np.array([0.0]), u_arr, v_arr)
         assert fS[0, 0] >= -1e-12
+
+
+    @pytest.mark.parametrize("S, u, v", [
+        (np.array([-0.1, 0.5]), np.ones((1, 2)), np.ones((1, 2))),
+        (np.array([0.5, 0.5]), np.array([[1.0, -1e-3]]), np.ones((1, 2))),
+        (np.array([0.5, 0.5]), np.ones((1, 2)), np.array([[-2.0, 1.0]])),
+        (np.array([0.5, 0.5]), np.ones((1, 3)), np.ones((1, 3))),
+        (np.array([0.5, 0.5]), np.ones((2, 2)), np.ones((2, 2))),
+        (np.array([0.5, 0.5]), np.ones((1, 2)), np.ones((1, 3))),
+    ])
+    def test_rejects_negative_or_misshaped_input(self, S, u, v):
+        p, kin = standard_params(), floc_kinetics()
+        with pytest.raises(ValueError):
+            fs.reaction_field(p, kin, S, u, v)
 
 
 class TestWeightVectorAndConditions:
