@@ -844,39 +844,34 @@ def _cmd_steady(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "steady.csv"
-    with path.open("w", newline="") as handle:
-        handle.write("x,depletion,S,u,v\n")
-        substrate = state.substrate
-        for j in range(grid.n):
-            handle.write(
-                ",".join(
-                    _fmt(val)
-                    for val in (
-                        grid.x[j],
-                        state.Stilde[j],
-                        substrate[j],
-                        state.u[j],
-                        state.v[j],
-                    )
-                )
-                + "\n"
-            )
+    _write_float_table(
+        path,
+        ["x", "depletion", "S", "u", "v"],
+        [grid.x, state.Stilde, state.substrate, state.u, state.v],
+    )
     print(
         f"fixed point: converged={state.converged} iterations={state.iterations} "
         f"residual={state.residual:.3e} pde_residual={state.pde_residual:.3e}"
     )
     print(f"profile written to {path.resolve()}")
-    for which in ("attached", "isolated"):
-        report = check_extinction_hypotheses(params, kin, which, grid_n=controls.grid_n)
+    try:
+        extinction = [
+            check_extinction_hypotheses(params, kin, which, grid_n=controls.grid_n)
+            for which in ("attached", "isolated")
+        ]
+        coex = check_coexistence_hypotheses(params, kin, grid_n=controls.grid_n)
+    except (EigenSolverError, ValueError) as exc:
+        print(f"hypothesis reports: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    for report in extinction:
         print(
-            f"extinction[{which}]: all_satisfied={report.all_satisfied} "
+            f"extinction[{report.which}]: all_satisfied={report.all_satisfied} "
             f"window_nonempty={report.window_nonempty} "
             f"eigenvalue={report.eigenvalue:.6f} "
             f"attenuation={report.kernel_attenuation:.6f}"
         )
         for clause in report.clauses:
             print(f"  - {clause.name}: satisfied={clause.satisfied} margin={clause.margin:+.4e}")
-    coex = check_coexistence_hypotheses(params, kin, grid_n=controls.grid_n)
     print(
         f"coexistence: feasible={coex.feasible} feasible_points={coex.feasible_count} "
         f"binding={coex.binding_clause} theta={coex.theta:.4e} rho={coex.rho:.4e}"
@@ -918,7 +913,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
             point = ", ".join(f"{float(w):g}" for w in witness)
             print(f"  witness[{name}]: ({point})")
     if params.m == 1:
-        repro = reproductive_numbers(params, kin, grid_n=config.controls.grid_n)
+        try:
+            repro = reproductive_numbers(params, kin, grid_n=config.controls.grid_n)
+        except (EigenSolverError, ValueError) as exc:
+            print(f"reproductive numbers: {exc}", file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
         print(
             f"reproductive numbers: R_u={repro.R_u:.6f} R_v={repro.R_v:.6f} "
             f"({repro.classification})"

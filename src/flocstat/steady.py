@@ -8,13 +8,16 @@ is ``exp((min(x, s) - s)/d)``, so the steady system becomes a
 fixed-point equation for the triple ``(Stilde, u, v)`` under an integral
 operator.  This module provides:
 
-* the kernel and its trapezoid quadrature matrix (the kernel has a
-  derivative kink at ``s = x``; keeping the kink on a grid node retains
-  second-order accuracy);
-* one application of the integral operator (the two-component
-  extinction systems are the exact restriction of the full operator
-  when one biomass component is identically zero and the matching
-  exchange rate vanishes there — no special casing);
+* the kernel and its trapezoid quadrature matrix, kept as the dense
+  reference (the kernel has a derivative kink at ``s = x``; keeping the
+  kink on a grid node retains second-order accuracy);
+* one application of the integral operator, which evaluates the same
+  trapezoid rule in O(n) without forming the matrix: the kernel is 1
+  below the diagonal and a geometric decay above it, so the quadrature
+  is a cumulative sum plus one unit upper-bidiagonal solve (the two-
+  component extinction systems are the exact restriction of the full
+  operator when one biomass component is identically zero and the
+  matching exchange rate vanishes there — no special casing);
 * a damped Picard iteration with optional projection onto invariant
   cones (order intervals between scaled eigenfunctions), where
   non-convergence is a reportable result, not an exception;
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .eigen import solve_principal
 from .model import GrowthLaw, KineticsSpec, ModelParams
@@ -86,18 +90,25 @@ def kernel_eval(d: float, x, s):
     return out
 
 
+def _trapezoid_weights(grid: Grid) -> Array:
+    """Composite trapezoid weights on the uniform grid."""
+    w = np.full(grid.n, grid.h)
+    w[0] = w[-1] = grid.h / 2.0
+    return w
+
+
 def kernel_matrix(d: float, n: int) -> Array:
     """Quadrature matrix M with ``(M @ rho)_i ~ int K_d(x_i, s) rho(s) ds``.
 
     Composite trapezoid on the uniform n-node grid; the kernel kink at
     ``s = x_i`` always falls on a node, so the rule stays second order.
+    This dense n-by-n matrix is the reference for the rule; the steady
+    operator applies the same rule in O(n) without forming it.
     """
     grid = Grid(n)
     x = grid.x
     K = kernel_eval(d, x[:, None], x[None, :])
-    w = np.full(n, grid.h)
-    w[0] = w[-1] = grid.h / 2.0
-    return K * w[None, :]
+    return K * _trapezoid_weights(grid)[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +153,32 @@ def _as_triple(value, name: str = "triple") -> Array:
 
 
 class _SteadyOperator:
-    """Workspace caching the three quadrature matrices for one grid."""
+    """Workspace applying the trapezoid quadrature of ``kernel_matrix`` in O(n).
+
+    With ``q = w*rho`` and ``a = exp(-h/d)``, row i of the quadrature is
+    ``cumsum(q)_i + T_i``, where the downstream tail ``T`` obeys
+    ``T_{n-1} = 0`` and ``T_i = a*(q_{i+1} + T_{i+1})``: a unit upper-
+    bidiagonal system.  The three components are laid end to end as one
+    such system of size 3n, with the couplings between blocks zeroed.
+    """
 
     def __init__(self, params: ModelParams, kin: KineticsSpec, n: int):
         _require_theory_regime(params, kin)
         self.params = params
         self.kin = kin
         self.n = n
-        self.M = [kernel_matrix(d, n) for d in (params.d0, params.du[0], params.dv[0])]
+        grid = Grid(n)
+        self.w = _trapezoid_weights(grid)
+        # decay[k] = a of row k's block, zero on each block's last row
+        decay = np.repeat([math.exp(-grid.h / d)
+                           for d in (params.d0, params.du[0], params.dv[0])], n)
+        decay[n - 1::n] = 0.0
+        self.decay = decay
+        # dtbtrs band storage (kd=1, upper): ab[0, k+1] is the coefficient
+        # of T_{k+1} in row k; the unit diagonal ab[1] is not referenced
+        ab = np.ones((2, 3 * n))
+        ab[0, 1:] = -decay[:-1]
+        self.ab = ab
 
     def sources(self, X: Array) -> Array:
         """Reaction densities feeding each component's transport balance."""
@@ -166,9 +195,13 @@ class _SteadyOperator:
         return np.stack([consume, src_u, src_v])
 
     def apply(self, X: Array) -> Array:
-        src = self.sources(X)
-        out = np.stack([self.M[c] @ src[c] for c in range(3)])
-        return np.clip(out, 0.0, None)
+        q = self.sources(X) * self.w
+        # right-hand side a*q_{k+1}, solved in place; the band has a unit
+        # diagonal, so the solve cannot fail
+        rhs = np.append(q.reshape(-1)[1:], 0.0) * self.decay
+        tail = dtbtrs(self.ab, rhs[:, None], diag="U", overwrite_b=1)[0]
+        out = np.cumsum(q, axis=1) + tail.reshape(3, self.n)
+        return np.clip(out, 0.0, None, out=out)
 
     def differential_defect(self, X: Array) -> float:
         """Sup-norm defect of the triple against the differential balances."""

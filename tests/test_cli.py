@@ -9,6 +9,7 @@ import flocstat as fs
 from flocstat.cli import (
     EXIT_BLOW_UP,
     EXIT_CONFIG,
+    EXIT_NO_CONVERGENCE,
     EXIT_OK,
     PRESET_ALIASES,
     build_initial_state,
@@ -296,6 +297,49 @@ class TestMainEntry:
         assert "fixed point: converged=True" in out
         assert "coexistence: feasible=False" in out
         assert (tmp_path / "steady.csv").is_file()
+
+    def test_steady_rerun_byte_identical(self, tmp_path, capsys):
+        """Two runs write the same steady.csv, with one repr float per cell."""
+        paths = []
+        for name in ("a", "b"):
+            assert main(["steady", "--preset", "fig2a", "--out", str(tmp_path / name)]) == EXIT_OK
+            paths.append(tmp_path / name / "steady.csv")
+        text = paths[0].read_bytes()
+        assert paths[1].read_bytes() == text
+
+        config = fs.load_preset("fig2a")
+        controls = config.controls
+        initial = build_initial_state(config, fs.Grid(controls.grid_n))
+        state = fs.fixed_point_solve(
+            (np.clip(1.0 - initial.S, 0.0, None), initial.u[0], initial.v[0]),
+            config.params, config.kin, tol=controls.steady_tol,
+            max_iter=controls.steady_max_iter, damping=controls.steady_damping,
+        )
+        x, substrate = state.grid.x, state.substrate
+        rows = ["x,depletion,S,u,v\n"]
+        for j in range(state.grid.n):
+            cells = (x[j], state.Stilde[j], substrate[j], state.u[j], state.v[j])
+            rows.append(",".join(repr(float(c)) for c in cells) + "\n")
+        assert text == "".join(rows).encode()
+
+    def test_steady_verb_coarse_grid_exits_without_traceback(self, tmp_path, capsys):
+        """fig4e's dv=0.001 at n=501 is too coarse for the eigen solver that
+        the hypothesis reports use: exit 3 with one line, profile written."""
+        code = main(["steady", "--preset", "fig4e", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NO_CONVERGENCE
+        assert "fixed point: converged=True" in captured.out
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "grid too coarse" in captured.err
+        assert (tmp_path / "steady.csv").is_file()
+
+    def test_check_verb_coarse_grid_exits_without_traceback(self, capsys):
+        code = main(["check", "--preset", "fig4e"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NO_CONVERGENCE
+        assert "quasipositive:" in captured.out
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "grid too coarse" in captured.err
 
     def test_sweep_verb(self, tmp_path, capsys):
         cfg_path = tmp_path / "sweep.ini"

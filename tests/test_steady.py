@@ -88,6 +88,44 @@ class TestSteadyOperator:
         out = np.asarray(fs.apply_steady_operator(trip, params, kin))
         assert np.min(out) >= 0.0
 
+    @pytest.mark.parametrize("n", [101, 401])
+    @pytest.mark.parametrize("d", [0.001, 0.01, 0.1, 1.0, 10.0, 100.0])
+    def test_matches_dense_quadrature(self, n, d):
+        """The O(n) operator applies exactly the rule of kernel_matrix.
+
+        d = 0.001 drives the per-cell decay exp(-h/d) towards 0, d = 100
+        towards 1.  Without exchange every source is nonnegative, so the
+        comparison is free of cancellation.
+        """
+        params = standard_params(d0=d, du=d, dv=d)
+        kin = floc_kinetics(alpha=fs.ConstantRate(0.0), beta=fs.ConstantRate(0.0))
+        rng = np.random.default_rng(7)
+        dep, u, v = rng.random(n) * 0.9, rng.random(n), rng.random(n)
+        S = 1.0 - dep
+        fS, gS = kin.f[0](S), kin.g[0](S)
+        sources = np.stack([fS * u + gS * v, fS * u, gS * v])
+        want = np.clip(fs.kernel_matrix(d, n) @ sources.T, 0.0, None).T
+        got = np.asarray(fs.apply_steady_operator((dep, u, v), params, kin))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_fine_grid_needs_no_dense_matrix(self):
+        """n = 200 001: three dense kernels would need about 960 GB.
+
+        A constant source c gives ``c * (x + d*(1 - exp((x - 1)/d)))``,
+        the integral of the kernel over [0, 1].
+        """
+        n = 200_001
+        params = theory_params()
+        kin = floc_kinetics(alpha=fs.ConstantRate(0.0), beta=fs.ConstantRate(0.0))
+        dep, u, v = np.full(n, 0.2), np.full(n, 0.5), np.zeros(n)
+        out = fs.apply_steady_operator((dep, u, v), params, kin)
+        c = float(kin.f[0](0.8)) * 0.5
+        x = np.linspace(0.0, 1.0, n)
+        for row, d in zip(out[:2], (params.d0, params.du[0])):
+            np.testing.assert_allclose(row, c * (x + d * (1.0 - np.exp((x - 1.0) / d))),
+                                       rtol=1e-9)
+        np.testing.assert_array_equal(out[2], 0.0)
+
 
 class TestFixedPoint:
     def test_attached_free_fixed_point_regression(self):
