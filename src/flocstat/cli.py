@@ -63,7 +63,7 @@ from .model import (
     ZeroGrowth,
     check_structural_conditions,
 )
-from .pde import Grid, SimulationResult, StateField, classify_outcome, simulate
+from .pde import Grid, SimulationResult, StateField, classify_outcome, monitor_keys, simulate
 from .steady import (
     check_coexistence_hypotheses,
     check_extinction_hypotheses,
@@ -559,14 +559,8 @@ def _fmt(value: float) -> str:
 
 
 def monitor_columns(m: int) -> list[str]:
-    cols = ["t", "sup_S"]
-    for i in range(1, m + 1):
-        cols += [f"sup_u_{i}", f"sup_v_{i}"]
-    cols.append("l1_S")
-    for i in range(1, m + 1):
-        cols += [f"l1_u_{i}", f"l1_v_{i}"]
-    cols += ["mass", "Q", "dt"]
-    return cols
+    """The columns of monitors.csv: simulate's monitors without ``clamp``."""
+    return [key for key in monitor_keys(m) if key != "clamp"]
 
 
 def write_monitors_csv(path: Path, result: SimulationResult) -> None:
@@ -841,6 +835,9 @@ def _cmd_steady(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"steady solve rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if np.isnan(state.residual):
+        print(f"steady solve stopped: {state.reason}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "steady.csv"

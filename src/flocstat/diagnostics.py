@@ -30,11 +30,10 @@ from math import comb, sqrt
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .eigen import EigenPair, solve_principal
 from .model import KineticsSpec, ModelParams, weight_vector
-from .operators import Array, BoundaryVariant
+from .operators import Array, BoundaryVariant, trapezoid
 
 __all__ = [
     "ReproductiveNumbers",
@@ -151,8 +150,8 @@ def blowup_functional(state, pair: EigenPair, *, yu: float, yv: float,
     if not (0 <= species < state.m):
         raise ValueError(f"species index {species} out of range for m={state.m}")
     h = state.grid.h
-    Y = float(trapezoid(state.u[species] * phi, dx=h))
-    Z = float(trapezoid(state.v[species] * phi, dx=h))
+    Y = float(trapezoid(state.u[species] * phi, h))
+    Z = float(trapezoid(state.v[species] * phi, h))
     Q = (yu + 1.0) * Y + (yv + 1.0) * Z
     return Y, Z, Q
 
@@ -212,7 +211,7 @@ def hp_energy(u: Array, v: Array, cfg: EnergyConfig) -> tuple[Array, float]:
         raise ValueError(f"energy inputs must be scalar or 1-D profiles, got shape {H.shape}")
     if H.size == 1:
         return H, float(H[0])
-    return H, float(trapezoid(H, dx=1.0 / (H.size - 1)))
+    return H, float(trapezoid(H, 1.0 / (H.size - 1)))
 
 
 def weighted_mass(state, params: ModelParams, *, reading: str = "list") -> float:
@@ -227,8 +226,8 @@ def weighted_mass(state, params: ModelParams, *, reading: str = "list") -> float
     if state.m != params.m:
         raise ValueError(f"state has m={state.m} species, params have m={params.m}")
     h = state.grid.h
-    total = weights[0] * float(trapezoid(state.S, dx=h))
+    total = weights[0] * float(trapezoid(state.S, h))
     for i in range(params.m):
-        total += weights[1 + 2 * i] * float(trapezoid(state.u[i], dx=h))
-        total += weights[2 + 2 * i] * float(trapezoid(state.v[i], dx=h))
+        total += weights[1 + 2 * i] * float(trapezoid(state.u[i], h))
+        total += weights[2 + 2 * i] * float(trapezoid(state.v[i], h))
     return total

@@ -147,13 +147,24 @@ def _require_nonneg_substrate(S) -> None:
 #
 # Each law maps the full density vectors (u, v) -- shape (m,) pointwise or
 # (m, n) on a grid -- to a scalar rate field (shape () or (n,)).  All laws
-# are built from ``total = sum_j(u_j + v_j)`` and ``attached = sum_j v_j``,
-# are continuous, nonnegative on the nonnegative orthant and nondecreasing
-# in every density.
+# are built from the species totals ``U = sum_j u_j`` and ``V = sum_j v_j``
+# (total biomass ``U + V``, attached biomass ``V``), are continuous,
+# nonnegative on the nonnegative orthant and nondecreasing in every density.
+#
+# Calling a law sums the species axis and delegates to ``_rate(U, V)``, the
+# formula on the totals.  The reaction kernel computes U and V once per
+# evaluation and calls ``_rate`` for every law.
+
+
+class _TotalsRate:
+    """Evaluates ``_rate`` on the species totals of (u, v)."""
+
+    def __call__(self, u: Array, v: Array):
+        return self._rate(np.sum(u, axis=0), np.sum(v, axis=0))
 
 
 @dataclass(frozen=True)
-class ConstantRate:
+class ConstantRate(_TotalsRate):
     """Density-independent rate ``c``."""
 
     c: float
@@ -162,9 +173,8 @@ class ConstantRate:
         if not (self.c >= 0 and math.isfinite(self.c)):
             raise ValueError(f"ConstantRate coefficient must be nonnegative, got {self.c}")
 
-    def __call__(self, u: Array, v: Array):
-        total = np.sum(u, axis=0) + np.sum(v, axis=0)
-        return self.c * np.ones_like(total)
+    def _rate(self, U, V):
+        return np.full_like(U, self.c)
 
     #: polynomial degree in the densities
     degree: int = field(default=0, init=False, repr=False)
@@ -179,7 +189,7 @@ class ConstantRate:
 
 
 @dataclass(frozen=True)
-class LinearTotalRate:
+class LinearTotalRate(_TotalsRate):
     """Rate proportional to total biomass: ``c * sum_j(u_j + v_j)``."""
 
     c: float
@@ -188,8 +198,8 @@ class LinearTotalRate:
         if not (self.c >= 0 and math.isfinite(self.c)):
             raise ValueError(f"LinearTotalRate coefficient must be nonnegative, got {self.c}")
 
-    def __call__(self, u: Array, v: Array):
-        return self.c * (np.sum(u, axis=0) + np.sum(v, axis=0))
+    def _rate(self, U, V):
+        return self.c * (U + V)
 
     degree: int = field(default=1, init=False, repr=False)
 
@@ -203,16 +213,15 @@ class LinearTotalRate:
 
 
 @dataclass(frozen=True)
-class AttachedTimesTotalRate:
+class AttachedTimesTotalRate(_TotalsRate):
     """Rate ``(sum_j(u_j + v_j)) * (sum_j v_j)``: total biomass times attached.
 
     Vanishes identically when no attached biomass is present, which makes
     the all-isolated state invariant under attachment.
     """
 
-    def __call__(self, u: Array, v: Array):
-        attached = np.sum(v, axis=0)
-        return (np.sum(u, axis=0) + attached) * attached
+    def _rate(self, U, V):
+        return (U + V) * V
 
     degree: int = field(default=2, init=False, repr=False)
 
@@ -226,12 +235,11 @@ class AttachedTimesTotalRate:
 
 
 @dataclass(frozen=True)
-class OnePlusAttachedTimesTotalRate:
+class OnePlusAttachedTimesTotalRate(_TotalsRate):
     """Rate ``(1 + sum_j v_j) * (sum_j(u_j + v_j))``."""
 
-    def __call__(self, u: Array, v: Array):
-        attached = np.sum(v, axis=0)
-        return (1.0 + attached) * (np.sum(u, axis=0) + attached)
+    def _rate(self, U, V):
+        return (1.0 + V) * (U + V)
 
     degree: int = field(default=2, init=False, repr=False)
 
@@ -245,7 +253,7 @@ class OnePlusAttachedTimesTotalRate:
 
 
 @dataclass(frozen=True)
-class PowerTotalRate:
+class PowerTotalRate(_TotalsRate):
     """Rate ``c * (sum_j(u_j + v_j))**l`` with integer exponent ``l >= 1``."""
 
     c: float
@@ -257,9 +265,8 @@ class PowerTotalRate:
         if not (isinstance(self.l, int) and self.l >= 1):
             raise ValueError(f"PowerTotalRate exponent must be an integer >= 1, got {self.l}")
 
-    def __call__(self, u: Array, v: Array):
-        total = np.sum(u, axis=0) + np.sum(v, axis=0)
-        return self.c * total**self.l
+    def _rate(self, U, V):
+        return self.c * (U + V)**self.l
 
     @property
     def degree(self) -> int:
@@ -420,30 +427,47 @@ def reaction_field(params: ModelParams, kin: KineticsSpec, S, u, v) -> Array:
     if v_arr.size and float(v_arr.min()) < 0.0:
         raise ValueError("attached densities must be nonnegative")
     _require_nonneg_substrate(S_arr)
-    return _reaction_terms(params, kin, S_arr, u_arr, v_arr)
+    # the kernel works on profiles: a pointwise state is a one-node profile
+    m = params.m
+    out = _reaction_terms(params, kin, S_arr.reshape(-1), u_arr.reshape(m, -1),
+                          v_arr.reshape(m, -1))
+    return out.reshape((2 * m + 1,) + S_arr.shape)
 
 
 def _reaction_terms(params: ModelParams, kin: KineticsSpec, S: Array, u: Array,
                     v: Array) -> Array:
-    """:func:`reaction_field` without its checks.
+    """:func:`reaction_field` without its checks, on (n,) and (m, n) profiles.
 
     The caller guarantees what ``reaction_field`` verifies: float arrays of
     matching shapes, with nonnegative entries.  The time stepper calls this
-    on every step, with states that construction and clamping keep valid.
+    on every step, with states that construction and clamping keep valid,
+    and may overwrite the returned array.
+
+    The species totals are summed once for all rate laws, and each row is
+    written in place; every row takes the same floating-point operations, in
+    the same order, as the formulas in ``reaction_field``'s docstring.
     """
-    out = np.zeros((2 * params.m + 1,) + S.shape, dtype=float)
+    U = np.add.reduce(u, axis=0)  # np.sum's reduction, without its wrapper
+    V = np.add.reduce(v, axis=0)
+    out = np.zeros((2 * params.m + 1, S.shape[0]))
+    growth_u, growth_v, attach, detach = np.empty((4, S.shape[0]))
     for i in range(params.m):
-        fi = kin.f[i]._rate(S)
-        gi = kin.g[i]._rate(S)
-        ai = kin.alpha[i](u, v)
-        bi = kin.beta[i](u, v)
-        growth_u = fi * u[i]
-        growth_v = gi * v[i]
-        attach = ai * u[i]
-        detach = bi * v[i]
-        out[0] -= growth_u + growth_v
-        out[1 + 2 * i] = growth_u - attach / params.yu[i] + detach
-        out[2 + 2 * i] = growth_v + attach - detach / params.yv[i]
+        iso, att = out[1 + 2 * i], out[2 + 2 * i]
+        np.multiply(kin.f[i]._rate(S), u[i], out=growth_u)
+        np.multiply(kin.g[i]._rate(S), v[i], out=growth_v)
+        np.multiply(kin.alpha[i]._rate(U, V), u[i], out=attach)
+        np.multiply(kin.beta[i]._rate(U, V), v[i], out=detach)
+        # isolated: growth_u - attach / yu + detach
+        np.divide(attach, params.yu[i], out=iso)
+        np.subtract(growth_u, iso, out=iso)
+        iso += detach
+        # attached: growth_v + attach - detach / yv
+        np.add(growth_v, attach, out=att)
+        detach /= params.yv[i]
+        att -= detach
+        # substrate: minus (growth_u + growth_v), accumulated over species
+        growth_u += growth_v
+        out[0] -= growth_u
     return out
 
 

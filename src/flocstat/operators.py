@@ -5,7 +5,8 @@ with a feed condition ``-d*w'(0) + w(0) = gamma`` at the inlet and a
 no-flux condition ``w'(1) = 0`` at the outlet.  This module builds the
 tridiagonal matrices for that operator (and its advection-reversed
 mirror) on a uniform grid, with the boundary conditions folded into the
-first and last rows by second-order ghost-node elimination.
+first and last rows by second-order ghost-node elimination.  It also holds
+the composite trapezoid rule that integrates sampled profiles.
 
 Matrices are returned in scipy's banded layout: ``ab[0, 1:]`` upper
 diagonal, ``ab[1, :]`` main diagonal, ``ab[2, :-1]`` lower diagonal.
@@ -104,6 +105,15 @@ def band_matvec(ab: Array, x: Array) -> Array:
     y[:-1] += ab[0, 1:] * x[1:]
     y[1:] += ab[2, :-1] * x[:-1]
     return y
+
+
+def trapezoid(y: Array, dx: float) -> Array:
+    """Composite trapezoid integrals of samples ``dx`` apart, along the last axis.
+
+    The expression is the one ``scipy.integrate.trapezoid`` evaluates, so the
+    results agree with it bit for bit, without importing ``scipy.integrate``.
+    """
+    return (dx * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)
 
 
 def peclet_number(d: float, n: int) -> float:

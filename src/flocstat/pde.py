@@ -35,9 +35,10 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+from .diagnostics import hp_energy
 from .eigen import EigenPair, solve_principal
 from .model import KineticsSpec, ModelParams, _reaction_terms, weight_vector
-from .operators import Array, BoundaryVariant, feed_vector, operator_bands
+from .operators import Array, BoundaryVariant, feed_vector, operator_bands, trapezoid
 
 __all__ = [
     "Grid",
@@ -48,12 +49,17 @@ __all__ = [
     "BoundReport",
     "advance",
     "simulate",
+    "monitor_keys",
     "classify_outcome",
     "monitor_bounds",
 ]
 
 #: accepted steps must not undershoot below this before clamping
 CLAMP_TOL = 1e-12
+
+#: simulate copies each recorded state into a buffer of this many states
+#: and evaluates the monitors of the whole buffer at once
+RECORD_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -79,12 +85,8 @@ class Grid:
         return float(self.integrate_rows(np.asarray(w, dtype=float)))
 
     def integrate_rows(self, W: Array) -> Array:
-        """Composite trapezoid integrals over [0, 1] along the last axis.
-
-        The expression is the one ``scipy.integrate.trapezoid`` evaluates, so
-        the results agree with it bit for bit, without its per-call overhead.
-        """
-        return (self.h * (W[..., 1:] + W[..., :-1]) / 2.0).sum(axis=-1)
+        """Composite trapezoid integrals over [0, 1] along the last axis."""
+        return trapezoid(W, self.h)
 
 
 _Profile = Union[float, Sequence[float], Array, Callable[[Array], Array]]
@@ -280,13 +282,16 @@ class _Stepper:
     def try_step(self, W: Array, dt: float) -> tuple[Optional[Array], float, str]:
         """One IMEX step.  Returns (new stack, clamp magnitude, "") on
         acceptance, (None, 0, reason) on rejection."""
-        R = _reaction_terms(self.params, self.kin, W[0], W[1::2], W[2::2])
-        rhs = W + dt * (R + self.B)
+        # the explicit stage W + dt*(R + B), built in place in the kernel's
+        # array and then solved in place: it is this step's own array
+        rhs = _reaction_terms(self.params, self.kin, W[0], W[1::2], W[2::2])
+        rhs += self.B
+        rhs *= dt
+        rhs += W
         if not np.isfinite(rhs).all():
             return None, 0.0, "non-finite explicit stage"
         if float(rhs.min()) < -CLAMP_TOL:
             return None, 0.0, "explicit stage undershoot"
-        # solved in place: rhs is this step's own array
         W_new = dgttrs(*self.factors(dt), rhs.reshape(-1), overwrite_b=1)[0].reshape(W.shape)
         if not np.isfinite(W_new).all():
             return None, 0.0, "non-finite solve"
@@ -338,6 +343,72 @@ def advance(state: StateField, params: ModelParams, kin: KineticsSpec,
     return StateField.from_stack(state.grid, W_new, state.t + dt)
 
 
+def monitor_keys(m: int) -> list[str]:
+    """The monitor columns ``simulate`` records for m species, in order,
+    before any energy columns (see :class:`SimulationResult`)."""
+    labels = ["S"] + [f"{k}_{i + 1}" for i in range(m) for k in ("u", "v")]
+    return (["t"] + [f"sup_{c}" for c in labels] + [f"l1_{c}" for c in labels]
+            + ["mass", "Q", "dt", "clamp"])
+
+
+class _MonitorRecorder:
+    """The monitor rows of one run (columns: ``monitor_keys`` plus energies).
+
+    Recorded states wait in a buffer of RECORD_BLOCK states.  When it fills,
+    and when the run ends, the monitors of the whole buffer are evaluated at
+    once, one row per state, with the same floating-point operations as
+    state by state.
+    """
+
+    def __init__(self, params: ModelParams, grid: Grid, phi: Optional[Array],
+                 energy_configs: Sequence):
+        m = params.m
+        self.params = params
+        self.grid = grid
+        self.phi = phi
+        self.weights = np.asarray(weight_vector(params))
+        self.energy = [(cfg, i) for cfg in energy_configs for i in range(m)]
+        self.keys = monitor_keys(m) + [f"energy_p{cfg.p}_{i + 1}" for cfg, i in self.energy]
+        self.block = np.empty((RECORD_BLOCK, 2 * m + 1, grid.n))
+        self.pending: list[tuple[float, float, float]] = []  # (t, dt used, clamp)
+        self.rows: list[Array] = []
+
+    def record(self, W: Array, t: float, dt_used: float, clamp: float) -> None:
+        self.block[len(self.pending)] = W
+        self.pending.append((t, dt_used, clamp))
+        if len(self.pending) == RECORD_BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        k = len(self.pending)
+        if not k:
+            return
+        Ws = self.block[:k]
+        c = Ws.shape[1]  # columns: t, c sups, c l1s, mass, Q, dt, clamp, energies
+        rows = np.empty((k, len(self.keys)))
+        rows[:, [0, 2 * c + 3, 2 * c + 4]] = self.pending
+        rows[:, 1:c + 1] = Ws.max(axis=-1)
+        l1s = self.grid.integrate_rows(Ws)
+        rows[:, c + 1:2 * c + 1] = l1s
+        rows[:, 2 * c + 1] = [self.weights @ l1 for l1 in l1s]
+        if self.phi is not None:
+            YZ = self.grid.integrate_rows(Ws[:, 1:3] * self.phi)
+            yu, yv = self.params.yu[0], self.params.yv[0]
+            rows[:, 2 * c + 2] = (yu + 1.0) * YZ[:, 0] + (yv + 1.0) * YZ[:, 1]
+        else:
+            rows[:, 2 * c + 2] = 0.0
+        for j, (cfg, i) in enumerate(self.energy):
+            rows[:, 2 * c + 5 + j] = [hp_energy(W[1 + 2 * i], W[2 + 2 * i], cfg)[1] for W in Ws]
+        self.rows.append(rows)
+        self.pending.clear()
+
+    def monitors(self) -> dict[str, Array]:
+        """Flush what is pending and return the columns by name."""
+        self.flush()
+        data = np.concatenate(self.rows)
+        return {key: data[:, j].copy() for j, key in enumerate(self.keys)}
+
+
 def _snapshot_targets(t0: float, t_end: float, snapshot_times, max_snapshots: int):
     if snapshot_times is None:
         count = min(11, max_snapshots)
@@ -380,8 +451,6 @@ def simulate(
     :mod:`flocstat.diagnostics`; each adds per-species monitor columns
     ``energy_p<p>_<i>``.
     """
-    from . import diagnostics  # local import; diagnostics only needs arrays
-
     _require_consistent(params, kin, initial)
     _require_monotone_grid(params, initial.grid)
     if t_end <= initial.t:
@@ -396,9 +465,7 @@ def simulate(
         )
 
     grid = initial.grid
-    m = params.m
     stepper = _Stepper(params, kin, grid)
-    weights = np.asarray(weight_vector(params))
 
     pair: Optional[EigenPair] = None
     phi = None
@@ -406,26 +473,8 @@ def simulate(
         pair = solve_principal(params.du[0], grid.n, BoundaryVariant.OUTFLOW_ROBIN)
         phi = pair.function
 
-    labels = ["S"] + [f"{k}_{i + 1}" for i in range(m) for k in ("u", "v")]
-    energy_keys = [
-        (f"energy_p{cfg.p}_{i + 1}", cfg, i) for cfg in energy_configs for i in range(m)
-    ]
-
-    rows: list[list[float]] = []
-
-    def record(W: Array, t: float, dt_used: float, clamp: float) -> None:
-        l1s = grid.integrate_rows(W)
-        mass = float(weights @ l1s)
-        if phi is not None:
-            Y, Z = grid.integrate_rows(W[1:3] * phi).tolist()
-            Q = (params.yu[0] + 1.0) * Y + (params.yv[0] + 1.0) * Z
-        else:
-            Q = 0.0
-        row = [t, *W.max(axis=1).tolist(), *l1s.tolist(), mass, Q, dt_used, clamp]
-        for _key, cfg, i in energy_keys:
-            _, Lp = diagnostics.hp_energy(W[1 + 2 * i], W[2 + 2 * i], cfg)
-            row.append(Lp)
-        rows.append(row)
+    recorder = _MonitorRecorder(params, grid, phi, energy_configs)
+    record = recorder.record
 
     # --- snapshot bookkeeping ------------------------------------------------
     time_targets: Optional[list[float]] = None
@@ -508,14 +557,9 @@ def simulate(
         if len(snapshots) > max_snapshots:
             del snapshots[1::2]
 
-    data = np.asarray(rows)
-    keys = (["t"] + [f"sup_{c}" for c in labels] + [f"l1_{c}" for c in labels]
-            + ["mass", "Q", "dt", "clamp"] + [k for k, _c, _i in energy_keys])
-    monitors = {k: data[:, j].copy() for j, k in enumerate(keys)}
-
     return SimulationResult(
         grid=grid,
-        monitors=monitors,
+        monitors=recorder.monitors(),
         snapshots=tuple(snapshots),
         verdict=verdict,
         initial=initial,

@@ -184,14 +184,17 @@ class _SteadyOperator:
         """Reaction densities feeding each component's transport balance."""
         Stilde, u, v = X
         S_avail = np.clip(1.0 - Stilde, 0.0, None)
-        fS = self.kin.f[0](S_avail)
-        gS = self.kin.g[0](S_avail)
-        attach = self.kin.alpha[0](u[None, :], v[None, :])
-        detach = self.kin.beta[0](u[None, :], v[None, :])
+        # one species: the totals U, V of the rate laws are u and v
+        fS = self.kin.f[0]._rate(S_avail)
+        gS = self.kin.g[0]._rate(S_avail)
+        attach = self.kin.alpha[0]._rate(u, v)
+        detach = self.kin.beta[0]._rate(u, v)
         yu, yv = self.params.yu[0], self.params.yv[0]
-        consume = fS * u + gS * v
-        src_u = fS * u + detach * v - attach * u / yu
-        src_v = gS * v + attach * u - detach * v / yv
+        growth_u, growth_v = fS * u, gS * v
+        attach_u, detach_v = attach * u, detach * v
+        consume = growth_u + growth_v
+        src_u = growth_u + detach_v - attach_u / yu
+        src_v = growth_v + attach_u - detach_v / yv
         return np.stack([consume, src_u, src_v])
 
     def apply(self, X: Array) -> Array:
@@ -247,7 +250,10 @@ class SteadyState:
     differences, boundary conditions included) — the quantity that
     governs drift when the state is transplanted into the transient
     solver.  projection_trace records the per-iteration cone-projection
-    magnitudes when a cone constrained the iteration.
+    magnitudes when a cone constrained the iteration.  reason says why an
+    unconverged solve stopped; it is empty for a converged state.  A solve
+    that stops at a non-finite iterate returns that iterate, with both
+    residuals nan; every other state is finite.
     """
 
     grid: Grid
@@ -259,6 +265,7 @@ class SteadyState:
     converged: bool
     iterations: int
     projection_trace: tuple[float, ...] = ()
+    reason: str = ""
 
     def __post_init__(self) -> None:
         n = self.grid.n
@@ -266,11 +273,11 @@ class SteadyState:
             arr = np.asarray(getattr(self, label), dtype=float)
             if arr.shape != (n,):
                 raise ValueError(f"{label} has shape {arr.shape}, expected ({n},)")
-            if not np.isfinite(arr).all() or (arr.size and float(arr.min()) < 0.0):
+            if (self.converged and not np.isfinite(arr).all()) or np.any(arr < 0.0):
                 raise ValueError(f"{label} must be finite and nonnegative")
             object.__setattr__(self, label, arr)
         for label in ("residual", "pde_residual"):
-            if not math.isfinite(getattr(self, label)):
+            if self.converged and not math.isfinite(getattr(self, label)):
                 raise ValueError(f"{label} must be finite")
 
     @property
@@ -576,8 +583,10 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
     when the successive sup-norm change drops below ``tol``; hitting
     ``max_iter`` first returns the last iterate marked unconverged — the
     operator is not proven contractive, so non-convergence is a result,
-    not an error.  The returned residual is the fixed-point defect
-    ``sup |G(x) - x|``; pde_residual is the differential-balance defect.
+    not an error.  So does an iterate that overflows: the iteration stops
+    at the first non-finite one and returns it with nan residuals.  The
+    returned residual is the fixed-point defect ``sup |G(x) - x|``;
+    pde_residual is the differential-balance defect.
     """
     if not (0.0 < damping <= 1.0):
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
@@ -598,26 +607,36 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
     op = _SteadyOperator(params, kin, n)
     trace: list[float] = []
     converged = False
+    reason = f"iteration limit {max_iter} reached"
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        GX = op.apply(X)
-        X_new = (1.0 - damping) * X + damping * GX
-        if cone is not None:
-            projected = cone.clip(X_new)
-            trace.append(float(np.max(np.abs(projected - X_new))))
-            X_new = projected
-        change = float(np.max(np.abs(X_new - X)))
-        X = X_new
-        if change < tol:
-            converged = True
-            break
-    residual = float(np.max(np.abs(op.apply(X) - X)))
-    pde_residual = op.differential_defect(X)
+    # overflow is detected below and reported as the stopping reason
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, max_iter + 1):
+            GX = op.apply(X)
+            X_new = (1.0 - damping) * X + damping * GX
+            if cone is not None:
+                projected = cone.clip(X_new)
+                trace.append(float(np.max(np.abs(projected - X_new))))
+                X_new = projected
+            # X is finite, so the change is finite exactly when X_new is
+            change = float(np.max(np.abs(X_new - X)))
+            X = X_new
+            if not math.isfinite(change):
+                reason = f"non-finite iterate at iteration {iterations}"
+                break
+            if change < tol:
+                converged, reason = True, ""
+                break
+    if math.isfinite(change):
+        residual = float(np.max(np.abs(op.apply(X) - X)))
+        pde_residual = op.differential_defect(X)
+    else:
+        residual = pde_residual = math.nan
     return SteadyState(
         grid=grid, Stilde=X[0], u=X[1], v=X[2],
         residual=residual, pde_residual=pde_residual,
         converged=converged, iterations=iterations,
-        projection_trace=tuple(trace),
+        projection_trace=tuple(trace), reason=reason,
     )
 
 

@@ -83,6 +83,57 @@ def binomial_phase_energy(u, v, p: int, a: float):
     return total
 
 
+def _growth_reference(law, S):
+    """A growth law's formula, read off its class and coefficients."""
+    name = type(law).__name__
+    if name == "Monod":
+        return law.a * S / (law.b + S)
+    if name == "Haldane":
+        return law.a * S / (law.b + S + law.c * S * S)
+    if name == "ZeroGrowth":
+        return np.zeros_like(S)
+    raise NotImplementedError(name)
+
+
+def _rate_reference(law, total, attached):
+    """An exchange-rate law's formula on total and attached biomass."""
+    name = type(law).__name__
+    if name == "ConstantRate":
+        return law.c * np.ones_like(total)
+    if name == "LinearTotalRate":
+        return law.c * total
+    if name == "AttachedTimesTotalRate":
+        return total * attached
+    if name == "OnePlusAttachedTimesTotalRate":
+        return (1.0 + attached) * total
+    if name == "PowerTotalRate":
+        return law.c * total**law.l
+    raise NotImplementedError(name)
+
+
+def reaction_reference(params, kin, S, u, v):
+    """Reaction terms of the profile state ``S`` (n,), ``u``/``v`` (m, n).
+
+    Every law is written out here from its coefficients, and every row is
+    one whole-array expression of the formulas in ``reaction_field``'s
+    docstring, with the substrate row accumulated species by species.
+    """
+    total = np.sum(u, axis=0) + np.sum(v, axis=0)
+    attached = np.sum(v, axis=0)
+    out = np.empty((2 * params.m + 1, S.shape[0]))
+    substrate = np.zeros(S.shape[0])
+    for i in range(params.m):
+        growth_u = _growth_reference(kin.f[i], S) * u[i]
+        growth_v = _growth_reference(kin.g[i], S) * v[i]
+        attach = _rate_reference(kin.alpha[i], total, attached) * u[i]
+        detach = _rate_reference(kin.beta[i], total, attached) * v[i]
+        substrate = substrate - (growth_u + growth_v)
+        out[1 + 2 * i] = growth_u - attach / params.yu[i] + detach
+        out[2 + 2 * i] = growth_v + attach - detach / params.yv[i]
+    out[0] = substrate
+    return out
+
+
 def imex_step_banded(params, kin, W, dt: float):
     """One IMEX step of the stack ``W = (S, u_1, v_1, ..., u_m, v_m)``, the
     transport solved component by component.

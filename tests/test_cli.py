@@ -1,6 +1,11 @@
 """Tests for config parsing, presets, CSV outputs, sweeps, and exit codes."""
 
 import csv
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +338,13 @@ class TestMainEntry:
         assert "grid too coarse" in captured.err
         assert (tmp_path / "steady.csv").is_file()
 
+    def test_steady_non_finite_iterate_exits_3(self, tmp_path, capsys):
+        code = main(["steady", "--preset", "blowup_demo", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NO_CONVERGENCE
+        assert captured.err == "steady solve stopped: non-finite iterate at iteration 12\n"
+        assert not (tmp_path / "steady.csv").exists()
+
     def test_check_verb_coarse_grid_exits_without_traceback(self, capsys):
         code = main(["check", "--preset", "fig4e"])
         captured = capsys.readouterr()
@@ -348,3 +360,24 @@ class TestMainEntry:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_OK
         assert (tmp_path / "out" / "summary.csv").is_file()
+
+
+class TestPackaging:
+    def test_readme_config_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1
+        config = fs.parse_config(blocks[0])
+        assert config.sweep is not None and config.sweep.parameter == "dv"
+        assert config.outputs.write_monitors and config.outputs.write_snapshots
+
+    def test_cli_import_leaves_heavy_scipy_modules_out(self):
+        src = Path(fs.__file__).resolve().parents[1]
+        code = (
+            "import sys, flocstat.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') "
+            "if m in sys.modules))"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert done.stdout.strip() == "[]"

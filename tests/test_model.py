@@ -7,6 +7,16 @@ from hypothesis import strategies as st
 
 import flocstat as fs
 from conftest import floc_kinetics, standard_params
+from flocstat.model import _reaction_terms
+from oracles import reaction_reference
+
+RATE_LAWS = (
+    fs.ConstantRate(0.7),
+    fs.LinearTotalRate(1.3),
+    fs.AttachedTimesTotalRate(),
+    fs.OnePlusAttachedTimesTotalRate(),
+    fs.PowerTotalRate(0.5, 3),
+)
 
 
 class TestGrowthLaws:
@@ -180,6 +190,27 @@ class TestReactionField:
         fS = fs.reaction_field(p, kin, np.array([0.0]), u_arr, v_arr)
         assert fS[0, 0] >= -1e-12
 
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("k", range(len(RATE_LAWS)),
+                             ids=[type(law).__name__ for law in RATE_LAWS])
+    def test_kernel_matches_reference_bit_for_bit(self, k, m):
+        """Every rate law, as attachment and as detachment, on strided rows
+        of a state stack as the stepper passes them."""
+        alpha, beta = RATE_LAWS[k], RATE_LAWS[(k + 1) % len(RATE_LAWS)]
+        params = fs.ModelParams(m=m, d0=1.0, du=1.0, dv=1.0, yu=(0.1, 0.7)[:m],
+                                yv=(0.3, 1.9)[:m], gamma_s=1.0)
+        kin = fs.KineticsSpec(f=(fs.Monod(4.0, 1.0), fs.Haldane(3.0, 1.0, 1.0))[:m],
+                              g=(fs.Haldane(2.0, 0.5, 2.0), fs.ZeroGrowth())[:m],
+                              alpha=(alpha,) * m, beta=(beta,) * m)
+        W = np.random.default_rng(11 + m).uniform(0.0, 3.0, size=(2 * m + 1, 37))
+        W[:, ::5] = 0.0
+        S, u, v = W[0], W[1::2], W[2::2]
+        expected = reaction_reference(params, kin, S, u, v)
+        np.testing.assert_array_equal(_reaction_terms(params, kin, S, u, v), expected)
+        np.testing.assert_array_equal(fs.reaction_field(params, kin, S, u, v), expected)
+        point = fs.reaction_field(params, kin, S[7], u[:, 7], v[:, 7])
+        np.testing.assert_array_equal(point, expected[:, 7])
 
     @pytest.mark.parametrize("S, u, v", [
         (np.array([-0.1, 0.5]), np.ones((1, 2)), np.ones((1, 2))),

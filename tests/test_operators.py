@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid as scipy_trapezoid
 from scipy.linalg import solve_banded
 
 from flocstat.operators import (
@@ -15,6 +16,7 @@ from flocstat.operators import (
     operator_bands,
     peclet_number,
     transport_defect,
+    trapezoid,
 )
 
 
@@ -90,6 +92,17 @@ class TestBands:
         sums = A.sum(axis=1)
         np.testing.assert_allclose(sums[1:], 0.0, atol=1e-8)
         assert sums[0] > 0.0
+
+
+class TestTrapezoid:
+    @pytest.mark.parametrize("n", [2, 17, 201, 1000])
+    def test_matches_scipy_bit_for_bit(self, n):
+        """Row by row and on a stack of rows, as scipy gives for each row."""
+        rows = np.random.default_rng(n).uniform(0.0, 5.0, size=(4, 3, n))
+        dx = 1.0 / (n - 1)
+        expected = [[scipy_trapezoid(row, dx=dx) for row in block] for block in rows]
+        np.testing.assert_array_equal(trapezoid(rows, dx), expected)
+        assert trapezoid(rows[2, 1], dx) == expected[2][1]
 
 
 class TestTransportDefect:

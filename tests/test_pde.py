@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 
 import flocstat as fs
 from conftest import floc_kinetics, standard_params
-from flocstat.pde import _Stepper
-from oracles import imex_step_banded
+from flocstat.pde import RECORD_BLOCK, _Stepper, monitor_keys
+from oracles import binomial_phase_energy, imex_step_banded
 
 
 def zero_growth_kinetics(rate_const=1.0):
@@ -135,6 +136,66 @@ class TestBatchedSolve:
             np.testing.assert_array_equal(W_new, imex_step_banded(params, kin, W, dt))
             W = W_new
         assert len(stepper._factors) == 4
+
+
+def per_row_monitors(result, params, kin, energy_configs=()):
+    """The monitors of ``result`` rebuilt one state at a time: the states
+    come from ``advance`` at each row's dt, and every row's integrals from
+    scipy's ``trapezoid`` on that row alone."""
+    h = result.grid.h
+    weights = np.asarray(fs.weight_vector(params))
+    phi = result.blowup_eigenpair.function
+    keys = monitor_keys(params.m)
+    c = 2 * params.m + 1
+    state = result.initial
+    states = [state]
+    for dt in result.monitors["dt"][1:].tolist():
+        state = fs.advance(state, params, kin, dt)
+        states.append(state)
+    rows = []
+    for state, dt in zip(states, result.monitors["dt"].tolist()):
+        W = state.stack()
+        l1 = np.array([trapezoid(w, dx=h) for w in W])
+        Y = trapezoid(W[1] * phi, dx=h)
+        Z = trapezoid(W[2] * phi, dx=h)
+        Q = (params.yu[0] + 1.0) * Y + (params.yv[0] + 1.0) * Z
+        row = dict(zip(keys, [state.t, *(w.max() for w in W), *l1, weights @ l1, Q, dt]))
+        for cfg in energy_configs:
+            for i in range(params.m):
+                H = binomial_phase_energy(W[1 + 2 * i], W[2 + 2 * i], cfg.p, cfg.a)
+                row[f"energy_p{cfg.p}_{i + 1}"] = trapezoid(H, dx=h)
+        rows.append(row)
+    assert len(rows[0]) == len(result.monitors) - 1 and "clamp" not in rows[0]
+    return {key: np.array([row[key] for row in rows]) for key in rows[0]}, states[-1]
+
+
+class TestBlockRecording:
+    """simulate evaluates its monitors a block of RECORD_BLOCK states at a
+    time; every row must equal the same row computed on its own."""
+
+    def test_partial_last_block(self):
+        params, kin, state = two_species_setup()
+        cfg = fs.EnergyConfig.for_params(params, p=2)
+        result = fs.simulate(state, params, kin, t_end=1.5, energy_configs=(cfg,))
+        rows = len(result.monitors["t"])
+        assert rows > RECORD_BLOCK and rows % RECORD_BLOCK != 0
+        expected, final = per_row_monitors(result, params, kin, (cfg,))
+        for key, column in expected.items():
+            np.testing.assert_array_equal(result.monitors[key], column, err_msg=key)
+        np.testing.assert_array_equal(result.final.stack(), final.stack())
+
+    def test_blow_up_ends_mid_block(self, grid_201):
+        params = standard_params(du=1.0, dv=1.0, yu=2.0, yv=2.0)
+        kin = zero_growth_kinetics(1.0)
+        state = fs.StateField.constant(grid_201, S=1.0, u=2.0, v=2.0)
+        result = fs.simulate(state, params, kin, t_end=20.0)
+        assert result.verdict == fs.Verdict("blow_up", result.verdict.t_final, "sup-threshold")
+        assert len(result.monitors["t"]) % RECORD_BLOCK != 0
+        expected, final = per_row_monitors(result, params, kin)
+        for key, column in expected.items():
+            np.testing.assert_array_equal(result.monitors[key], column, err_msg=key)
+        np.testing.assert_array_equal(result.final.stack(), final.stack())
+        assert float(result.final.stack().max()) > 1e8
 
 
 class TestSimulate:

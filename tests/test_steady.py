@@ -138,7 +138,7 @@ class TestFixedPoint:
             np.zeros(grid.n),
         )
         state = fs.fixed_point_solve(init, params, kin, tol=1e-12)
-        assert state.converged
+        assert state.converged and state.reason == ""
         assert state.iterations == 47
         assert state.residual < 1e-11
         assert state.pde_residual < 1e-5
@@ -175,6 +175,20 @@ class TestFixedPoint:
         state = fs.fixed_point_solve(init, params, kin, tol=1e-14, max_iter=3)
         assert not state.converged
         assert state.iterations == 3
+        assert state.reason == "iteration limit 3 reached"
+
+    def test_stops_at_first_non_finite_iterate(self):
+        """blowup_demo's quadratic exchange with yields 2 overflows the
+        iterate at iteration 12: the solve stops there, unconverged."""
+        config = fs.load_preset("blowup_demo")
+        grid = fs.Grid(config.controls.grid_n)
+        init = (np.zeros(grid.n), np.full(grid.n, 2.0), np.full(grid.n, 2.0))
+        state = fs.fixed_point_solve(init, config.params, config.kin)
+        assert not state.converged
+        assert state.iterations == 12
+        assert state.reason == "non-finite iterate at iteration 12"
+        assert np.isnan(state.residual) and np.isnan(state.pde_residual)
+        assert not np.isfinite(np.stack([state.Stilde, state.u, state.v])).all()
 
     def test_rejects_negative_init(self):
         params, kin = theory_params(), floc_kinetics()
