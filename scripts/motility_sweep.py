@@ -52,7 +52,6 @@ def main() -> int:
         default=[0.001, 0.1, 1.0, 100.0],
         help="isolated-phase diffusivities to scan",
     )
-    parser.add_argument("--threads", type=int, default=2)
     args = parser.parse_args()
 
     # the finest grid that keeps h <= 2*min(d) for the smallest dv scanned
@@ -64,7 +63,7 @@ def main() -> int:
         values=" ".join(repr(v) for v in args.values),
     )
     config = fs.parse_config(text)
-    rows = fs.sweep(config, args.out, threads=args.threads)
+    rows = fs.sweep(config, args.out)
 
     print(f"{'dv':>10} {'verdict':<14} {'sup_u':>12} {'sup_v':>12} {'R_u':>8} {'R_v':>8}")
     for row in rows:

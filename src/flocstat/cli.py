@@ -6,7 +6,8 @@ package), drives the solvers, and writes deterministic CSV outputs.
 Exit codes
 ----------
 0   success
-2   configuration error (every violated key is listed on stderr)
+2   configuration error (every violated key is listed on stderr), or a
+    run whose inputs the solver rejects before its first step
 3   solver non-convergence (eigen or steady-state iteration)
 4   the simulation verdict was blow-up
 
@@ -16,7 +17,8 @@ INI schema
 ``[kinetics]``  f, g, alpha, beta            (required; descriptor strings)
 ``[initial]``   S, u, v                      (required; constant or samples)
 ``[controls]``  t_end (required); grid_n, dt_init, dt_min, sup_threshold,
-                snapshots, steady_tol, steady_max_iter, steady_damping
+                snapshots (2 to 200), steady_tol, steady_max_iter,
+                steady_damping
 ``[outputs]``   write_monitors, write_snapshots (booleans, default true)
 ``[sweep]``     parameter (one of d0/du/dv/yu/yv/gamma_s), values
 
@@ -39,7 +41,6 @@ import argparse
 import configparser
 import csv
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -407,8 +408,8 @@ def parse_config(text: str) -> RunConfig:
     snapshots = _collect(
         problems, "controls", "snapshots", int, raw("controls", "snapshots")
     )
-    if snapshots is not None and snapshots < 2:
-        problems.append("[controls] snapshots: must be at least 2")
+    if snapshots is not None and not 2 <= snapshots <= 200:
+        problems.append("[controls] snapshots: must be between 2 and 200")
         snapshots = None
 
     def positive_float(key: str, fallback: float) -> float:
@@ -638,25 +639,30 @@ def _apply_sweep_value(params: ModelParams, parameter: str, value: float) -> Mod
     return replace(params, **{parameter: (value,)})
 
 
+SUMMARY_COLUMNS = [
+    "parameter",
+    "value",
+    "verdict",
+    "t_final",
+    "sup_S",
+    "sup_u_1",
+    "sup_v_1",
+    "l1_S",
+    "l1_u_1",
+    "l1_v_1",
+    "R_u",
+    "R_v",
+    "error",
+]
+
+
 def _sweep_point(
     config: RunConfig, axis: SweepAxis, value: float, out_dir: Path, index: int
 ) -> dict[str, str]:
     """Run one sweep point; never raises (failures land in the row)."""
-    row = {
-        "parameter": axis.parameter,
-        "value": _fmt(value),
-        "verdict": "",
-        "t_final": "",
-        "sup_S": "",
-        "sup_u_1": "",
-        "sup_v_1": "",
-        "l1_S": "",
-        "l1_u_1": "",
-        "l1_v_1": "",
-        "R_u": "",
-        "R_v": "",
-        "error": "",
-    }
+    row = dict.fromkeys(SUMMARY_COLUMNS, "")
+    row["parameter"] = axis.parameter
+    row["value"] = _fmt(value)
     try:
         params = _apply_sweep_value(config.params, axis.parameter, value)
         point = replace(config, params=params, sweep=None)
@@ -680,50 +686,23 @@ def _sweep_point(
     return row
 
 
-SUMMARY_COLUMNS = [
-    "parameter",
-    "value",
-    "verdict",
-    "t_final",
-    "sup_S",
-    "sup_u_1",
-    "sup_v_1",
-    "l1_S",
-    "l1_u_1",
-    "l1_v_1",
-    "R_u",
-    "R_v",
-    "error",
-]
+def sweep(config: RunConfig, out_dir: Union[str, Path]) -> list[dict[str, str]]:
+    """Run the sweep points one after another, in sweep order, and write
+    summary.csv with one row per point.
 
-
-def sweep(
-    config: RunConfig, out_dir: Union[str, Path], *, threads: int = 1
-) -> list[dict[str, str]]:
-    """Run every sweep point (concurrently if ``threads > 1``), write summary.csv.
-
-    Points write their CSVs to distinct per-point directories; a single
-    collector assembles ``summary.csv`` in sweep order, so the output bytes do
-    not depend on completion order.  A failed point contributes a row with its
-    error message instead of aborting the sweep.
+    Each point writes its CSVs to its own ``point_NNN`` directory.  A failed
+    point contributes a row with its error message instead of aborting the
+    sweep.
     """
     if config.sweep is None:
         raise ValueError("configuration has no [sweep] section")
     axis = config.sweep
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_sweep_point, config, axis, value, out_path, i)
-                for i, value in enumerate(axis.values)
-            ]
-            rows = [f.result() for f in futures]
-    else:
-        rows = [
-            _sweep_point(config, axis, value, out_path, i)
-            for i, value in enumerate(axis.values)
-        ]
+    rows = [
+        _sweep_point(config, axis, value, out_path, i)
+        for i, value in enumerate(axis.values)
+    ]
     with (out_path / "summary.csv").open("w", newline="") as handle:
         # quotes only fields that need it, such as error messages with commas
         writer = csv.writer(handle, lineterminator="\n")
@@ -766,7 +745,11 @@ def _load_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_from_args(args)
-    result, verdict = run_experiment(config, args.out)
+    try:
+        result, verdict = run_experiment(config, args.out)
+    except ValueError as exc:
+        print(f"run rejected: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     line = f"verdict: {verdict}"
     if result.verdict.kind == "blow_up":
         line += f" (detected at t={result.verdict.t_final:.6g}, {result.verdict.reason})"
@@ -777,7 +760,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_from_args(args)
-    rows = sweep(config, args.out, threads=args.threads)
+    rows = sweep(config, args.out)
     failures = sum(1 for row in rows if row["error"])
     print(
         f"sweep over {config.sweep.parameter}: {len(rows)} points, "
@@ -936,9 +919,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--grid-n", type=int, dest="grid_n", help="override grid size")
     parser.add_argument("--t-end", type=float, dest="t_end", help="override end time")
-    parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads for sweeps (default: 1)"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -962,6 +942,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         _add_common(sp)
         sp.set_defaults(handler=handler)
+        if name == "sweep":
+            # points run in one thread; the flag is accepted and ignored so
+            # that existing `sweep --threads K` command lines keep working
+            sp.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     return parser
 
 

@@ -61,6 +61,13 @@ CLAMP_TOL = 1e-12
 #: and evaluates the monitors of the whole buffer at once
 RECORD_BLOCK = 64
 
+#: after this many consecutive accepted steps, a shrunk dt doubles back
+#: toward dt_init
+STEPS_PER_DOUBLE = 20
+
+#: a run that takes this many steps, accepted and rejected, is stalled
+MAX_STEPS = 5_000_000
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -227,7 +234,7 @@ class SimulationResult:
         functional of species 1), ``dt`` (step that produced the row),
         ``clamp`` (undershoot magnitude removed by clamping), and
         ``energy_p<p>_<i>`` when energy configs were requested.
-    snapshots: states at selected times (each carries its t), capped.
+    snapshots: states at selected times (each carries its t).
     """
 
     grid: Grid
@@ -239,7 +246,7 @@ class SimulationResult:
     steps_accepted: int
     steps_rejected: int
     clamp_total: float
-    blowup_eigenpair: Optional[EigenPair]
+    blowup_eigenpair: EigenPair
 
 
 class _Stepper:
@@ -288,14 +295,16 @@ class _Stepper:
         rhs += self.B
         rhs *= dt
         rhs += W
-        if not np.isfinite(rhs).all():
+        # min and max propagate nan, so they also decide finiteness
+        low, high = float(rhs.min()), float(rhs.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
             return None, 0.0, "non-finite explicit stage"
-        if float(rhs.min()) < -CLAMP_TOL:
+        if low < -CLAMP_TOL:
             return None, 0.0, "explicit stage undershoot"
         W_new = dgttrs(*self.factors(dt), rhs.reshape(-1), overwrite_b=1)[0].reshape(W.shape)
-        if not np.isfinite(W_new).all():
+        low, high = float(W_new.min()), float(W_new.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
             return None, 0.0, "non-finite solve"
-        low = float(W_new.min())
         if low < -CLAMP_TOL:
             return None, 0.0, "implicit stage undershoot"
         clamp = max(0.0, -low)
@@ -360,7 +369,7 @@ class _MonitorRecorder:
     state by state.
     """
 
-    def __init__(self, params: ModelParams, grid: Grid, phi: Optional[Array],
+    def __init__(self, params: ModelParams, grid: Grid, phi: Array,
                  energy_configs: Sequence):
         m = params.m
         self.params = params
@@ -391,12 +400,9 @@ class _MonitorRecorder:
         l1s = self.grid.integrate_rows(Ws)
         rows[:, c + 1:2 * c + 1] = l1s
         rows[:, 2 * c + 1] = [self.weights @ l1 for l1 in l1s]
-        if self.phi is not None:
-            YZ = self.grid.integrate_rows(Ws[:, 1:3] * self.phi)
-            yu, yv = self.params.yu[0], self.params.yv[0]
-            rows[:, 2 * c + 2] = (yu + 1.0) * YZ[:, 0] + (yv + 1.0) * YZ[:, 1]
-        else:
-            rows[:, 2 * c + 2] = 0.0
+        YZ = self.grid.integrate_rows(Ws[:, 1:3] * self.phi)
+        yu, yv = self.params.yu[0], self.params.yv[0]
+        rows[:, 2 * c + 2] = (yu + 1.0) * YZ[:, 0] + (yv + 1.0) * YZ[:, 1]
         for j, (cfg, i) in enumerate(self.energy):
             rows[:, 2 * c + 5 + j] = [hp_energy(W[1 + 2 * i], W[2 + 2 * i], cfg)[1] for W in Ws]
         self.rows.append(rows)
@@ -409,14 +415,12 @@ class _MonitorRecorder:
         return {key: data[:, j].copy() for j, key in enumerate(self.keys)}
 
 
-def _snapshot_targets(t0: float, t_end: float, snapshot_times, max_snapshots: int):
-    if snapshot_times is None:
-        count = min(11, max_snapshots)
-        return list(np.linspace(t0, t_end, count))
-    targets = sorted(float(s) for s in snapshot_times)
-    if len(targets) > max_snapshots:
-        raise ValueError(f"{len(targets)} snapshot times exceed the cap {max_snapshots}")
-    return targets
+def _targets_reached(targets: list[float], k: int, t: float) -> int:
+    """Index of the first of the sorted ``targets``, from index k on, that
+    time t has not reached; a target counts as reached 1e-9 early."""
+    while k < len(targets) and t >= targets[k] - 1e-9:
+        k += 1
+    return k
 
 
 def simulate(
@@ -429,27 +433,24 @@ def simulate(
     dt_min: float = 1e-8,
     sup_threshold: float = 1e8,
     snapshot_times: Optional[Sequence[float]] = None,
-    snapshot_stride: Optional[int] = None,
-    max_snapshots: int = 200,
     energy_configs: Sequence = (),
-    track_blowup_functional: bool = True,
-    steps_per_double: int = 20,
-    max_steps: int = 5_000_000,
 ) -> SimulationResult:
     """Run the IMEX scheme from ``initial`` to ``t_end`` (or to blow-up).
 
-    Monitors are recorded at every accepted step.  Snapshots: by default
-    11 states at evenly spaced times; pass ``snapshot_times`` for explicit
-    instants, or ``snapshot_stride`` to keep every k-th accepted step
-    (the stride doubles, thinning the kept set, whenever the cap
-    ``max_snapshots`` would overflow).  The blow-up functional Q is
-    tracked against the outlet-Robin eigenfunction at the first species'
-    isolated-phase diffusivity; pass ``track_blowup_functional=False``
-    to skip it (the Q column is then zero).
+    Monitors are recorded at every accepted step.  Snapshots are taken at
+    ``snapshot_times`` (default: 11 evenly spaced times from the initial
+    time to ``t_end``), in sorted order: the first state at or past a
+    target time is kept, at most one per step however many targets it
+    passes, and the final state is appended unless it was kept already.
+    The blow-up functional Q is tracked against the outlet-Robin
+    eigenfunction at the first species' isolated-phase diffusivity.
 
     ``energy_configs`` takes EnergyConfig values from
     :mod:`flocstat.diagnostics`; each adds per-species monitor columns
     ``energy_p<p>_<i>``.
+
+    Raises ValueError for inconsistent inputs, before the first step, and
+    RuntimeError when MAX_STEPS steps do not reach ``t_end``.
     """
     _require_consistent(params, kin, initial)
     _require_monotone_grid(params, initial.grid)
@@ -466,42 +467,13 @@ def simulate(
 
     grid = initial.grid
     stepper = _Stepper(params, kin, grid)
-
-    pair: Optional[EigenPair] = None
-    phi = None
-    if track_blowup_functional:
-        pair = solve_principal(params.du[0], grid.n, BoundaryVariant.OUTFLOW_ROBIN)
-        phi = pair.function
-
-    recorder = _MonitorRecorder(params, grid, phi, energy_configs)
+    pair = solve_principal(params.du[0], grid.n, BoundaryVariant.OUTFLOW_ROBIN)
+    recorder = _MonitorRecorder(params, grid, pair.function, energy_configs)
     record = recorder.record
-
-    # --- snapshot bookkeeping ------------------------------------------------
-    time_targets: Optional[list[float]] = None
-    stride = None
-    if snapshot_stride is not None:
-        if snapshot_stride < 1:
-            raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
-        stride = int(snapshot_stride)
+    if snapshot_times is None:
+        targets = np.linspace(initial.t, t_end, 11).tolist()
     else:
-        time_targets = _snapshot_targets(initial.t, t_end, snapshot_times, max_snapshots)
-    snapshots: list[StateField] = []
-
-    def maybe_snapshot(state: StateField, step_index: int) -> None:
-        nonlocal stride, time_targets
-        if stride is not None:
-            if step_index % stride == 0:
-                snapshots.append(state)
-                if len(snapshots) > max_snapshots:
-                    del snapshots[1::2]
-                    stride *= 2
-        else:
-            due = False
-            while time_targets and state.t >= time_targets[0] - 1e-9:
-                time_targets.pop(0)
-                due = True
-            if due:
-                snapshots.append(state)
+        targets = sorted(float(s) for s in snapshot_times)
 
     W = initial.stack()
     t = initial.t
@@ -511,14 +483,15 @@ def simulate(
     accepted_since_change = 0
     clamp_total = 0.0
     record(W, t, dt_init, 0.0)
-    maybe_snapshot(initial, 0)
+    due = _targets_reached(targets, 0, t)  # the first target not yet reached
+    snapshots = [initial] if due else []
     verdict: Optional[Verdict] = None
     time_tol = 1e-12 * max(1.0, abs(t_end))
 
     while t < t_end - time_tol:
-        if accepted + rejected >= max_steps:
+        if accepted + rejected >= MAX_STEPS:
             raise RuntimeError(
-                f"step budget {max_steps} exhausted at t={t:.6g} (dt={dt:.3e}); "
+                f"step budget {MAX_STEPS} exhausted at t={t:.6g} (dt={dt:.3e}); "
                 f"the run is stalled, not blowing up"
             )
         dt_eff = min(dt, t_end - t)
@@ -537,15 +510,14 @@ def simulate(
         W = W_new
         clamp_total += clamp
         record(W, t, dt_eff, clamp)
-        need_snapshot = (
-            stride is not None and accepted % stride == 0
-        ) or (time_targets is not None and bool(time_targets) and t >= time_targets[0] - 1e-9)
-        if need_snapshot:
-            maybe_snapshot(StateField.from_stack(grid, W, t), accepted)
+        reached = _targets_reached(targets, due, t)
+        if reached > due:
+            due = reached
+            snapshots.append(StateField.from_stack(grid, W, t))
         if float(W.max()) > sup_threshold:
             verdict = Verdict(kind="blow_up", t_final=t, reason="sup-threshold")
             break
-        if accepted_since_change >= steps_per_double and dt < dt_init:
+        if accepted_since_change >= STEPS_PER_DOUBLE and dt < dt_init:
             dt = min(2.0 * dt, dt_init)
             accepted_since_change = 0
 
@@ -554,8 +526,6 @@ def simulate(
         verdict = Verdict(kind="completed", t_final=t)
     if not snapshots or snapshots[-1].t < final.t - 1e-12:
         snapshots.append(final)
-        if len(snapshots) > max_snapshots:
-            del snapshots[1::2]
 
     return SimulationResult(
         grid=grid,

@@ -205,7 +205,7 @@ class TestSweep:
     def test_summary_schema_and_failure_row(self, tmp_path):
         text = MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 10 0.001\n"
         cfg = fs.parse_config(text)
-        rows = fs.sweep(cfg, tmp_path, threads=2)
+        rows = fs.sweep(cfg, tmp_path)
         assert len(rows) == 2
         # dv = 0.001 violates the grid diffusion limit at n = 101 and must
         # land in the error column instead of aborting the sweep
@@ -234,14 +234,15 @@ class TestSweep:
         assert None not in rows[0] and len(rows[0]) == 13
         assert rows[0]["error"] == f"ValueError: {message}"
 
-    def test_rows_in_sweep_order_regardless_of_threads(self, tmp_path):
-        text = MINIMAL + "\n[sweep]\nparameter = yu\nvalues = 0.1 0.2 0.3\n"
+    def test_rows_in_sweep_order_and_rerun_identical(self, tmp_path):
+        text = MINIMAL + "\n[sweep]\nparameter = yu\nvalues = 0.3 0.1 0.2\n"
         cfg = fs.parse_config(text)
-        rows_seq = fs.sweep(cfg, tmp_path / "seq", threads=1)
-        rows_par = fs.sweep(cfg, tmp_path / "par", threads=3)
-        assert [r["value"] for r in rows_seq] == [r["value"] for r in rows_par]
-        assert (tmp_path / "seq" / "summary.csv").read_bytes() == (
-            tmp_path / "par" / "summary.csv"
+        rows = fs.sweep(cfg, tmp_path / "a")
+        assert [r["value"] for r in rows] == ["0.3", "0.1", "0.2"]
+        assert all(r["error"] == "" for r in rows)
+        fs.sweep(cfg, tmp_path / "b")
+        assert (tmp_path / "a" / "summary.csv").read_bytes() == (
+            tmp_path / "b" / "summary.csv"
         ).read_bytes()
 
     def test_reproductive_numbers_in_rows(self, tmp_path):
@@ -266,6 +267,26 @@ class TestMainEntry:
         assert code == EXIT_BLOW_UP
         assert "blow-up" in out
         assert "t=" in out
+
+    def test_run_rejected_before_first_step_exits_2(self, tmp_path, capsys):
+        """Inputs that simulate rejects up front: a grid too coarse for
+        fig4e's dv=0.001, and a blow-up threshold below the initial sup."""
+        cfg_path = tmp_path / "low_threshold.ini"
+        cfg_path.write_text(MINIMAL + "sup_threshold = 0.5\n")
+        for source, needle in ((["--preset", "fig4e", "--grid-n", "100"], "grid too coarse"),
+                               (["--config", str(cfg_path)], "sup_threshold 0.5")):
+            code = main(["run", *source, "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == EXIT_CONFIG
+            assert len(err.strip().splitlines()) == 1 and needle in err
+
+    def test_snapshot_count_above_200_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "many.ini"
+        cfg_path.write_text(MINIMAL + "snapshots = 201\n")
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "[controls] snapshots: must be between 2 and 200" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit(self, tmp_path, capsys):
         missing = tmp_path / "nope.ini"
@@ -353,7 +374,16 @@ class TestMainEntry:
         assert len(captured.err.strip().splitlines()) == 1
         assert "grid too coarse" in captured.err
 
+    def test_threads_flag_hidden_and_only_on_sweep(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        assert "--threads" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--preset", "fig2a", "--threads", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2  # argparse's usage error
+
     def test_sweep_verb(self, tmp_path, capsys):
+        # --threads is accepted and ignored on sweep
         cfg_path = tmp_path / "sweep.ini"
         cfg_path.write_text(MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 5 10\n")
         code = main(["sweep", "--config", str(cfg_path), "--threads", "2",
@@ -363,6 +393,20 @@ class TestMainEntry:
 
 
 class TestPackaging:
+    def test_readme_cli_flags_exist(self, capsys):
+        """Every --flag on a verb's line of the README's CLI usage block is a
+        documented option of that verb."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        usage = re.search(r"## CLI\n\n```\n(.*?)```", readme, flags=re.S).group(1)
+        lines = [line.split() for line in usage.splitlines() if line.startswith("flocstat ")]
+        assert [words[1] for words in lines] == ["run", "sweep", "eigen", "steady", "check"]
+        for words in lines:
+            with pytest.raises(SystemExit):
+                main([words[1], "--help"])
+            options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+            named = set(re.findall(r"--[a-z][a-z-]*", " ".join(words)))
+            assert named and named <= options, (words[1], named - options)
+
     def test_readme_config_example_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)

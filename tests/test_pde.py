@@ -138,6 +138,17 @@ class TestBatchedSolve:
         assert len(stepper._factors) == 4
 
 
+def replayed_states(result, params, kin):
+    """The recorded states of ``result``, one per monitor row, stepped again
+    with ``advance`` at each row's dt."""
+    state = result.initial
+    states = [state]
+    for dt in result.monitors["dt"][1:].tolist():
+        state = fs.advance(state, params, kin, dt)
+        states.append(state)
+    return states
+
+
 def per_row_monitors(result, params, kin, energy_configs=()):
     """The monitors of ``result`` rebuilt one state at a time: the states
     come from ``advance`` at each row's dt, and every row's integrals from
@@ -146,12 +157,7 @@ def per_row_monitors(result, params, kin, energy_configs=()):
     weights = np.asarray(fs.weight_vector(params))
     phi = result.blowup_eigenpair.function
     keys = monitor_keys(params.m)
-    c = 2 * params.m + 1
-    state = result.initial
-    states = [state]
-    for dt in result.monitors["dt"][1:].tolist():
-        state = fs.advance(state, params, kin, dt)
-        states.append(state)
+    states = replayed_states(result, params, kin)
     rows = []
     for state, dt in zip(states, result.monitors["dt"].tolist()):
         W = state.stack()
@@ -227,6 +233,27 @@ class TestSimulate:
         assert len(result.snapshots) == 11
         assert result.snapshots[0].t == 0.0
         assert result.snapshots[-1].t == pytest.approx(2.0, abs=1e-9)
+
+    def test_snapshot_selection(self):
+        """Unsorted targets, two inside one step and one past t_end: each
+        target takes the first recorded state at or past it (1e-9 early),
+        a state is kept once, and the final state closes the list."""
+        params, kin, state = one_species_setup()
+        targets = [0.3 + 5e-10, 0.0, 0.1234, 5.0, 0.123, 0.2]
+        result = fs.simulate(state, params, kin, t_end=0.5, snapshot_times=targets)
+        ts = result.monitors["t"].tolist()
+        picked = []
+        for target in sorted(targets):
+            k = next((k for k, t in enumerate(ts) if t >= target - 1e-9), None)
+            if k is not None and k not in picked:
+                picked.append(k)
+        assert picked[-1] != len(ts) - 1
+        picked.append(len(ts) - 1)
+        assert len(picked) == 5 and ts[picked[3]] < targets[0]  # reached 1e-9 early
+        states = replayed_states(result, params, kin)
+        assert [snap.t for snap in result.snapshots] == [ts[k] for k in picked]
+        for snap, k in zip(result.snapshots, picked):
+            np.testing.assert_array_equal(snap.stack(), states[k].stack())
 
     def test_substrate_sup_bound(self, grid_201, saturating_setup):
         """sup_S never exceeds max(feed, initial sup) up to tolerance."""
