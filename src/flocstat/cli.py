@@ -8,7 +8,8 @@ Exit codes
 0   success
 2   configuration error (every violated key is listed on stderr), or a
     run whose inputs the solver rejects before its first step
-3   solver non-convergence (eigen or steady-state iteration)
+3   solver non-convergence (steady-state iteration), or a grid too coarse
+    for the eigen solver
 4   the simulation verdict was blow-up
 
 INI schema
@@ -48,7 +49,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .diagnostics import reproductive_numbers
-from .eigen import EigenSolverError, lambda_bracket, solve_principal
+from .eigen import lambda_bracket, solve_principal
 from .model import (
     AttachedTimesTotalRate,
     ConstantRate,
@@ -695,7 +696,7 @@ def sweep(config: RunConfig, out_dir: Union[str, Path]) -> list[dict[str, str]]:
     sweep.
     """
     if config.sweep is None:
-        raise ValueError("configuration has no [sweep] section")
+        raise ConfigError(["configuration has no [sweep] section"])
     axis = config.sweep
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -784,15 +785,14 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
     for label, d in entries:
         try:
             pair = solve_principal(d, n=n)
-        except (EigenSolverError, ValueError) as exc:
+        except ValueError as exc:
             print(f"{label}: d={d:g}: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
         bracket = lambda_bracket(d)
         kind = "enclosure" if bracket.enclosure else "tail bound"
         print(
             f"{label}: d={d:g} lambda={pair.value!r} "
-            f"bracket=({bracket.lower!r}, {bracket.upper!r}) [{kind}] "
-            f"iterations={pair.iterations}"
+            f"bracket=({bracket.lower!r}, {bracket.upper!r}) [{kind}]"
         )
     return EXIT_OK
 
@@ -840,7 +840,7 @@ def _cmd_steady(args: argparse.Namespace) -> int:
             for which in ("attached", "isolated")
         ]
         coex = check_coexistence_hypotheses(params, kin, grid_n=controls.grid_n)
-    except (EigenSolverError, ValueError) as exc:
+    except ValueError as exc:
         print(f"hypothesis reports: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     for report in extinction:
@@ -895,7 +895,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if params.m == 1:
         try:
             repro = reproductive_numbers(params, kin, grid_n=config.controls.grid_n)
-        except (EigenSolverError, ValueError) as exc:
+        except ValueError as exc:
             print(f"reproductive numbers: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
         print(
@@ -960,9 +960,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    except EigenSolverError as exc:
-        print(f"eigenvalue iteration failed: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -8,11 +8,12 @@ positive eigenfunction spans a dynamic range of order ``exp(1/(2d))``,
 which is what makes small-d computations delicate.
 
 The solver discretizes with the second-order stencils in
-:mod:`flocstat.operators` and runs inverse power iteration (shift 0)
-with a tridiagonal solve per sweep.  The mirrored variant (advection
-reversed, Robin row at the outlet) has the same spectrum — its matrix is
-the index-reversal of the other — and is provided because the blow-up
-functional weights mass with its eigenfunction.
+:mod:`flocstat.operators`.  Below cell Peclet number 1 the tridiagonal
+matrix is similar, through a diagonal scaling, to a symmetric one, whose
+smallest eigenpair LAPACK returns directly.  The mirrored variant
+(advection reversed, Robin row at the outlet) has the same spectrum — its
+matrix is the index-reversal of the other — and is provided because the
+blow-up functional weights mass with its eigenfunction.
 """
 
 from __future__ import annotations
@@ -22,28 +23,18 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal
 
-from .operators import Array, BoundaryVariant, band_matvec, operator_bands
+from .operators import Array, BoundaryVariant, band_matvec, operator_bands, peclet_number
 
 __all__ = [
     "BoundaryVariant",
     "EigenPair",
-    "EigenSolverError",
     "LambdaBracket",
     "solve_principal",
     "rescale_eigenfunction",
     "lambda_bracket",
 ]
-
-
-class EigenSolverError(RuntimeError):
-    """Inverse power iteration failed to converge within the iteration cap."""
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -56,9 +47,10 @@ class EigenPair:
         variant: which boundary row carries the Robin condition.
         value: principal eigenvalue (strictly above 1 on admissible grids).
         function: eigenfunction sampled on the uniform grid, strictly
-            positive; normalized to sup = 1 by the solver, possibly
-            rescaled afterwards.
-        iterations: inverse-power iterations used.
+            positive (entries below the smallest double, about
+            ``exp(-708)`` times the sup, flush to zero); normalized to
+            sup = 1 by the solver, possibly rescaled afterwards.
+        iterations: always 1; the solve is direct.
         residual: sup-norm of the eigen-equation defect relative to the
             sup of the eigenfunction (scale-invariant, so rescaling
             leaves it unchanged).
@@ -81,71 +73,57 @@ def solve_principal(
     d: float,
     n: int = 401,
     variant: BoundaryVariant = BoundaryVariant.INFLOW_ROBIN,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
 ) -> EigenPair:
-    """Principal eigenpair by inverse power iteration.
+    """Principal eigenpair by one symmetric tridiagonal eigen-solve.
 
-    The iteration repeatedly solves ``A z = phi``; because A is an
-    irreducible tridiagonal M-matrix on grids with cell Peclet number
-    below 1 (``h < 2d``), its inverse is strictly positive and the
-    iteration converges to the unique positive eigenfunction from the
-    constant start.  Convergence is declared when the Rayleigh-quotient
-    update stalls below ``tol`` relatively; the cap is generous because
-    the spectral gap closes as d shrinks (iteration count grows roughly
-    like 1/d below d of a few hundredths).
+    With cell Peclet number below 1 (``h < 2d``) every off-diagonal entry
+    of A is negative, so a diagonal D whose entries grow by
+    ``sqrt(lower/upper)`` per node makes ``D^{-1} A D`` symmetric
+    tridiagonal; its smallest eigenpair ``(lam, y)`` gives the pair
+    ``(lam, D y)`` of A.  D spans about ``exp(1/(2d))`` over the grid, so
+    ``D y`` is formed in log space.  A is an irreducible M-matrix, so by
+    Perron-Frobenius on its positive inverse the principal eigenvector is
+    the only positive one; a result that is not positive, or whose
+    residual is above the rounding floor, means the grid does not resolve
+    the eigenfunction and raises ValueError.
     """
     if not (isinstance(n, int) and n >= 16):
         raise ValueError(f"eigen solves need at least 16 nodes, got {n}")
     if d <= 0:
         raise ValueError(f"diffusivity must be positive, got {d}")
-    h = 1.0 / (n - 1)
-    if h >= 2.0 * d:
+    # strictly below 1: at Pe = 1 the interior upper band of A is zero, so
+    # A is reducible and has no positive eigenvector
+    pe = peclet_number(d, n)
+    if pe >= 1.0:
         raise ValueError(
-            f"grid too coarse for d={d}: cell Peclet h/(2d) = {h / (2 * d):.3f} >= 1; "
+            f"grid too coarse for d={d}: cell Peclet h/(2d) = {pe:.3f} >= 1; "
             f"use n > {1 + math.ceil(1.0 / (2.0 * d))}"
         )
     ab = operator_bands(d, n, variant)
-    # the eigen-residual cannot drop below the rounding noise of applying A,
-    # which scales with the largest band entry (about 2d/h^2); accept an
-    # iterate at that floor even when the Rayleigh quotient keeps jittering
-    residual_floor = 64.0 * np.finfo(float).eps * float(np.max(np.abs(ab)))
-    phi = np.ones(n)
-    lam = 0.0
-    converged = False
-    its = 0
-    for its in range(1, max_iter + 1):
-        z = solve_banded((1, 1), ab, phi)
-        zmax = float(np.max(np.abs(z)))
-        if not np.isfinite(zmax) or zmax == 0.0:
-            raise EigenSolverError(
-                f"inverse iteration broke down at d={d}, n={n} (iterate max {zmax})",
-                residual=float("nan"), iterations=its,
-            )
-        phi_new = z / zmax
-        applied = band_matvec(ab, phi_new)
-        lam_new = float(applied @ phi_new / (phi_new @ phi_new))
-        resid_now = float(np.max(np.abs(applied - lam_new * phi_new)))
-        converged = (
-            abs(lam_new - lam) <= tol * max(1.0, abs(lam_new))
-            or resid_now <= residual_floor
+    upper, lower = ab[0, 1:], ab[2, :-1]
+    values, vectors = eigh_tridiagonal(
+        ab[1], -np.sqrt(upper * lower), select="i", select_range=(0, 0)
+    )
+    lam, y = float(values[0]), vectors[:, 0]
+    if y[int(np.argmax(np.abs(y)))] < 0:
+        y = -y
+    # phi = D y, its magnitude formed in log space node by node
+    with np.errstate(divide="ignore"):
+        log_phi = np.log(np.abs(y)) + np.concatenate(
+            ([0.0], np.cumsum(0.5 * np.log(lower / upper)))
         )
-        phi, lam = phi_new, lam_new
-        if converged:
-            break
-    phi = phi / np.max(np.abs(phi))
-    if phi[int(np.argmax(np.abs(phi)))] < 0:
-        phi = -phi
-    resid = float(np.max(np.abs(band_matvec(ab, phi) - lam * phi)) / np.max(np.abs(phi)))
-    if not converged:
-        raise EigenSolverError(
-            f"no convergence for d={d}, n={n} after {max_iter} iterations "
-            f"(last residual {resid:.3e}); the spectral gap shrinks with d — "
-            f"raise max_iter or loosen tol",
-            residual=resid, iterations=max_iter,
+    phi = np.copysign(np.exp(log_phi - np.max(log_phi)), y)
+    resid = float(np.max(np.abs(band_matvec(ab, phi) - lam * phi)))
+    # the backward error of a computed tridiagonal eigenpair grows like
+    # n * eps * |A|; an unresolved one misses this by many orders
+    floor = 8.0 * n * np.finfo(float).eps * float(np.max(np.abs(ab)))
+    if not (np.all(y > 0) and resid <= floor):
+        raise ValueError(
+            f"grid too coarse for d={d}: eigenfunction not resolved at cell Peclet "
+            f"{pe:.3f} (min {float(np.min(phi)):.3e}, residual {resid:.3e}); use a finer grid"
         )
     return EigenPair(d=float(d), n=n, variant=variant, value=lam, function=phi,
-                     iterations=its, residual=resid)
+                     iterations=1, residual=resid)
 
 
 def rescale_eigenfunction(

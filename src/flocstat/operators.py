@@ -117,7 +117,8 @@ def trapezoid(y: Array, dx: float) -> Array:
 
 
 def peclet_number(d: float, n: int) -> float:
-    """Cell Peclet number h/(2d); monotone schemes need this <= 1."""
+    """Cell Peclet number h/(2d); the time stepper needs this <= 1, the
+    eigen solver < 1."""
     return grid_spacing(n) / (2.0 * d)
 
 

@@ -18,9 +18,10 @@ operator.  This module provides:
   component extinction systems are the exact restriction of the full
   operator when one biomass component is identically zero and the
   matching exchange rate vanishes there — no special casing);
-* a damped Picard iteration with optional projection onto invariant
-  cones (order intervals between scaled eigenfunctions), where
-  non-convergence is a reportable result, not an exception;
+* a damped Picard iteration, where non-convergence is a reportable
+  result, not an exception;
+* the invariant cones of the existence theorems (order intervals
+  between scaled eigenfunctions) and a sampled invariance certificate;
 * hypothesis checkers for the extinction and coexistence existence
   theorems, reporting every clause as a signed margin.  The checkers
   are honest: for several clause systems no admissible parameters
@@ -249,11 +250,10 @@ class SteadyState:
     sup-norm defect of the differential balances (second-order
     differences, boundary conditions included) — the quantity that
     governs drift when the state is transplanted into the transient
-    solver.  projection_trace records the per-iteration cone-projection
-    magnitudes when a cone constrained the iteration.  reason says why an
-    unconverged solve stopped; it is empty for a converged state.  A solve
-    that stops at a non-finite iterate returns that iterate, with both
-    residuals nan; every other state is finite.
+    solver.  reason says why an unconverged solve stopped; it is empty
+    for a converged state.  A solve that stops at a non-finite iterate
+    returns that iterate, with both residuals nan; every other state is
+    finite.
     """
 
     grid: Grid
@@ -264,7 +264,6 @@ class SteadyState:
     pde_residual: float
     converged: bool
     iterations: int
-    projection_trace: tuple[float, ...] = ()
     reason: str = ""
 
     def __post_init__(self) -> None:
@@ -295,7 +294,7 @@ _CONE_KINDS = ("extinction-attached", "extinction-isolated", "coexistence")
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Order interval (componentwise envelope box) for the steady iteration.
+    """Order interval (componentwise envelope box) for the steady operator.
 
     lower/upper are (3, n) envelope arrays for (Stilde, u, v).  The
     scalars record how the envelopes were normalized: ``k``/``k_prime``
@@ -343,10 +342,6 @@ class ConeSpec:
     @property
     def n(self) -> int:
         return self.lower.shape[1]
-
-    def clip(self, X: Array) -> Array:
-        """Project a (3, n) iterate onto the envelope box (pointwise clamp)."""
-        return np.clip(X, self.lower, self.upper)
 
     def violation(self, state) -> float:
         """Largest outward distance of a triple from the envelope box."""
@@ -573,20 +568,18 @@ def certify_cone_invariance(cone: ConeSpec, params: ModelParams, kin: KineticsSp
 
 
 def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
-                      cone: Optional[ConeSpec] = None, tol: float = 1e-10,
-                      max_iter: int = 5000, damping: float = 0.5) -> SteadyState:
+                      tol: float = 1e-10, max_iter: int = 5000,
+                      damping: float = 0.5) -> SteadyState:
     """Damped Picard iteration ``x <- (1 - w)*x + w*G(x)`` on the triple.
 
-    With a cone, every iterate is projected onto the envelope box
-    (pointwise clamp) and the projection magnitudes are recorded; the
-    initial triple must already lie in the cone.  The iteration stops
-    when the successive sup-norm change drops below ``tol``; hitting
-    ``max_iter`` first returns the last iterate marked unconverged — the
-    operator is not proven contractive, so non-convergence is a result,
-    not an error.  So does an iterate that overflows: the iteration stops
-    at the first non-finite one and returns it with nan residuals.  The
-    returned residual is the fixed-point defect ``sup |G(x) - x|``;
-    pde_residual is the differential-balance defect.
+    The iteration stops when the successive sup-norm change drops below
+    ``tol``; hitting ``max_iter`` first returns the last iterate marked
+    unconverged — the operator is not proven contractive, so
+    non-convergence is a result, not an error.  So does an iterate that
+    overflows: the iteration stops at the first non-finite one and returns
+    it with nan residuals.  The returned residual is the fixed-point
+    defect ``sup |G(x) - x|``; pde_residual is the differential-balance
+    defect.
     """
     if not (0.0 < damping <= 1.0):
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
@@ -595,17 +588,7 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
     X = _as_triple(init, "init")
     n = X.shape[1]
     grid = Grid(n)
-    if cone is not None:
-        if cone.n != n:
-            raise ValueError(f"cone has {cone.n} nodes, init has {n}")
-        violation = float(max(np.clip(cone.lower - X, 0, None).max(),
-                              np.clip(X - cone.upper, 0, None).max()))
-        if violation > 1e-9:
-            raise ValueError(
-                f"initial triple lies outside the cone (violation {violation:.3e})"
-            )
     op = _SteadyOperator(params, kin, n)
-    trace: list[float] = []
     converged = False
     reason = f"iteration limit {max_iter} reached"
     iterations = 0
@@ -614,10 +597,6 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
         for iterations in range(1, max_iter + 1):
             GX = op.apply(X)
             X_new = (1.0 - damping) * X + damping * GX
-            if cone is not None:
-                projected = cone.clip(X_new)
-                trace.append(float(np.max(np.abs(projected - X_new))))
-                X_new = projected
             # X is finite, so the change is finite exactly when X_new is
             change = float(np.max(np.abs(X_new - X)))
             X = X_new
@@ -635,8 +614,7 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
     return SteadyState(
         grid=grid, Stilde=X[0], u=X[1], v=X[2],
         residual=residual, pde_residual=pde_residual,
-        converged=converged, iterations=iterations,
-        projection_trace=tuple(trace), reason=reason,
+        converged=converged, iterations=iterations, reason=reason,
     )
 
 

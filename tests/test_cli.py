@@ -17,6 +17,7 @@ from flocstat.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     PRESET_ALIASES,
+    available_presets,
     build_initial_state,
     main,
     monitor_columns,
@@ -390,6 +391,41 @@ class TestMainEntry:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_OK
         assert (tmp_path / "out" / "summary.csv").is_file()
+
+    def test_sweep_preset_without_sweep_section_exits_2(self, tmp_path, capsys):
+        code = main(["sweep", "--preset", "fig2a", "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error:\n  - configuration has no [sweep] section\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+
+# every (verb, preset) pair whose exit code is not 0; run and sweep end at
+# t = 1, after blowup_demo's blow-up at t = 0.8
+NONZERO_EXITS = {
+    ("run", "blowup_demo"): EXIT_BLOW_UP,
+    # no shipped preset has a [sweep] section
+    **{("sweep", preset): EXIT_CONFIG for preset in available_presets()},
+    # fig4e's dv=0.001 sits at cell Peclet 1 on its 501-node grid
+    ("eigen", "fig4e"): EXIT_NO_CONVERGENCE,
+    ("check", "fig4e"): EXIT_NO_CONVERGENCE,
+    **{("steady", preset): EXIT_NO_CONVERGENCE
+       for preset in ("blowup_demo", "fig4e", "fig6n", "fig6o", "fig6p")},
+}
+
+
+class TestExitCodeMatrix:
+    def test_every_verb_on_every_preset_exits_with_its_pinned_code(self, tmp_path, capsys):
+        """A call that raises out of main fails the test with its traceback."""
+        got = {}
+        for preset in available_presets():
+            for verb in ("run", "sweep", "eigen", "steady", "check"):
+                short = ["--t-end", "1"] if verb in ("run", "sweep") else []
+                out = tmp_path / verb / preset
+                got[verb, preset] = main([verb, "--preset", preset, "--out", str(out), *short])
+        capsys.readouterr()
+        assert got == {key: NONZERO_EXITS.get(key, EXIT_OK) for key in got}
 
 
 class TestPackaging:

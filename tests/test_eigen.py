@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flocstat as fs
-from flocstat.eigen import BoundaryVariant, EigenSolverError
+from flocstat.eigen import BoundaryVariant
 
 from oracles import EIGENVALUE_BY_DIFFUSIVITY, shooting_eigenvalue
 
@@ -51,6 +51,22 @@ class TestSolvePrincipal:
         pout = fs.solve_principal(0.2, n=201, variant=BoundaryVariant.OUTFLOW_ROBIN)
         assert pout.value == pytest.approx(pin.value, rel=1e-10)
         np.testing.assert_allclose(pout.function, pin.function[::-1], atol=1e-9)
+
+    @pytest.mark.parametrize("d", [0.01, 0.005])
+    def test_small_diffusivity_pair_is_positive_and_resolved(self, d):
+        """A positive eigenvector of A (whose inverse is nonnegative) is the
+        principal one by Perron-Frobenius, so positivity and a residual at
+        the rounding floor certify the pair without a dense oracle."""
+        pair = fs.solve_principal(d, n=401)
+        assert np.min(pair.function) > 0.0
+        assert np.max(pair.function) == 1.0
+        assert pair.residual <= 1e-9 * pair.value
+
+    def test_unresolved_pair_near_unit_peclet_rejected(self):
+        """Cell Peclet 0.998: the symmetric solve returns a vector that is not
+        the positive eigenfunction of A, and the solver says so."""
+        with pytest.raises(ValueError, match="grid too coarse"):
+            fs.solve_principal(0.001, n=502)
 
     def test_rejects_grid_too_coarse_for_diffusivity(self):
         with pytest.raises(ValueError, match="n >"):
