@@ -4,8 +4,9 @@ A substrate and m microbial species, each split into isolated and
 attached (floc) phases, flow through the unit interval with diffusion,
 drift, Monod/Haldane growth, and density-dependent exchange between the
 phases.  The package provides transient simulation, principal-eigenvalue
-computation for the transport operator, steady-state solving on cones,
-blow-up detection, structural-condition checking, and diagnostics.
+computation for the transport operator, steady-state solving with
+existence-hypothesis reports, blow-up detection, structural-condition
+checking, and diagnostics.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .diagnostics import (
     reproductive_numbers,
     weighted_mass,
 )
-from .eigen import BoundaryVariant, EigenPair, lambda_bracket, rescale_eigenfunction, solve_principal
+from .eigen import BoundaryVariant, EigenPair, lambda_bracket, solve_principal
 from .model import (
     AttachedTimesTotalRate,
     ConditionReport,
@@ -66,13 +67,9 @@ from .pde import (
 from .steady import (
     ClauseMargin,
     CoexistenceReport,
-    ConeSpec,
     ExtinctionReport,
-    InvarianceCertificate,
     SteadyState,
     apply_steady_operator,
-    build_cone,
-    certify_cone_invariance,
     check_coexistence_hypotheses,
     check_extinction_hypotheses,
     fixed_point_solve,
@@ -89,7 +86,6 @@ __all__ = [
     "ClauseMargin",
     "CoexistenceReport",
     "ConditionReport",
-    "ConeSpec",
     "ConfigError",
     "ConstantRate",
     "Controls",
@@ -100,7 +96,6 @@ __all__ = [
     "Grid",
     "GrowthLaw",
     "Haldane",
-    "InvarianceCertificate",
     "KineticsSpec",
     "LinearTotalRate",
     "ModelParams",
@@ -122,8 +117,6 @@ __all__ = [
     "apply_steady_operator",
     "available_presets",
     "blowup_functional",
-    "build_cone",
-    "certify_cone_invariance",
     "check_coexistence_hypotheses",
     "check_extinction_hypotheses",
     "check_structural_conditions",
@@ -139,7 +132,6 @@ __all__ = [
     "parse_config",
     "reaction_field",
     "reproductive_numbers",
-    "rescale_eigenfunction",
     "run_experiment",
     "simulate",
     "single_species",

@@ -9,7 +9,8 @@ Exit codes
 2   configuration error (every violated key is listed on stderr), or a
     run whose inputs the solver rejects before its first step
 3   solver non-convergence (steady-state iteration), or a grid too coarse
-    for the eigen solver
+    for the eigen solver (for the steady hypothesis reports, also one on
+    which an eigenfunction underflows to zero)
 4   the simulation verdict was blow-up
 
 INI schema
@@ -790,9 +791,12 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
             return EXIT_NO_CONVERGENCE
         bracket = lambda_bracket(d)
         kind = "enclosure" if bracket.enclosure else "tail bound"
+        # the bracket encloses the exact eigenvalue, so a grid value
+        # outside it shows the grid's discretization error
+        flag = "" if bracket.lower < pair.value < bracket.upper else " OUTSIDE-BRACKET"
         print(
             f"{label}: d={d:g} lambda={pair.value!r} "
-            f"bracket=({bracket.lower!r}, {bracket.upper!r}) [{kind}]"
+            f"bracket=({bracket.lower!r}, {bracket.upper!r}) [{kind}]{flag}"
         )
     return EXIT_OK
 

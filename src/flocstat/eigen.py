@@ -19,7 +19,7 @@ blow-up functional weights mass with its eigenfunction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "EigenPair",
     "LambdaBracket",
     "solve_principal",
-    "rescale_eigenfunction",
     "lambda_bracket",
 ]
 
@@ -49,11 +48,10 @@ class EigenPair:
         function: eigenfunction sampled on the uniform grid, strictly
             positive (entries below the smallest double, about
             ``exp(-708)`` times the sup, flush to zero); normalized to
-            sup = 1 by the solver, possibly rescaled afterwards.
+            sup = 1.
         iterations: always 1; the solve is direct.
         residual: sup-norm of the eigen-equation defect relative to the
-            sup of the eigenfunction (scale-invariant, so rescaling
-            leaves it unchanged).
+            sup of the eigenfunction.
     """
 
     d: float
@@ -124,53 +122,6 @@ def solve_principal(
         )
     return EigenPair(d=float(d), n=n, variant=variant, value=lam, function=phi,
                      iterations=1, residual=resid)
-
-
-def rescale_eigenfunction(
-    pair: EigenPair,
-    mode: str = "max_one",
-    *,
-    value: float = 1.0,
-    other: EigenPair | None = None,
-    factor: float = 1.0,
-) -> EigenPair:
-    """Return a copy of the pair with the eigenfunction rescaled.
-
-    Modes:
-        ``max_one``      — sup equal to 1 (the solver's normalization).
-        ``min_value``    — minimum equal to ``value`` (seed strictly
-                           positive profiles).
-        ``dominated_by`` — largest positive multiple with
-                           ``phi <= factor * other.function`` pointwise;
-                           equality is attained at the binding node.
-
-    The eigenvalue and the (relative) residual are scale-invariant and
-    carried over unchanged.
-    """
-    phi = pair.function
-    if mode == "max_one":
-        scale = 1.0 / float(np.max(phi))
-    elif mode == "min_value":
-        lo = float(np.min(phi))
-        if lo <= 0:
-            raise ValueError("eigenfunction minimum is not positive; cannot rescale")
-        if value <= 0:
-            raise ValueError(f"min_value target must be positive, got {value}")
-        scale = value / lo
-    elif mode == "dominated_by":
-        if other is None:
-            raise ValueError("dominated_by mode needs the dominating pair")
-        if other.n != pair.n:
-            raise ValueError(f"grids differ: {pair.n} vs {other.n} nodes")
-        if factor <= 0:
-            raise ValueError(f"dominated_by factor must be positive, got {factor}")
-        ceiling = factor * other.function
-        if np.any(ceiling <= 0):
-            raise ValueError("dominating function must be strictly positive")
-        scale = float(np.min(ceiling / phi))
-    else:
-        raise ValueError(f"unknown rescale mode {mode!r}")
-    return replace(pair, function=phi * scale)
 
 
 class LambdaBracket(NamedTuple):

@@ -20,8 +20,6 @@ operator.  This module provides:
   matching exchange rate vanishes there — no special casing);
 * a damped Picard iteration, where non-convergence is a reportable
   result, not an exception;
-* the invariant cones of the existence theorems (order intervals
-  between scaled eigenfunctions) and a sampled invariance certificate;
 * hypothesis checkers for the extinction and coexistence existence
   theorems, reporting every clause as a signed margin.  The checkers
   are honest: for several clause systems no admissible parameters
@@ -52,10 +50,6 @@ __all__ = [
     "kernel_matrix",
     "apply_steady_operator",
     "SteadyState",
-    "ConeSpec",
-    "build_cone",
-    "InvarianceCertificate",
-    "certify_cone_invariance",
     "fixed_point_solve",
     "ClauseMargin",
     "ExtinctionReport",
@@ -236,7 +230,7 @@ def apply_steady_operator(state, params: ModelParams, kin: KineticsSpec) -> _Tri
 
 
 # ---------------------------------------------------------------------------
-# Steady states and cones
+# Steady states
 # ---------------------------------------------------------------------------
 
 
@@ -289,71 +283,13 @@ class SteadyState:
         return np.clip(1.0 - self.Stilde, 0.0, None)
 
 
-_CONE_KINDS = ("extinction-attached", "extinction-isolated", "coexistence")
-
-
-@dataclass(frozen=True)
-class ConeSpec:
-    """Order interval (componentwise envelope box) for the steady operator.
-
-    lower/upper are (3, n) envelope arrays for (Stilde, u, v).  The
-    scalars record how the envelopes were normalized: ``k``/``k_prime``
-    are the depletion margins keeping growth above the kernel
-    attenuation, ``c``/``C`` the minima of the biomass lower envelopes,
-    and ``theta``/``rho`` the exchange-rate floors of the coexistence
-    construction.
-    """
-
-    kind: str
-    lower: Array
-    upper: Array
-    k: Optional[float] = None
-    k_prime: Optional[float] = None
-    c: Optional[float] = None
-    C: Optional[float] = None
-    theta: Optional[float] = None
-    rho: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _CONE_KINDS:
-            raise ValueError(f"unknown cone kind {self.kind!r}; expected one of {_CONE_KINDS}")
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if lower.ndim != 2 or lower.shape[0] != 3 or lower.shape != upper.shape:
-            raise ValueError(
-                f"envelopes must be matching (3, n) arrays, got {lower.shape} and {upper.shape}"
-            )
-        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-            raise ValueError("envelopes must be finite")
-        if float(lower.min()) < 0.0:
-            raise ValueError("lower envelopes must be nonnegative")
-        if np.any(lower > upper + 1e-12):
-            raise ValueError("lower envelope exceeds upper envelope")
-        constrained = {"extinction-attached": (1,), "extinction-isolated": (2,),
-                       "coexistence": (1, 2)}[self.kind]
-        for row in constrained:
-            if float(lower[row].min()) <= 0.0:
-                raise ValueError(
-                    f"the cone's biomass lower envelope (row {row}) must be strictly positive"
-                )
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    @property
-    def n(self) -> int:
-        return self.lower.shape[1]
-
-    def violation(self, state) -> float:
-        """Largest outward distance of a triple from the envelope box."""
-        X = _as_triple(state)
-        if X.shape[1] != self.n:
-            raise ValueError(f"triple has {X.shape[1]} nodes, cone has {self.n}")
-        below = np.clip(self.lower - X, 0.0, None)
-        above = np.clip(X - self.upper, 0.0, None)
-        return float(max(below.max(), above.max()))
-
-    def contains(self, state, tol: float = 1e-9) -> bool:
-        return self.violation(state) <= tol
+def _kernel_attenuation(d: float) -> float:
+    """``exp(1/d)``, the kernel's decay across the unit interval; inf once
+    it overflows (d below about 1/709.78)."""
+    try:
+        return math.exp(1.0 / d)
+    except OverflowError:
+        return math.inf
 
 
 def _largest_depletion_margin(growth: GrowthLaw, d: float,
@@ -364,10 +300,7 @@ def _largest_depletion_margin(growth: GrowthLaw, d: float,
     point where equality holds — located by scan plus bisection, so
     non-monotone growth laws are handled.
     """
-    try:
-        target = math.exp(1.0 / d)
-    except OverflowError:
-        return None
+    target = _kernel_attenuation(d)
     if float(growth(1.0)) <= target:
         return None
     ks = np.linspace(0.0, 1.0, scan_points + 1)
@@ -386,180 +319,8 @@ def _largest_depletion_margin(growth: GrowthLaw, d: float,
     return lo
 
 
-@dataclass(frozen=True)
-class _SigmaGeometry:
-    """Envelope geometry of the coexistence cone, before choosing theta/rho."""
-
-    upper_S: Array
-    upper_u: Array
-    upper_v: Array
-    lower_u: Array
-    lower_v: Array
-    lam0: float
-    lam1: float
-    lam2: float
-    k: Optional[float]
-    k_prime: Optional[float]
-    normalization_ok: bool
-    theta_cap: float
-    alpha_floor: float
-    beta_floor: float
-
-
 #: depletion cap used for exploratory envelopes when no admissible margin exists
 _FALLBACK_DEPLETION = 0.5
-
-
-def _sigma_geometry(params: ModelParams, kin: KineticsSpec, grid_n: int,
-                    safety: float) -> _SigmaGeometry:
-    pair0 = solve_principal(params.d0, grid_n, BoundaryVariant.INFLOW_ROBIN)
-    pair1 = solve_principal(params.du[0], grid_n, BoundaryVariant.INFLOW_ROBIN)
-    pair2 = solve_principal(params.dv[0], grid_n, BoundaryVariant.INFLOW_ROBIN)
-    f1 = float(kin.f[0](1.0))
-    g1 = float(kin.g[0](1.0))
-    k = _largest_depletion_margin(kin.f[0], params.du[0])
-    k_prime = _largest_depletion_margin(kin.g[0], params.dv[0])
-    normalization_ok = k is not None and k_prime is not None
-    cap = min(k if k is not None else _FALLBACK_DEPLETION,
-              k_prime if k_prime is not None else _FALLBACK_DEPLETION)
-    upper_S = safety * cap * pair0.function
-    if f1 + g1 <= 0.0:
-        raise ValueError("coexistence envelopes need positive growth at the feed")
-    ceiling = (pair0.value / (f1 + g1)) * upper_S
-    upper_u = float(np.min(ceiling / pair1.function)) * pair1.function
-    upper_v = float(np.min(upper_u / pair2.function)) * pair2.function
-    lower_u = upper_u / pair1.value
-    lower_v = upper_v / pair2.value
-    theta_cap = float(np.min(upper_v / upper_u))
-    alpha_floor = float(np.min(kin.alpha[0](lower_u[None, :], lower_v[None, :])))
-    beta_floor = float(np.min(kin.beta[0](lower_u[None, :], lower_v[None, :])))
-    return _SigmaGeometry(
-        upper_S=upper_S, upper_u=upper_u, upper_v=upper_v,
-        lower_u=lower_u, lower_v=lower_v,
-        lam0=pair0.value, lam1=pair1.value, lam2=pair2.value,
-        k=k, k_prime=k_prime, normalization_ok=normalization_ok,
-        theta_cap=theta_cap, alpha_floor=alpha_floor, beta_floor=beta_floor,
-    )
-
-
-def build_cone(kind: str, params: ModelParams, kin: KineticsSpec, *,
-               grid_n: int = 401, safety: float = 0.999,
-               k_override: Optional[float] = None,
-               theta: Optional[float] = None,
-               rho: Optional[float] = None) -> ConeSpec:
-    """Construct an invariant-cone candidate from rescaled eigenfunctions.
-
-    For the extinction cones the substrate-depletion envelope is scaled
-    to keep its sup below the depletion margin k (so growth stays above
-    the kernel attenuation throughout the cone), and the surviving
-    biomass envelope is the largest eigenfunction multiple dominated by
-    ``(lambda_0 / growth(1)) *`` the depletion envelope; its minimum
-    becomes the constant biomass floor.  When no admissible k exists the
-    build raises — pass ``k_override`` for an exploratory cone.
-
-    For the coexistence cone both margins (k from the isolated growth
-    law, k' from the attached one) cap the depletion envelope, the
-    biomass envelopes are nested eigenfunction multiples, and the lower
-    envelopes are the uppers divided by their eigenvalues; theta and rho
-    default to just inside their admissible caps.
-    """
-    _require_theory_regime(params, kin)
-    if not (0.0 < safety <= 1.0):
-        raise ValueError(f"safety factor must lie in (0, 1], got {safety}")
-    zeros = np.zeros(grid_n)
-
-    if kind in ("extinction-attached", "extinction-isolated"):
-        if kind == "extinction-attached":
-            growth, d_bio = kin.f[0], params.du[0]
-        else:
-            growth, d_bio = kin.g[0], params.dv[0]
-        pair0 = solve_principal(params.d0, grid_n, BoundaryVariant.INFLOW_ROBIN)
-        pair_bio = solve_principal(d_bio, grid_n, BoundaryVariant.INFLOW_ROBIN)
-        k = k_override if k_override is not None else _largest_depletion_margin(growth, d_bio)
-        if k is None:
-            raise ValueError(
-                "no admissible depletion margin: growth at the feed does not exceed "
-                f"the kernel attenuation exp(1/d)={math.exp(1.0 / d_bio):.4g}; "
-                "pass k_override to build an exploratory cone"
-            )
-        if not (0.0 < k <= 1.0):
-            raise ValueError(f"depletion margin must lie in (0, 1], got {k}")
-        g_at_feed = float(growth(1.0))
-        if g_at_feed <= 0.0:
-            raise ValueError("the surviving phase needs positive growth at the feed")
-        upper_S = safety * k * pair0.function
-        ceiling = (pair0.value / g_at_feed) * upper_S
-        upper_bio = float(np.min(ceiling / pair_bio.function)) * pair_bio.function
-        floor = float(np.min(upper_bio))
-        lower_bio = np.full(grid_n, floor)
-        if kind == "extinction-attached":
-            lower = np.stack([zeros, lower_bio, zeros])
-            upper = np.stack([upper_S, upper_bio, zeros])
-            return ConeSpec(kind, lower, upper, k=k, c=floor)
-        lower = np.stack([zeros, zeros, lower_bio])
-        upper = np.stack([upper_S, zeros, upper_bio])
-        return ConeSpec(kind, lower, upper, k_prime=k, C=floor)
-
-    if kind != "coexistence":
-        raise ValueError(f"unknown cone kind {kind!r}; expected one of {_CONE_KINDS}")
-    geo = _sigma_geometry(params, kin, grid_n, safety)
-    theta_max = min(geo.theta_cap, geo.alpha_floor)
-    theta_val = theta if theta is not None else safety * theta_max
-    rho_val = rho if rho is not None else safety * geo.beta_floor
-    if not (0.0 < theta_val <= theta_max):
-        raise ValueError(
-            f"theta={theta_val:.4g} is inadmissible: it must be positive and at most "
-            f"min(envelope ratio {geo.theta_cap:.4g}, attachment floor {geo.alpha_floor:.4g})"
-        )
-    if not (0.0 < rho_val <= geo.beta_floor):
-        raise ValueError(
-            f"rho={rho_val:.4g} is inadmissible: it must be positive and at most "
-            f"the detachment floor {geo.beta_floor:.4g}"
-        )
-    lower = np.stack([zeros, geo.lower_u, geo.lower_v])
-    upper = np.stack([geo.upper_S, geo.upper_u, geo.upper_v])
-    return ConeSpec(
-        "coexistence", lower, upper,
-        k=geo.k, k_prime=geo.k_prime,
-        c=float(np.min(geo.lower_u)), C=float(np.min(geo.lower_v)),
-        theta=theta_val, rho=rho_val,
-    )
-
-
-@dataclass(frozen=True)
-class InvarianceCertificate:
-    """Finitely sampled check that the steady operator maps a cone into itself."""
-
-    kind: str
-    samples: int
-    max_violation: float
-    contained: bool
-    tol: float
-    seed: int
-
-
-def certify_cone_invariance(cone: ConeSpec, params: ModelParams, kin: KineticsSpec,
-                            *, samples: int = 32, seed: int = 20240,
-                            tol: float = 1e-9) -> InvarianceCertificate:
-    """Apply the steady operator to random cone elements and report the
-    worst outward violation of the envelopes.  A sampled certificate —
-    evidence, not proof."""
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    op = _SteadyOperator(params, kin, cone.n)
-    rng = np.random.default_rng(seed)
-    span = cone.upper - cone.lower
-    worst = 0.0
-    for _ in range(samples):
-        X = cone.lower + rng.random(cone.lower.shape) * span
-        image = op.apply(X)
-        below = np.clip(cone.lower - image, 0.0, None)
-        above = np.clip(image - cone.upper, 0.0, None)
-        worst = max(worst, float(below.max()), float(above.max()))
-    return InvarianceCertificate(
-        kind=cone.kind, samples=samples, max_violation=worst,
-        contained=worst <= tol, tol=tol, seed=seed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +403,8 @@ class ExtinctionReport:
     """Clause-by-clause audit of a single-phase survival construction.
 
     The construction needs the surviving phase's growth at the feed to
-    exceed the kernel attenuation ``exp(1/d)`` while staying at or below
+    exceed the kernel attenuation ``exp(1/d)`` (inf once that overflows,
+    d below about 1/709.78) while staying at or below
     the principal eigenvalue — the window ``(exp(1/d), lambda_d]``.
     ``window_nonempty`` reports whether that window exists at all for
     this diffusivity; it is False for every positive d (the eigenvalue
@@ -688,7 +450,7 @@ def check_extinction_hypotheses(params: ModelParams, kin: KineticsSpec,
         raise ValueError(f"which must be 'attached' or 'isolated', got {which!r}")
 
     lam = solve_principal(d_bio, grid_n, BoundaryVariant.INFLOW_ROBIN).value
-    attenuation = math.exp(1.0 / d_bio)
+    attenuation = _kernel_attenuation(d_bio)
     growth_at_feed = float(growth(1.0))
     clauses = (
         ClauseMargin("growth-beats-kernel-attenuation",
@@ -763,7 +525,7 @@ def check_coexistence_hypotheses(params: ModelParams, kin: KineticsSpec, *,
     enough", so the grid brackets plausible magnitudes).  Requires
     nondecreasing exchange-rate descriptors — the envelope floors are
     evaluated at the lower envelopes, which bounds the rates from below
-    on the whole cone box only under monotonicity.
+    on the whole envelope box only under monotonicity.
     """
     _require_theory_regime(params, kin)
     if grid_points < 2:
@@ -772,13 +534,41 @@ def check_coexistence_hypotheses(params: ModelParams, kin: KineticsSpec, *,
     if not (0.0 < lo < hi):
         raise ValueError(f"rate_range must be increasing and positive, got {rate_range}")
 
-    geo = _sigma_geometry(params, kin, grid_n, safety)
+    pairs = [solve_principal(d, grid_n, BoundaryVariant.INFLOW_ROBIN)
+             for d in (params.d0, params.du[0], params.dv[0])]
+    for label, pair in zip(("d0", "du", "dv"), pairs):
+        # the envelope ratios below are 0/0 wherever an eigenfunction is 0
+        if float(np.min(pair.function)) <= 0.0:
+            raise ValueError(
+                f"eigenfunction for {label}={pair.d:g} underflows to zero on the "
+                f"{grid_n}-node grid (its range exceeds the smallest double); "
+                "the coexistence envelopes are undefined"
+            )
+    pair0, pair1, pair2 = pairs
     f1 = float(kin.f[0](1.0))
     g1 = float(kin.g[0](1.0))
+    if f1 + g1 <= 0.0:
+        raise ValueError("coexistence envelopes need positive growth at the feed")
+    # envelope geometry: depletion capped by both margins, nested biomass
+    # envelopes, lower envelopes the uppers over their eigenvalues
+    k = _largest_depletion_margin(kin.f[0], params.du[0])
+    k_prime = _largest_depletion_margin(kin.g[0], params.dv[0])
+    cap = min(k if k is not None else _FALLBACK_DEPLETION,
+              k_prime if k_prime is not None else _FALLBACK_DEPLETION)
+    upper_S = safety * cap * pair0.function
+    ceiling = (pair0.value / (f1 + g1)) * upper_S
+    upper_u = float(np.min(ceiling / pair1.function)) * pair1.function
+    upper_v = float(np.min(upper_u / pair2.function)) * pair2.function
+    lower_u = upper_u / pair1.value
+    lower_v = upper_v / pair2.value
+    theta_cap = float(np.min(upper_v / upper_u))
+    alpha_floor = float(np.min(kin.alpha[0](lower_u[None, :], lower_v[None, :])))
+    beta_floor = float(np.min(kin.beta[0](lower_u[None, :], lower_v[None, :])))
+
     a11 = float(kin.alpha[0](1.0, 1.0))
     b11 = float(kin.beta[0](1.0, 1.0))
     yu, yv = params.yu[0], params.yv[0]
-    lam1, lam2 = geo.lam1, geo.lam2
+    lam1, lam2 = pair1.value, pair2.value
 
     growth_u = f1 - lam1 * (1.0 + a11 / yu)
     growth_v = g1 - lam2 * (1.0 + b11 / yv)
@@ -787,8 +577,8 @@ def check_coexistence_hypotheses(params: ModelParams, kin: KineticsSpec, *,
     rhos = np.geomspace(lo, hi, grid_points)
     m3 = lam1 + thetas / (yu * lam1) - (f1 + b11)                      # (T,)
     m4 = lam2 + rhos[None, :] / (yv * lam2) - (g1 + a11 / thetas[:, None])  # (T, R)
-    sel_theta = np.minimum(geo.theta_cap - thetas, geo.alpha_floor - thetas)
-    m5 = np.minimum(sel_theta[:, None], (geo.beta_floor - rhos)[None, :])   # (T, R)
+    sel_theta = np.minimum(theta_cap - thetas, alpha_floor - thetas)
+    m5 = np.minimum(sel_theta[:, None], (beta_floor - rhos)[None, :])   # (T, R)
 
     score = np.minimum(np.minimum(m3[:, None], m4), m5)
     score = np.minimum(score, min(growth_u, growth_v))
@@ -818,13 +608,13 @@ def check_coexistence_hypotheses(params: ModelParams, kin: KineticsSpec, *,
         feasible=feasible_count > 0,
         feasible_count=feasible_count,
         binding_clause=binding,
-        normalization_ok=geo.normalization_ok,
-        k_margin=geo.k,
-        k_prime_margin=geo.k_prime,
-        theta_cap=geo.theta_cap,
-        alpha_floor=geo.alpha_floor,
-        beta_floor=geo.beta_floor,
-        eigenvalue_substrate=geo.lam0,
+        normalization_ok=k is not None and k_prime is not None,
+        k_margin=k,
+        k_prime_margin=k_prime,
+        theta_cap=theta_cap,
+        alpha_floor=alpha_floor,
+        beta_floor=beta_floor,
+        eigenvalue_substrate=pair0.value,
         eigenvalue_u=lam1,
         eigenvalue_v=lam2,
         grid_n=grid_n,

@@ -309,6 +309,15 @@ class TestMainEntry:
         assert lines[0].startswith("d0: d=1 lambda=1.17")
         assert "enclosure" not in lines[0]
 
+    def test_eigen_flags_value_outside_its_bracket(self, capsys):
+        """dv=0.001 at n=1001 resolves at cell Peclet 0.5, but its grid
+        eigenvalue 267.96 lies outside the enclosure (250.0025, 250.0099)."""
+        code = main(["eigen", "--preset", "fig4e", "--grid-n", "1001"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_OK
+        assert [line.endswith("] OUTSIDE-BRACKET") for line in lines] == [False, False, True]
+        assert lines[2].startswith("dv_1: d=0.001 lambda=267.957")
+
     def test_check_verb(self, capsys):
         code = main(["check", "--preset", "fig2a"])
         out = capsys.readouterr().out
@@ -359,6 +368,19 @@ class TestMainEntry:
         assert len(captured.err.strip().splitlines()) == 1
         assert "grid too coarse" in captured.err
         assert (tmp_path / "steady.csv").is_file()
+
+    def test_steady_fine_grid_reports_overflowed_attenuation(self, tmp_path, capsys):
+        """exp(1/d) overflows for fig4e's dv=0.001; on 1001 nodes the eigen
+        solve succeeds, and the attenuation clause fails with margin -inf."""
+        code = main(["steady", "--preset", "fig4e", "--grid-n", "1001",
+                     "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert captured.err == ""
+        assert ("extinction[isolated]: all_satisfied=False window_nonempty=False "
+                "eigenvalue=267.957659 attenuation=inf\n"
+                "  - growth-beats-kernel-attenuation: satisfied=False margin=-inf\n"
+                ) in captured.out
 
     def test_steady_non_finite_iterate_exits_3(self, tmp_path, capsys):
         code = main(["steady", "--preset", "blowup_demo", "--out", str(tmp_path)])
@@ -450,6 +472,23 @@ class TestPackaging:
         config = fs.parse_config(blocks[0])
         assert config.sweep is not None and config.sweep.parameter == "dv"
         assert config.outputs.write_monitors and config.outputs.write_snapshots
+
+    def test_every_export_resolves(self):
+        assert [name for name in fs.__all__ if not hasattr(fs, name)] == []
+
+    @pytest.mark.parametrize("argv", [
+        ["blowup_search.py", "--t-end", "2", "--max-doublings", "6"],
+        ["motility_sweep.py", "--t-end", "0.05", "--values", "0.1", "1", "--out", "out"],
+        ["reproduce_figures.py", "--only", "fig2a", "--t-end", "0.05", "--out", "out"],
+    ])
+    def test_script_runs(self, tmp_path, argv):
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / argv[0]), *argv[1:]],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_cli_import_leaves_heavy_scipy_modules_out(self):
         src = Path(fs.__file__).resolve().parents[1]

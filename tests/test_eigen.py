@@ -105,30 +105,3 @@ class TestLambdaBracket:
         for d, lam in EIGENVALUE_BY_DIFFUSIVITY.items():
             assert lam < np.exp(1.0 / d)
 
-
-class TestRescale:
-    def test_max_one(self):
-        pair = fs.solve_principal(0.2, n=201)
-        doubled = fs.rescale_eigenfunction(pair, "min_value", value=0.5)
-        back = fs.rescale_eigenfunction(doubled, "max_one")
-        np.testing.assert_allclose(back.function, pair.function, rtol=1e-12)
-
-    def test_min_value(self):
-        pair = fs.solve_principal(0.2, n=201)
-        scaled = fs.rescale_eigenfunction(pair, "min_value", value=0.25)
-        assert np.min(scaled.function) == pytest.approx(0.25, rel=1e-12)
-
-    def test_dominated_by(self):
-        pair = fs.solve_principal(0.2, n=201)
-        other = fs.rescale_eigenfunction(pair, "min_value", value=0.1)
-        scaled = fs.rescale_eigenfunction(pair, "dominated_by", other=other, factor=1.0)
-        assert np.all(scaled.function <= other.function + 1e-14)
-        # the bound is attained somewhere
-        assert np.min(other.function - scaled.function) <= 1e-12
-
-    def test_preserves_value_and_metadata(self):
-        pair = fs.solve_principal(0.2, n=201)
-        scaled = fs.rescale_eigenfunction(pair, "min_value", value=2.0)
-        assert scaled.value == pair.value
-        assert scaled.d == pair.d
-        assert scaled.n == pair.n

@@ -1,4 +1,4 @@
-"""Tests for the steady-state kernel, fixed-point operator, cones, and reports."""
+"""Tests for the steady-state kernel, fixed-point operator, and reports."""
 
 import numpy as np
 import pytest
@@ -206,46 +206,17 @@ class TestFixedPoint:
             fs.fixed_point_solve(init, params, kin)
 
 
-class TestCones:
-    def test_extinction_cone_for_strong_growth(self):
-        """A growth law beating the kernel attenuation admits a depletion margin."""
-        params = theory_params(du=10.0, dv=10.0)
-        kin = floc_kinetics()
-        cone = fs.build_cone("extinction-attached", params, kin, grid_n=201)
-        assert cone.kind == "extinction-attached"
-        assert cone.k is not None and 0.0 < cone.k < 1.0
-        assert np.all(cone.lower <= cone.upper + 1e-15)
-
-    def test_extinction_cone_rejects_weak_growth(self):
-        params, kin = theory_params(), floc_kinetics()
-        with pytest.raises(ValueError, match="k_override"):
-            fs.build_cone("extinction-attached", params, kin, grid_n=201)
-
-    def test_cone_override_and_invariance_sampling(self):
-        params, kin = theory_params(du=10.0, dv=10.0), floc_kinetics()
-        cone = fs.build_cone("extinction-attached", params, kin, grid_n=201)
-        cert = fs.certify_cone_invariance(cone, params, kin, samples=8)
-        assert cert.samples == 8
-        assert cert.kind == "extinction-attached"
-
-    def test_coexistence_cone_geometry(self):
-        params, kin = theory_params(), floc_kinetics()
-        cone = fs.build_cone("coexistence", params, kin, grid_n=201,
-                             k_override=0.5, theta=0.01, rho=0.01)
-        assert cone.kind == "coexistence"
-        assert np.all(cone.lower[1] > 0.0)
-        assert np.all(cone.lower[2] > 0.0)
-        state = fs.SteadyState(
-            grid=fs.Grid(201),
-            Stilde=cone.lower[0],
-            u=cone.lower[1],
-            v=cone.lower[2],
-            residual=0.0, pde_residual=0.0, converged=True, iterations=0,
-        )
-        assert cone.contains(state)
-
-
 class TestHypothesisReports:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("which", ["du", "dv"])
+    def test_coexistence_rejects_underflowed_eigenfunction(self, which):
+        """At d = 7.1e-4 on 1001 nodes the eigenfunction's range passes the
+        smallest double and its tail is exact zeros; the envelope ratios
+        would be 0/0, so the report raises instead of returning nan."""
+        params = theory_params(**{which: 7.1e-4})
+        with pytest.raises(ValueError, match=f"{which}=0.00071 underflows"):
+            fs.check_coexistence_hypotheses(params, floc_kinetics(), grid_n=1001)
+
     def test_extinction_report_saturating_growth(self):
         """Frozen margins for the fast-attached-dispersal configuration."""
         params, kin = theory_params(), floc_kinetics()
