@@ -862,7 +862,10 @@ def _cmd_steady(args: argparse.Namespace) -> int:
     )
     for clause in coex.clauses:
         print(f"  - {clause.name}: satisfied={clause.satisfied} margin={clause.margin:+.4e}")
-    return EXIT_OK if state.converged else EXIT_NO_CONVERGENCE
+    if not state.converged:
+        print(f"steady solve stopped: {state.reason}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

@@ -19,7 +19,9 @@ operator.  This module provides:
   operator when one biomass component is identically zero and the
   matching exchange rate vanishes there — no special casing);
 * a damped Picard iteration, where non-convergence is a reportable
-  result, not an exception;
+  result, not an exception: the iteration stops at its limit, at an
+  iterate that overflows, or once it stops contracting (its sup change
+  is no smaller than 200 iterations earlier);
 * hypothesis checkers for the extinction and coexistence existence
   theorems, reporting every clause as a signed margin.  The checkers
   are honest: for several clause systems no admissible parameters
@@ -328,6 +330,12 @@ _FALLBACK_DEPLETION = 0.5
 # ---------------------------------------------------------------------------
 
 
+#: iterations between the two sup changes the non-contraction test compares;
+#: the largest ratio over that span on a converging shipped preset is 0.34
+#: (fig5l), while a span of 50 or 100 stops fig5l before it converges
+_CONTRACTION_WINDOW = 200
+
+
 def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
                       tol: float = 1e-10, max_iter: int = 5000,
                       damping: float = 0.5) -> SteadyState:
@@ -336,11 +344,13 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
     The iteration stops when the successive sup-norm change drops below
     ``tol``; hitting ``max_iter`` first returns the last iterate marked
     unconverged — the operator is not proven contractive, so
-    non-convergence is a result, not an error.  So does an iterate that
-    overflows: the iteration stops at the first non-finite one and returns
-    it with nan residuals.  The returned residual is the fixed-point
-    defect ``sup |G(x) - x|``; pde_residual is the differential-balance
-    defect.
+    non-convergence is a result, not an error.  So does an iteration that
+    stops contracting: once the sup change at iteration k is at least the
+    change at iteration k - 200, the solve stops with the reason "not
+    contracting".  So does an iterate that overflows: the iteration stops
+    at the first non-finite one and returns it with nan residuals.  The
+    returned residual is the fixed-point defect ``sup |G(x) - x|``;
+    pde_residual is the differential-balance defect.
     """
     if not (0.0 < damping <= 1.0):
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
@@ -353,6 +363,7 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
     converged = False
     reason = f"iteration limit {max_iter} reached"
     iterations = 0
+    changes = []
     # overflow is detected below and reported as the stopping reason
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, max_iter + 1):
@@ -367,6 +378,14 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
             if change < tol:
                 converged, reason = True, ""
                 break
+            changes.append(change)
+            if iterations > _CONTRACTION_WINDOW:
+                earlier = changes[-1 - _CONTRACTION_WINDOW]
+                if change >= earlier:
+                    reason = (f"not contracting: sup change {change:.3e} at iteration "
+                              f"{iterations} is not below {earlier:.3e} at iteration "
+                              f"{iterations - _CONTRACTION_WINDOW}")
+                    break
     if math.isfinite(change):
         residual = float(np.max(np.abs(op.apply(X) - X)))
         pde_residual = op.differential_defect(X)

@@ -389,6 +389,16 @@ class TestMainEntry:
         assert captured.err == "steady solve stopped: non-finite iterate at iteration 12\n"
         assert not (tmp_path / "steady.csv").exists()
 
+    def test_steady_not_contracting_exits_3_with_one_line(self, tmp_path, capsys):
+        code = main(["steady", "--preset", "fig6n", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NO_CONVERGENCE
+        assert "fixed point: converged=False" in captured.out
+        assert "coexistence: feasible=" in captured.out
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("steady solve stopped: not contracting: ")
+        assert (tmp_path / "steady.csv").is_file()
+
     def test_check_verb_coarse_grid_exits_without_traceback(self, capsys):
         code = main(["check", "--preset", "fig4e"])
         captured = capsys.readouterr()
@@ -489,6 +499,16 @@ class TestPackaging:
             env={**os.environ, "PYTHONPATH": str(root / "src")},
         )
         assert done.returncode == 0, done.stderr
+
+    def test_python_m_flocstat_runs_without_warnings(self, tmp_path):
+        src = Path(fs.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "flocstat", "eigen", "--preset", "fig2a"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("d0: d=1 lambda=")
 
     def test_cli_import_leaves_heavy_scipy_modules_out(self):
         src = Path(fs.__file__).resolve().parents[1]

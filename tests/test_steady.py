@@ -1,9 +1,13 @@
 """Tests for the steady-state kernel, fixed-point operator, and reports."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 import flocstat as fs
+from flocstat.cli import build_initial_state
 from flocstat.operators import transport_defect
 from conftest import floc_kinetics, standard_params
 
@@ -13,6 +17,31 @@ from oracles import kernel_closed_form
 def theory_params(du=1.0, dv=10.0):
     """Unit feed, zero biomass inflow: the regime the steady machinery handles."""
     return standard_params(du=du, dv=dv)
+
+
+def preset_solve(name):
+    """The fixed-point solve `flocstat steady` runs on a preset at its own grid."""
+    config = fs.load_preset(name)
+    controls = config.controls
+    initial = build_initial_state(config, fs.Grid(controls.grid_n))
+    return fs.fixed_point_solve(
+        (np.clip(1.0 - initial.S, 0.0, None), initial.u[0], initial.v[0]),
+        config.params, config.kin, tol=controls.steady_tol,
+        max_iter=controls.steady_max_iter, damping=controls.steady_damping,
+    )
+
+
+# presets whose damped Picard iteration stalls: fig6n and fig6o hover at a
+# sup change of 4-7e-6, fig6p cycles between 3.5e-4 and 1.05e-3
+STALLED_PRESETS = ("fig6n", "fig6o", "fig6p")
+
+# Picard iterations of every preset whose solve converges; fig5l's change
+# shrinks slowest, to 0.34 of its value 200 iterations earlier
+CONVERGING_ITERATIONS = {
+    "fig1a": 117, "fig1b": 114, "fig2a": 48, "fig2b": 45, "fig3a": 72, "fig3b": 69,
+    "fig4d": 203, "fig4e": 119, "fig4f": 75, "fig4g": 71, "fig5h": 42, "fig5i": 48,
+    "fig5j": 245, "fig5k": 450, "fig5l": 1155, "fig5m": 144, "washout_demo": 38,
+}
 
 
 class TestKernel:
@@ -176,6 +205,30 @@ class TestFixedPoint:
         assert not state.converged
         assert state.iterations == 3
         assert state.reason == "iteration limit 3 reached"
+
+    def test_converging_presets_keep_their_iteration_counts(self):
+        """The non-contraction stop never cuts a converging solve short."""
+        names = [name for name in fs.available_presets()
+                 if name not in STALLED_PRESETS and name != "blowup_demo"]
+        got = {}
+        for name in names:
+            state = preset_solve(name)
+            assert state.converged, name
+            got[name] = state.iterations
+        assert got == CONVERGING_ITERATIONS
+
+    @pytest.mark.parametrize("name", STALLED_PRESETS)
+    def test_stalled_preset_stops_not_contracting(self, name):
+        state = preset_solve(name)
+        assert not state.converged
+        assert state.iterations <= 500
+        match = re.fullmatch(r"not contracting: sup change (\S+) at iteration (\d+) "
+                             r"is not below (\S+) at iteration (\d+)", state.reason)
+        assert match, state.reason
+        change, k, earlier, k_earlier = match.groups()
+        assert int(k) == state.iterations and int(k_earlier) == state.iterations - 200
+        assert float(change) >= float(earlier)
+        assert math.isfinite(state.residual) and math.isfinite(state.pde_residual)
 
     def test_stops_at_first_non_finite_iterate(self):
         """blowup_demo's quadratic exchange with yields 2 overflows the
