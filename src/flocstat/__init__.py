@@ -14,7 +14,6 @@ from __future__ import annotations
 from .cli import (
     ConfigError,
     Controls,
-    Outputs,
     RunConfig,
     SweepAxis,
     available_presets,
@@ -102,7 +101,6 @@ __all__ = [
     "Monod",
     "OnePlusAttachedTimesTotalRate",
     "OutcomeReport",
-    "Outputs",
     "PowerTotalRate",
     "ReproductiveNumbers",
     "RunConfig",

@@ -18,23 +18,25 @@ INI schema
 ``[model]``     d0, du, dv, yu, yv, gamma_s  (required); m, gamma_u, gamma_v
 ``[kinetics]``  f, g, alpha, beta            (required; descriptor strings)
 ``[initial]``   S, u, v                      (required; constant or samples)
-``[controls]``  t_end (required); grid_n, dt_init, dt_min, sup_threshold,
-                snapshots (2 to 200), steady_tol, steady_max_iter,
-                steady_damping
-``[outputs]``   write_monitors, write_snapshots (booleans, default true)
+``[controls]``  t_end (required; finite and positive); grid_n (at least 16,
+                default 201)
 ``[sweep]``     parameter (one of d0/du/dv/yu/yv/gamma_s), values
 
 For ``m`` species the per-species entries (du, dv, yu, yv, gamma_u, gamma_v)
-are space-separated lists of ``m`` floats, kinetics descriptors are separated
-by ``;``, and the initial attached/isolated profiles are ``;``-separated per
-species.  Growth descriptors: ``monod a b``, ``haldane a b c``, ``zero``.
+are space- or comma-separated lists of ``m`` floats, kinetics descriptors are
+separated by ``;``, and the initial attached/isolated profiles are
+``;``-separated per species.  Growth descriptors: ``monod a b``, ``haldane a b c``, ``zero``.
 Exchange-rate descriptors: ``constant c``, ``linear_total c``,
 ``attached_times_total``, ``one_plus_attached_times_total``,
 ``power_total c l``.
 
 Initial values: a single float means a constant profile; two or more floats
 are samples at evenly spaced abscissae on [0, 1], interpolated linearly onto
-the simulation grid.
+the simulation grid.  Every sample must be finite and nonnegative.
+
+The solver settings are the defaults of :func:`flocstat.pde.simulate` and
+:func:`flocstat.steady.fixed_point_solve`; a run writes monitors.csv and
+snapshots at 11 equispaced times.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -171,25 +174,10 @@ Profile = tuple[float, ...]
 
 @dataclass(frozen=True)
 class Controls:
-    """Time-stepping and iteration controls for a run."""
+    """Horizon and grid of a run."""
 
     t_end: float
     grid_n: int = 201
-    dt_init: float = 1e-2
-    dt_min: float = 1e-8
-    sup_threshold: float = 1e8
-    snapshots: int = 11
-    steady_tol: float = 1e-10
-    steady_max_iter: int = 5000
-    steady_damping: float = 0.5
-
-
-@dataclass(frozen=True)
-class Outputs:
-    """Which CSV artifacts a run writes."""
-
-    write_monitors: bool = True
-    write_snapshots: bool = True
 
 
 @dataclass(frozen=True)
@@ -210,7 +198,6 @@ class RunConfig:
     initial_u: tuple[Profile, ...]
     initial_v: tuple[Profile, ...]
     controls: Controls
-    outputs: Outputs = Outputs()
     sweep: Optional[SweepAxis] = None
 
 
@@ -225,20 +212,18 @@ _KNOWN_KEYS = {
     "model": {"m", "d0", "du", "dv", "yu", "yv", "gamma_s", "gamma_u", "gamma_v"},
     "kinetics": {"f", "g", "alpha", "beta"},
     "initial": {"S", "u", "v"},
-    "controls": {
-        "t_end",
-        "grid_n",
-        "dt_init",
-        "dt_min",
-        "sup_threshold",
-        "snapshots",
-        "steady_tol",
-        "steady_max_iter",
-        "steady_damping",
-    },
-    "outputs": {"write_monitors", "write_snapshots"},
+    "controls": {"t_end", "grid_n"},
     "sweep": {"parameter", "values"},
 }
+
+
+def _horizon_problem(t_end: float) -> Optional[str]:
+    """Why ``t_end`` cannot be a run's horizon, or None if it can."""
+    if not math.isfinite(t_end):
+        return "must be finite"
+    if not t_end > 0:
+        return "must be positive"
+    return None
 
 
 def _collect(
@@ -380,6 +365,9 @@ def parse_config(text: str) -> RunConfig:
             values = _collect(problems, "initial", key, _parse_floats, piece)
             if values is None:
                 return None
+            if not all(map(math.isfinite, values)):
+                problems.append(f"[initial] {key}: values must be finite")
+                return None
             if any(val < 0 for val in values):
                 problems.append(f"[initial] {key}: values must be nonnegative")
                 return None
@@ -398,60 +386,14 @@ def parse_config(text: str) -> RunConfig:
     initial_v = initial_profiles("v", per_species=True)
 
     # ---- [controls] ------------------------------------------------------
-    defaults = Controls(t_end=1.0)
     t_end = _collect(problems, "controls", "t_end", float, raw("controls", "t_end"))
-    if t_end is not None and not t_end > 0:
-        problems.append("[controls] t_end: must be positive")
+    if t_end is not None and (problem := _horizon_problem(t_end)):
+        problems.append(f"[controls] t_end: {problem}")
         t_end = None
     grid_n = _collect(problems, "controls", "grid_n", int, raw("controls", "grid_n"))
     if grid_n is not None and grid_n < 16:
         problems.append("[controls] grid_n: must be at least 16")
         grid_n = None
-    snapshots = _collect(
-        problems, "controls", "snapshots", int, raw("controls", "snapshots")
-    )
-    if snapshots is not None and not 2 <= snapshots <= 200:
-        problems.append("[controls] snapshots: must be between 2 and 200")
-        snapshots = None
-
-    def positive_float(key: str, fallback: float) -> float:
-        value = _collect(problems, "controls", key, float, raw("controls", key))
-        if value is None:
-            return fallback
-        if not value > 0:
-            problems.append(f"[controls] {key}: must be positive")
-            return fallback
-        return value
-
-    dt_init = positive_float("dt_init", defaults.dt_init)
-    dt_min = positive_float("dt_min", defaults.dt_min)
-    sup_threshold = positive_float("sup_threshold", defaults.sup_threshold)
-    steady_tol = positive_float("steady_tol", defaults.steady_tol)
-    steady_damping = positive_float("steady_damping", defaults.steady_damping)
-    steady_max_iter = _collect(
-        problems, "controls", "steady_max_iter", int, raw("controls", "steady_max_iter")
-    )
-    if steady_max_iter is not None and steady_max_iter < 1:
-        problems.append("[controls] steady_max_iter: must be at least 1")
-        steady_max_iter = None
-
-    # ---- [outputs] -------------------------------------------------------
-    def boolean(section: str, key: str, fallback: bool) -> bool:
-        text_value = raw(section, key)
-        if text_value is None:
-            return fallback
-        lowered = text_value.strip().lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        problems.append(f"[{section}] {key}: expected a boolean, got {text_value!r}")
-        return fallback
-
-    outputs = Outputs(
-        write_monitors=boolean("outputs", "write_monitors", True),
-        write_snapshots=boolean("outputs", "write_snapshots", True),
-    )
 
     # ---- [sweep] ---------------------------------------------------------
     sweep: Optional[SweepAxis] = None
@@ -484,20 +426,7 @@ def parse_config(text: str) -> RunConfig:
         initial_S=initial_S,
         initial_u=initial_u,
         initial_v=initial_v,
-        controls=Controls(
-            t_end=t_end,
-            grid_n=grid_n if grid_n is not None else defaults.grid_n,
-            dt_init=dt_init,
-            dt_min=dt_min,
-            sup_threshold=sup_threshold,
-            snapshots=snapshots if snapshots is not None else defaults.snapshots,
-            steady_tol=steady_tol,
-            steady_max_iter=(
-                steady_max_iter if steady_max_iter is not None else defaults.steady_max_iter
-            ),
-            steady_damping=steady_damping,
-        ),
-        outputs=outputs,
+        controls=Controls(t_end) if grid_n is None else Controls(t_end, grid_n),
         sweep=sweep,
     )
 
@@ -596,11 +525,9 @@ def _write_float_table(path: Path, header: Sequence[str], columns: Sequence[np.n
 def write_outputs(out_dir: Path, config: RunConfig, result: SimulationResult) -> None:
     """Write monitors.csv and snapshot_<k>.csv under ``out_dir``."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    if config.outputs.write_monitors:
-        write_monitors_csv(out_dir / "monitors.csv", result)
-    if config.outputs.write_snapshots:
-        for k, snap in enumerate(result.snapshots):
-            write_snapshot_csv(out_dir / f"snapshot_{k}.csv", snap)
+    write_monitors_csv(out_dir / "monitors.csv", result)
+    for k, snap in enumerate(result.snapshots):
+        write_snapshot_csv(out_dir / f"snapshot_{k}.csv", snap)
 
 
 # --------------------------------------------------------------------------
@@ -609,20 +536,8 @@ def write_outputs(out_dir: Path, config: RunConfig, result: SimulationResult) ->
 
 
 def _simulate_config(config: RunConfig) -> SimulationResult:
-    controls = config.controls
-    grid = Grid(controls.grid_n)
-    initial = build_initial_state(config, grid)
-    snapshot_times = np.linspace(0.0, controls.t_end, controls.snapshots)
-    return simulate(
-        initial,
-        config.params,
-        config.kin,
-        t_end=controls.t_end,
-        dt_init=controls.dt_init,
-        dt_min=controls.dt_min,
-        sup_threshold=controls.sup_threshold,
-        snapshot_times=snapshot_times,
-    )
+    initial = build_initial_state(config, Grid(config.controls.grid_n))
+    return simulate(initial, config.params, config.kin, t_end=config.controls.t_end)
 
 
 def run_experiment(
@@ -739,8 +654,8 @@ def _load_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(["--grid-n must be at least 16"])
         controls = replace(controls, grid_n=args.grid_n)
     if getattr(args, "t_end", None) is not None:
-        if not args.t_end > 0:
-            raise ConfigError(["--t-end must be positive"])
+        if problem := _horizon_problem(args.t_end):
+            raise ConfigError([f"--t-end {problem}"])
         controls = replace(controls, t_end=args.t_end)
     return replace(config, controls=controls)
 
@@ -804,21 +719,12 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
 def _cmd_steady(args: argparse.Namespace) -> int:
     config = _load_from_args(args)
     params, kin = config.params, config.kin
-    controls = config.controls
-    grid = Grid(controls.grid_n)
-    S0 = _profile_on_grid(config.initial_S, grid)
-    u0 = _profile_on_grid(config.initial_u[0], grid)
-    v0 = _profile_on_grid(config.initial_v[0], grid)
-    depletion = np.clip(1.0 - S0, 0.0, None)
+    grid_n = config.controls.grid_n
+    grid = Grid(grid_n)
+    initial = build_initial_state(config, grid)
+    depletion = np.clip(1.0 - initial.S, 0.0, None)
     try:
-        state = fixed_point_solve(
-            (depletion, u0, v0),
-            params,
-            kin,
-            tol=controls.steady_tol,
-            max_iter=controls.steady_max_iter,
-            damping=controls.steady_damping,
-        )
+        state = fixed_point_solve((depletion, initial.u[0], initial.v[0]), params, kin)
     except ValueError as exc:
         print(f"steady solve rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -840,10 +746,10 @@ def _cmd_steady(args: argparse.Namespace) -> int:
     print(f"profile written to {path.resolve()}")
     try:
         extinction = [
-            check_extinction_hypotheses(params, kin, which, grid_n=controls.grid_n)
+            check_extinction_hypotheses(params, kin, which, grid_n=grid_n)
             for which in ("attached", "isolated")
         ]
-        coex = check_coexistence_hypotheses(params, kin, grid_n=controls.grid_n)
+        coex = check_coexistence_hypotheses(params, kin, grid_n=grid_n)
     except ValueError as exc:
         print(f"hypothesis reports: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -58,7 +58,7 @@ class ReproductiveNumbers:
     are the principal transport eigenvalues the comparison divides by.
     ``classification`` is ``"washout-stable"`` (both indices below 1),
     ``"washout-unstable"`` (at least one above 1), or ``"boundary"``
-    (the larger index within ``tol`` of 1).
+    (the larger index within ``CLASSIFICATION_TOL`` of 1).
     """
 
     R_u: float
@@ -69,7 +69,6 @@ class ReproductiveNumbers:
     lambda_v: float
     classification: str
     grid_n: int
-    tol: float
 
 
 def reproductive_numbers(
@@ -77,7 +76,6 @@ def reproductive_numbers(
     kin: KineticsSpec,
     *,
     grid_n: int = 401,
-    tol: float = CLASSIFICATION_TOL,
 ) -> ReproductiveNumbers:
     """Washout-stability indices for a single-species model.
 
@@ -105,7 +103,7 @@ def reproductive_numbers(
     R_v = max(0.0, raw_v)
 
     top = max(R_u, R_v)
-    if abs(top - 1.0) <= tol:
+    if abs(top - 1.0) <= CLASSIFICATION_TOL:
         classification = "boundary"
     elif top < 1.0:
         classification = "washout-stable"
@@ -120,7 +118,6 @@ def reproductive_numbers(
         lambda_v=lam_v,
         classification=classification,
         grid_n=grid_n,
-        tol=tol,
     )
 
 

@@ -495,8 +495,9 @@ class ConditionReport:
       ``yu_i * yv_i < 1``.
 
     Sampled verdicts cannot prove an inequality on an unbounded set; a
-    "satisfied" verdict means "not refuted on the sampled box", while a
-    "violated" verdict carries a concrete witness point.
+    "satisfied" verdict means "not refuted on the sampled box"
+    ``[0, SAMPLE_BOX]^(2m+1)``, while a "violated" verdict carries a
+    concrete witness point.
     """
 
     quasipositive: CheckVerdict
@@ -516,8 +517,6 @@ class ConditionReport:
     exchange_delta: float
     exchange_witness: Optional[tuple[float, ...]]
     yuyv_class: str
-    box_size: float
-    samples_per_axis: int
 
 
 def weight_vector(params: ModelParams, reading: str = "list") -> tuple[float, ...]:
@@ -540,16 +539,21 @@ def weight_vector(params: ModelParams, reading: str = "list") -> tuple[float, ..
     return tuple(weights)
 
 
-def _sample_points(m: int, box: float, per_axis: int, rng_seed: int = 20240) -> Array:
-    """Sample the box [0, box]^(2m+1): full tensor grid for m = 1, seeded
-    uniform draws of the same cardinality for m > 1."""
-    axis = np.linspace(0.0, box, per_axis)
+#: edge of the box [0, SAMPLE_BOX]^(2m+1) the structural checks sample
+SAMPLE_BOX = 10.0
+#: samples per axis of that box (m = 1); m > 1 draws as many points in all
+SAMPLES_PER_AXIS = 64
+
+
+def _sample_points(m: int) -> Array:
+    """Sample the box: full tensor grid for m = 1, seeded uniform draws of
+    the same cardinality for m > 1."""
+    axis = np.linspace(0.0, SAMPLE_BOX, SAMPLES_PER_AXIS)
     if m == 1:
         Sg, ug, vg = np.meshgrid(axis, axis, axis, indexing="ij")
         return np.stack([Sg.ravel(), ug.ravel(), vg.ravel()], axis=0)
-    rng = np.random.default_rng(rng_seed)
-    count = per_axis**3
-    return rng.uniform(0.0, box, size=(2 * m + 1, count))
+    rng = np.random.default_rng(20240)
+    return rng.uniform(0.0, SAMPLE_BOX, size=(2 * m + 1, SAMPLES_PER_AXIS**3))
 
 
 def _eval_field_on_samples(params: ModelParams, kin: KineticsSpec, pts: Array) -> Array:
@@ -559,20 +563,14 @@ def _eval_field_on_samples(params: ModelParams, kin: KineticsSpec, pts: Array) -
     return reaction_field(params, kin, S, u, v)
 
 
-def check_structural_conditions(
-    params: ModelParams,
-    kin: KineticsSpec,
-    box_size: float = 10.0,
-    samples_per_axis: int = 64,
-    y_max_reading: str = "list",
-) -> ConditionReport:
+def check_structural_conditions(params: ModelParams, kin: KineticsSpec) -> ConditionReport:
     """Run all sampled structural checks and collect them in one report."""
     if kin.m != params.m:
         raise ValueError(f"kinetics have m={kin.m} species but params have m={params.m}")
     m = params.m
     tol = 1e-9
 
-    pts = _sample_points(m, box_size, samples_per_axis)
+    pts = _sample_points(m)
 
     # --- quasipositivity: zero out one component at a time -----------------
     qp_verdict: CheckVerdict = "satisfied"
@@ -588,7 +586,7 @@ def check_structural_conditions(
             break
 
     # --- weighted mass control ---------------------------------------------
-    weights = weight_vector(params, reading=y_max_reading)
+    weights = weight_vector(params)
     y_max = weights[0]
     products = params.yield_products
     if max(products) < 1.0:
@@ -710,6 +708,4 @@ def check_structural_conditions(
         exchange_delta=exchange_delta,
         exchange_witness=exchange_witness,
         yuyv_class=yuyv_class,
-        box_size=box_size,
-        samples_per_axis=samples_per_axis,
     )

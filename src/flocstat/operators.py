@@ -6,7 +6,8 @@ no-flux condition ``w'(1) = 0`` at the outlet.  This module builds the
 tridiagonal matrices for that operator (and its advection-reversed
 mirror) on a uniform grid, with the boundary conditions folded into the
 first and last rows by second-order ghost-node elimination.  It also holds
-the composite trapezoid rule that integrates sampled profiles.
+the composite trapezoid rule that integrates sampled profiles, and its
+weights.
 
 Matrices are returned in scipy's banded layout: ``ab[0, 1:]`` upper
 diagonal, ``ab[1, :]`` main diagonal, ``ab[2, :-1]`` lower diagonal.
@@ -114,6 +115,14 @@ def trapezoid(y: Array, dx: float) -> Array:
     results agree with it bit for bit, without importing ``scipy.integrate``.
     """
     return (dx * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)
+
+
+def trapezoid_weights(n: int) -> Array:
+    """Composite trapezoid weights on the uniform n-node grid of [0, 1]."""
+    h = grid_spacing(n)
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2.0
+    return w
 
 
 def peclet_number(d: float, n: int) -> float:

@@ -461,6 +461,8 @@ def simulate(
     """
     _require_consistent(params, kin, initial)
     _require_monotone_grid(params, initial.grid)
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end <= initial.t:
         raise ValueError(f"t_end={t_end} does not exceed the initial time {initial.t}")
     for name, val in (("dt_init", dt_init), ("dt_min", dt_min),
@@ -562,34 +564,35 @@ class OutcomeReport:
         ``extinction-<comma list>`` (multiple species).
     extinct/surviving: biomass component labels, empty for blow-up.
     A component counts as extinct when its final sup norm is below
-    ``sup_tol`` and below ``frac_tol`` times its initial sup norm.
+    ``EXTINCT_SUP`` and below ``EXTINCT_FRACTION`` times its initial sup
+    norm.
     """
 
     label: str
     extinct: tuple[str, ...]
     surviving: tuple[str, ...]
-    sup_tol: float
-    frac_tol: float
 
 
-def classify_outcome(result: SimulationResult, *, sup_tol: float = 1e-2,
-                     frac_tol: float = 0.1) -> OutcomeReport:
+#: sup norm below which a biomass component may count as extinct
+EXTINCT_SUP = 1e-2
+#: fraction of its initial sup norm an extinct component must fall below
+EXTINCT_FRACTION = 0.1
+
+
+def classify_outcome(result: SimulationResult) -> OutcomeReport:
     """Classify a run per the documented sup-norm thresholds."""
     if result.verdict.kind == "blow_up":
-        return OutcomeReport("blow-up", (), (), sup_tol, frac_tol)
+        return OutcomeReport("blow-up", (), ())
     labels = result.final.component_labels()[1:]
-    init = np.concatenate([
-        arr for pair in zip(result.initial.u, result.initial.v) for arr in pair
-    ]).reshape(2 * result.initial.m, -1)
-    fin = np.concatenate([
-        arr for pair in zip(result.final.u, result.final.v) for arr in pair
-    ]).reshape(2 * result.final.m, -1)
+    # rows u_1, v_1, u_2, v_2, ...: the order of the labels
+    init = result.initial.stack()[1:]
+    fin = result.final.stack()[1:]
     extinct: list[str] = []
     surviving: list[str] = []
     for j, label in enumerate(labels):
         s0 = float(init[j].max())
         s1 = float(fin[j].max())
-        gone = s1 < sup_tol and (s0 == 0.0 or s1 < frac_tol * s0)
+        gone = s1 < EXTINCT_SUP and (s0 == 0.0 or s1 < EXTINCT_FRACTION * s0)
         (extinct if gone else surviving).append(label)
     if not extinct:
         label = "coexistence"
@@ -597,7 +600,7 @@ def classify_outcome(result: SimulationResult, *, sup_tol: float = 1e-2,
         label = "washout"
     else:
         label = "extinction-" + ",".join(extinct)
-    return OutcomeReport(label, tuple(extinct), tuple(surviving), sup_tol, frac_tol)
+    return OutcomeReport(label, tuple(extinct), tuple(surviving))
 
 
 @dataclass(frozen=True)
@@ -605,7 +608,7 @@ class BoundReport:
     """A-posteriori check of the run against the model's a priori bounds.
 
     sup_S_limit is ``max(feed, initial sup of S)``; the substrate may
-    exceed it only by discretization slack.  The weighted-mass growth
+    exceed it only by discretization slack, at most ``SUP_S_SLACK``.  The weighted-mass growth
     class is a heuristic three-way fit on the monitor series: bounded
     (no sustained late growth), linear (steady late increments), or
     exponential (late increments outpacing earlier ones).
@@ -619,11 +622,13 @@ class BoundReport:
     mass_initial: float
     mass_peak: float
     mass_final: float
-    slack_tol: float
 
 
-def monitor_bounds(result: SimulationResult, params: ModelParams,
-                   *, slack_tol: float = 1e-3) -> BoundReport:
+#: discretization slack by which sup S may exceed its a priori bound
+SUP_S_SLACK = 1e-3
+
+
+def monitor_bounds(result: SimulationResult, params: ModelParams) -> BoundReport:
     """Evaluate the substrate sup bound and classify weighted-mass growth."""
     sup_S = result.monitors["sup_S"]
     limit = max(params.gamma_s, float(result.initial.S.max()))
@@ -652,10 +657,9 @@ def monitor_bounds(result: SimulationResult, params: ModelParams,
         sup_S_max=sup_max,
         sup_S_limit=limit,
         sup_S_slack=slack,
-        sup_bound_ok=slack <= slack_tol,
+        sup_bound_ok=slack <= SUP_S_SLACK,
         mass_growth_class=growth,
         mass_initial=m0,
         mass_peak=peak,
         mass_final=m_end,
-        slack_tol=slack_tol,
     )

@@ -44,7 +44,7 @@ from scipy.linalg.lapack import dtbtrs
 
 from .eigen import solve_principal
 from .model import GrowthLaw, KineticsSpec, ModelParams
-from .operators import Array, BoundaryVariant, transport_defect
+from .operators import Array, BoundaryVariant, transport_defect, trapezoid_weights
 from .pde import Grid
 
 __all__ = [
@@ -87,13 +87,6 @@ def kernel_eval(d: float, x, s):
     return out
 
 
-def _trapezoid_weights(grid: Grid) -> Array:
-    """Composite trapezoid weights on the uniform grid."""
-    w = np.full(grid.n, grid.h)
-    w[0] = w[-1] = grid.h / 2.0
-    return w
-
-
 def kernel_matrix(d: float, n: int) -> Array:
     """Quadrature matrix M with ``(M @ rho)_i ~ int K_d(x_i, s) rho(s) ds``.
 
@@ -102,10 +95,9 @@ def kernel_matrix(d: float, n: int) -> Array:
     This dense n-by-n matrix is the reference for the rule; the steady
     operator applies the same rule in O(n) without forming it.
     """
-    grid = Grid(n)
-    x = grid.x
+    x = Grid(n).x
     K = kernel_eval(d, x[:, None], x[None, :])
-    return K * _trapezoid_weights(grid)[None, :]
+    return K * trapezoid_weights(n)[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +157,7 @@ class _SteadyOperator:
         self.kin = kin
         self.n = n
         grid = Grid(n)
-        self.w = _trapezoid_weights(grid)
+        self.w = trapezoid_weights(n)
         # decay[k] = a of row k's block, zero on each block's last row
         decay = np.repeat([math.exp(-grid.h / d)
                            for d in (params.d0, params.du[0], params.dv[0])], n)
@@ -294,25 +286,24 @@ def _kernel_attenuation(d: float) -> float:
         return math.inf
 
 
-def _largest_depletion_margin(growth: GrowthLaw, d: float,
-                              scan_points: int = 4096, refine: int = 60) -> Optional[float]:
+def _largest_depletion_margin(growth: GrowthLaw, d: float) -> Optional[float]:
     """Largest k in (0, 1) with ``growth(1 - k) >= exp(1/d)``; None if
     even an arbitrarily small depletion fails (growth(1) below the
     attenuation).  The value returned is the supremum — the crossing
-    point where equality holds — located by scan plus bisection, so
-    non-monotone growth laws are handled.
+    point where equality holds — located by a 4096-interval scan plus 60
+    bisection steps, so non-monotone growth laws are handled.
     """
     target = _kernel_attenuation(d)
     if float(growth(1.0)) <= target:
         return None
-    ks = np.linspace(0.0, 1.0, scan_points + 1)
+    ks = np.linspace(0.0, 1.0, 4097)
     vals = np.asarray(growth(1.0 - ks), dtype=float)
     holds = vals >= target
     last = int(np.max(np.nonzero(holds)[0]))
-    if last == scan_points:
+    if last == ks.size - 1:
         return 1.0
     lo, hi = float(ks[last]), float(ks[last + 1])
-    for _ in range(refine):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if float(growth(1.0 - mid)) >= target:
             lo = mid
@@ -530,29 +521,20 @@ class CoexistenceReport:
     eigenvalue_u: float
     eigenvalue_v: float
     grid_n: int
-    grid_points: int
 
 
 def check_coexistence_hypotheses(params: ModelParams, kin: KineticsSpec, *,
-                                 grid_n: int = 401, grid_points: int = 64,
-                                 rate_range: tuple[float, float] = (1e-4, 1.0),
-                                 safety: float = 0.999) -> CoexistenceReport:
+                                 grid_n: int = 401) -> CoexistenceReport:
     """Audit the coexistence construction over a (theta, rho) grid.
 
-    theta and rho are searched on a ``grid_points``-point logarithmic
-    grid over ``rate_range`` (the construction only requires them "small
-    enough", so the grid brackets plausible magnitudes).  Requires
+    theta and rho are searched on a 64-point logarithmic grid over
+    [1e-4, 1] (the construction only requires them "small enough", so
+    the grid brackets plausible magnitudes).  Requires
     nondecreasing exchange-rate descriptors — the envelope floors are
     evaluated at the lower envelopes, which bounds the rates from below
     on the whole envelope box only under monotonicity.
     """
     _require_theory_regime(params, kin)
-    if grid_points < 2:
-        raise ValueError(f"need at least 2 grid points, got {grid_points}")
-    lo, hi = rate_range
-    if not (0.0 < lo < hi):
-        raise ValueError(f"rate_range must be increasing and positive, got {rate_range}")
-
     pairs = [solve_principal(d, grid_n, BoundaryVariant.INFLOW_ROBIN)
              for d in (params.d0, params.du[0], params.dv[0])]
     for label, pair in zip(("d0", "du", "dv"), pairs):
@@ -574,7 +556,8 @@ def check_coexistence_hypotheses(params: ModelParams, kin: KineticsSpec, *,
     k_prime = _largest_depletion_margin(kin.g[0], params.dv[0])
     cap = min(k if k is not None else _FALLBACK_DEPLETION,
               k_prime if k_prime is not None else _FALLBACK_DEPLETION)
-    upper_S = safety * cap * pair0.function
+    # 0.999 keeps the depletion envelope strictly below the margin
+    upper_S = 0.999 * cap * pair0.function
     ceiling = (pair0.value / (f1 + g1)) * upper_S
     upper_u = float(np.min(ceiling / pair1.function)) * pair1.function
     upper_v = float(np.min(upper_u / pair2.function)) * pair2.function
@@ -592,8 +575,7 @@ def check_coexistence_hypotheses(params: ModelParams, kin: KineticsSpec, *,
     growth_u = f1 - lam1 * (1.0 + a11 / yu)
     growth_v = g1 - lam2 * (1.0 + b11 / yv)
 
-    thetas = np.geomspace(lo, hi, grid_points)
-    rhos = np.geomspace(lo, hi, grid_points)
+    thetas = rhos = np.geomspace(1e-4, 1.0, 64)
     m3 = lam1 + thetas / (yu * lam1) - (f1 + b11)                      # (T,)
     m4 = lam2 + rhos[None, :] / (yv * lam2) - (g1 + a11 / thetas[:, None])  # (T, R)
     sel_theta = np.minimum(theta_cap - thetas, alpha_floor - thetas)
@@ -637,5 +619,4 @@ def check_coexistence_hypotheses(params: ModelParams, kin: KineticsSpec, *,
         eigenvalue_u=lam1,
         eigenvalue_v=lam2,
         grid_n=grid_n,
-        grid_points=grid_points,
     )

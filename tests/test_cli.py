@@ -57,7 +57,6 @@ class TestParseConfig:
         assert isinstance(cfg.kin.f[0], fs.Monod)
         assert cfg.controls.t_end == 2.0
         assert cfg.controls.grid_n == 101
-        assert cfg.outputs.write_monitors and cfg.outputs.write_snapshots
         assert cfg.sweep is None
 
     def test_empty_document_names_every_required_key(self):
@@ -106,6 +105,12 @@ class TestParseConfig:
     def test_negative_initial_rejected(self):
         with pytest.raises(fs.ConfigError, match="nonnegative"):
             fs.parse_config(MINIMAL.replace("v = 1", "v = -0.5"))
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0 inf 1"])
+    def test_non_finite_initial_rejected(self, value):
+        with pytest.raises(fs.ConfigError) as err:
+            fs.parse_config(MINIMAL.replace("\nu = 1", f"\nu = {value}"))
+        assert err.value.problems == ("[initial] u: values must be finite",)
 
     def test_sweep_section(self):
         cfg = fs.parse_config(MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 0.1 1 10\n")
@@ -166,7 +171,7 @@ class TestRunExperiment:
         header = monitors.read_text().splitlines()[0]
         assert header == "t,sup_S,sup_u_1,sup_v_1,l1_S,l1_u_1,l1_v_1,mass,Q,dt"
         snaps = sorted(tmp_path.glob("snapshot_*.csv"))
-        assert len(snaps) == cfg.controls.snapshots
+        assert len(snaps) == 11
         snap_header = snaps[0].read_text().splitlines()[0]
         assert snap_header == "x,S,u_1,v_1"
 
@@ -192,14 +197,6 @@ class TestRunExperiment:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
-
-    def test_outputs_toggle(self, tmp_path):
-        cfg = fs.parse_config(
-            MINIMAL + "\n[outputs]\nwrite_snapshots = false\n"
-        )
-        fs.run_experiment(cfg, tmp_path)
-        assert (tmp_path / "monitors.csv").is_file()
-        assert not list(tmp_path.glob("snapshot_*.csv"))
 
 
 class TestSweep:
@@ -271,23 +268,46 @@ class TestMainEntry:
 
     def test_run_rejected_before_first_step_exits_2(self, tmp_path, capsys):
         """Inputs that simulate rejects up front: a grid too coarse for
-        fig4e's dv=0.001, and a blow-up threshold below the initial sup."""
-        cfg_path = tmp_path / "low_threshold.ini"
-        cfg_path.write_text(MINIMAL + "sup_threshold = 0.5\n")
+        fig4e's dv=0.001, and initial data above the blow-up threshold 1e8."""
+        cfg_path = tmp_path / "above_threshold.ini"
+        cfg_path.write_text(MINIMAL.replace("\nu = 1", "\nu = 2e8"))
         for source, needle in ((["--preset", "fig4e", "--grid-n", "100"], "grid too coarse"),
-                               (["--config", str(cfg_path)], "sup_threshold 0.5")):
+                               (["--config", str(cfg_path)], "does not exceed the initial sup")):
             code = main(["run", *source, "--out", str(tmp_path / "out")])
             err = capsys.readouterr().err
             assert code == EXIT_CONFIG
             assert len(err.strip().splitlines()) == 1 and needle in err
 
-    def test_snapshot_count_above_200_exits_2(self, tmp_path, capsys):
-        cfg_path = tmp_path / "many.ini"
-        cfg_path.write_text(MINIMAL + "snapshots = 201\n")
+    @pytest.mark.parametrize("key", [
+        "dt_init", "dt_min", "sup_threshold", "snapshots", "steady_tol",
+        "steady_max_iter", "steady_damping", "write_monitors", "write_snapshots",
+    ])
+    def test_removed_setting_exits_2(self, tmp_path, capsys, key):
+        """Solver settings and output toggles are not configurable."""
+        if key.startswith("write_"):
+            extra, problem = f"\n[outputs]\n{key} = false\n", "unknown section [outputs]"
+        else:
+            extra, problem = f"{key} = 201\n", f"[controls] unknown key {key!r}"
+        cfg_path = tmp_path / "removed.ini"
+        cfg_path.write_text(MINIMAL + extra)
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
-        assert "[controls] snapshots: must be between 2 and 200" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"configuration error:\n  - {problem}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_horizon_exits_2(self, tmp_path, capsys, value):
+        """A horizon of inf would end the run before its first step."""
+        cfg_path = tmp_path / "horizon.ini"
+        cfg_path.write_text(MINIMAL.replace("t_end = 2", f"t_end = {value}"))
+        for source, problem in (
+            (["--preset", "fig2a", f"--t-end={value}"], "--t-end must be finite"),
+            (["--config", str(cfg_path)], "[controls] t_end: must be finite"),
+        ):
+            code = main(["run", *source, "--out", str(tmp_path / "out")])
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err == f"configuration error:\n  - {problem}\n"
+            assert not (tmp_path / "out").exists()
 
     def test_config_error_exit(self, tmp_path, capsys):
         missing = tmp_path / "nope.ini"
@@ -344,12 +364,10 @@ class TestMainEntry:
         assert paths[1].read_bytes() == text
 
         config = fs.load_preset("fig2a")
-        controls = config.controls
-        initial = build_initial_state(config, fs.Grid(controls.grid_n))
+        initial = build_initial_state(config, fs.Grid(config.controls.grid_n))
         state = fs.fixed_point_solve(
             (np.clip(1.0 - initial.S, 0.0, None), initial.u[0], initial.v[0]),
-            config.params, config.kin, tol=controls.steady_tol,
-            max_iter=controls.steady_max_iter, damping=controls.steady_damping,
+            config.params, config.kin,
         )
         x, substrate = state.grid.x, state.substrate
         rows = ["x,depletion,S,u,v\n"]
@@ -481,7 +499,6 @@ class TestPackaging:
         assert len(blocks) == 1
         config = fs.parse_config(blocks[0])
         assert config.sweep is not None and config.sweep.parameter == "dv"
-        assert config.outputs.write_monitors and config.outputs.write_snapshots
 
     def test_every_export_resolves(self):
         assert [name for name in fs.__all__ if not hasattr(fs, name)] == []

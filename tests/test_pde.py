@@ -1,5 +1,7 @@
 """Tests for the time integrator: invariants, verdicts, monitors, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -212,6 +214,13 @@ class TestSimulate:
         state = fs.StateField.constant(grid, S=0.1, u=1.0, v=1.0)
         with pytest.raises(ValueError):
             fs.simulate(state, params, kin, t_end=1.0)
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_rejects_non_finite_horizon(self, grid_201, saturating_setup, t_end):
+        params, kin = saturating_setup
+        state = fs.StateField.constant(grid_201, S=0.1, u=1.0, v=1.0)
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            fs.simulate(state, params, kin, t_end=t_end)
 
     def test_monitor_schema_and_growth(self, grid_201, saturating_setup):
         params, kin = saturating_setup

@@ -22,12 +22,10 @@ def theory_params(du=1.0, dv=10.0):
 def preset_solve(name):
     """The fixed-point solve `flocstat steady` runs on a preset at its own grid."""
     config = fs.load_preset(name)
-    controls = config.controls
-    initial = build_initial_state(config, fs.Grid(controls.grid_n))
+    initial = build_initial_state(config, fs.Grid(config.controls.grid_n))
     return fs.fixed_point_solve(
         (np.clip(1.0 - initial.S, 0.0, None), initial.u[0], initial.v[0]),
-        config.params, config.kin, tol=controls.steady_tol,
-        max_iter=controls.steady_max_iter, damping=controls.steady_damping,
+        config.params, config.kin,
     )
 
 
