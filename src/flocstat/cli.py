@@ -823,12 +823,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, presets: str) -> None:
     parser.add_argument("--config", help="path to an INI run configuration")
-    parser.add_argument(
-        "--preset",
-        help="name of a shipped preset: " + ", ".join(available_presets()),
-    )
+    parser.add_argument("--preset", help="name of a shipped preset: " + presets)
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--grid-n", type=int, dest="grid_n", help="override grid size")
     parser.add_argument("--t-end", type=float, dest="t_end", help="override end time")
@@ -844,6 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    presets = ", ".join(available_presets())
     specs = [
         ("run", "simulate one configuration and write CSV outputs", _cmd_run),
         ("sweep", "run a one-parameter family and write summary.csv", _cmd_sweep),
@@ -853,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
     ]
     for name, help_text, handler in specs:
         sp = sub.add_parser(name, help=help_text)
-        _add_common(sp)
+        _add_common(sp, presets)
         sp.set_defaults(handler=handler)
         if name == "sweep":
             # points run in one thread; the flag is accepted and ignored so

@@ -18,11 +18,20 @@ module leans on:
 * the substrate obeys a maximum principle bounded by
   ``max(feed, initial sup)`` regardless of the step size.
 
-Rejected steps retry with half the step; the step doubles back after 20
-consecutive acceptances.  A run ends either at the requested horizon or
-with a blow-up verdict — when some sup norm crosses a threshold, or when
-the step size collapses below a floor.  Blow-up is a verdict, not an
-exception, so parameter sweeps can tabulate it.
+``simulate`` controls the error by step doubling with local
+extrapolation: each step of size dt takes one IMEX step of dt and two of
+dt/2 and keeps ``2*fine - coarse``, which is second order.  The difference
+of the two first-order results estimates the error against RTOL and ATOL.
+dt stays on the ladder ``dt_init * 2**k``: it halves after a rejected step
+and doubles after a step whose estimate is well inside the tolerance,
+unless the explicit stage of the doubled step would undershoot.  Steps are
+shortened only to land on snapshot times and on the horizon.  A step
+rejected for positivity or non-finite values at a dt below the floor ends
+the run with a ``dt-collapse`` verdict; a step rejected only for accuracy
+there is kept.  A run ends either at the requested horizon or with a
+blow-up verdict — when some sup norm crosses a threshold, or when the step
+size collapses below a floor.  Blow-up is a verdict, not an exception, so
+parameter sweeps can tabulate it.
 """
 
 from __future__ import annotations
@@ -62,9 +71,16 @@ CLAMP_TOL = 1e-12
 #: and evaluates the monitors of the whole buffer at once
 RECORD_BLOCK = 64
 
-#: after this many consecutive accepted steps, a shrunk dt doubles back
-#: toward dt_init
-STEPS_PER_DOUBLE = 20
+#: relative and absolute tolerance of the step-doubling error estimate.
+#: Values below ATOL/RTOL = 1e-7 are held to an absolute error, so that a
+#: phase dying out does not keep dt small; the benchmark compares final
+#: values at an absolute 1e-8, which ATOL stays well below
+RTOL = 1e-3
+ATOL = 1e-10
+
+#: an accepted step whose error estimate is at most this doubles dt; the
+#: estimate grows about 4x when dt doubles
+GROW_BELOW = 0.2
 
 #: a run that takes this many steps, accepted and rejected, is stalled
 MAX_STEPS = 5_000_000
@@ -215,8 +231,9 @@ class Verdict:
     kind: ``"completed"`` or ``"blow_up"``.
     t_final: the horizon for completed runs, the detection time otherwise.
     reason: empty for completed runs; ``"sup-threshold"`` when a sup norm
-        crossed the configured bound, ``"dt-collapse"`` when repeated step
-        rejections drove dt below its floor.
+        crossed the configured bound, ``"dt-collapse"`` when repeated
+        rejections for positivity or non-finite values drove dt below its
+        floor.
     """
 
     kind: str
@@ -233,9 +250,12 @@ class SimulationResult:
         ``t``, ``sup_S``, ``sup_u_i``/``sup_v_i`` per species, ``l1_S``,
         ``l1_u_i``/``l1_v_i``, ``mass`` (weighted total), ``Q`` (blow-up
         functional of species 1), ``dt`` (step that produced the row),
-        ``clamp`` (undershoot magnitude removed by clamping), and
-        ``energy_p<p>_<i>`` when energy configs were requested.
+        ``clamp`` (largest undershoot removed by clamping in the step),
+        and ``energy_p<p>_<i>`` when energy configs were requested.
     snapshots: states at selected times (each carries its t).
+    steps_accepted/steps_rejected: macro steps (see ``simulate``).
+    fallbacks: accepted steps that kept the fine state because the
+        extrapolated one undershot below -CLAMP_TOL.
     """
 
     grid: Grid
@@ -246,6 +266,7 @@ class SimulationResult:
     final: StateField
     steps_accepted: int
     steps_rejected: int
+    fallbacks: int
     clamp_total: float
     blowup_eigenpair: EigenPair
 
@@ -254,7 +275,7 @@ class _Stepper:
     """Per-run workspace: the transport bands of all components, laid end to
     end as one block-diagonal tridiagonal matrix A, the feed vectors, and a
     per-dt cache of the LU factors of ``I + dt*A``.  ``sup`` is the largest
-    entry of the stack the last accepted step returned."""
+    entry of the stack the last accepted macro step returned."""
 
     def __init__(self, params: ModelParams, kin: KineticsSpec, grid: Grid):
         self.params = params
@@ -278,8 +299,9 @@ class _Stepper:
 
     def factors(self, dt: float) -> list[Array]:
         """LU factors of ``I + dt*A``, in dgttrs argument order.  A run's
-        step sizes are dt_init halved and doubled back, and the shortened
-        last step, so the cache stays small."""
+        step sizes are the ladder ``dt_init * 2**k`` and their halves, plus
+        two for each step shortened onto a snapshot time or the horizon, so
+        the cache stays small."""
         got = self._factors.get(dt)
         if got is None:
             A = self.A
@@ -289,14 +311,18 @@ class _Stepper:
             self._factors[dt] = got
         return got
 
-    def try_step(self, W: Array, dt: float) -> tuple[Optional[Array], float, str]:
-        """One IMEX step.  Returns (new stack, clamp magnitude, "") on
-        acceptance, (None, 0, reason) on rejection."""
-        # the explicit stage W + dt*(R + B), built in place in the kernel's
-        # array and then solved in place: it is this step's own array
-        rhs = _reaction_terms(self.params, self.kin, W[0], W[1::2], W[2::2])
-        rhs += self.B
-        rhs *= dt
+    def rate(self, W: Array) -> Array:
+        """The explicit part of the right-hand side at W: reactions plus feed."""
+        F = _reaction_terms(self.params, self.kin, W[0], W[1::2], W[2::2])
+        F += self.B
+        return F
+
+    def try_step(self, W: Array, F: Array, dt: float) -> tuple[Optional[Array], float, str]:
+        """One IMEX step from W, whose ``rate(W)`` is F.  Returns (new stack,
+        clamp magnitude, "") on acceptance, (None, 0, reason) on rejection."""
+        # the explicit stage W + dt*(R + B), solved in place: it is this
+        # step's own array
+        rhs = F * dt
         rhs += W
         # min and max propagate nan, so they also decide finiteness
         low, high = float(rhs.min()), float(rhs.max())
@@ -313,8 +339,47 @@ class _Stepper:
         clamp = max(0.0, -low)
         if clamp > 0.0:
             np.clip(W_new, 0.0, None, out=W_new)
-        self.sup = max(high, 0.0)
         return W_new, clamp, ""
+
+    def macro_step(self, W: Array, F: Array,
+                   dt: float) -> tuple[Optional[Array], float, float, bool, str]:
+        """One step of dt by step doubling with local extrapolation.
+
+        A coarse step of dt and two fine steps of dt/2 (the coarse and the
+        first fine step share ``F = rate(W)``) give ``2*fine - coarse``,
+        which is second order.  If it undershoots below -CLAMP_TOL the fine state is
+        kept instead (a fallback).  Returns (new stack, clamp magnitude,
+        error estimate, fallback, "") on acceptance, or (None, 0, inf,
+        False, reason) when a substep is rejected.  The error estimate is
+        the RMS over all nodes of ``(fine - coarse)/(ATOL + RTOL*max(fine,
+        coarse))``; the step is accurate when it is at most 1.
+        """
+        coarse, clamp, reason = self.try_step(W, F, dt)
+        if coarse is None:
+            return None, 0.0, math.inf, False, reason
+        half, clamp_half, reason = self.try_step(W, F, 0.5 * dt)
+        if half is None:
+            return None, 0.0, math.inf, False, reason
+        fine, clamp_fine, reason = self.try_step(half, self.rate(half), 0.5 * dt)
+        if fine is None:
+            return None, 0.0, math.inf, False, reason
+        scale = np.maximum(fine, coarse)
+        scale *= RTOL
+        scale += ATOL
+        ratio = fine - coarse
+        ratio /= scale
+        err = math.sqrt(float(np.vdot(ratio, ratio)) / ratio.size)
+        W_new = 2.0 * fine - coarse
+        low, high = float(W_new.min()), float(W_new.max())
+        fallback = low < -CLAMP_TOL
+        if fallback:
+            W_new = fine
+            high = float(fine.max())
+        elif low < 0.0:
+            np.clip(W_new, 0.0, None, out=W_new)
+            clamp = max(clamp, -low)
+        self.sup = max(high, 0.0)
+        return W_new, max(clamp, clamp_half, clamp_fine), err, fallback, ""
 
 
 def _require_consistent(params: ModelParams, kin: KineticsSpec, state: StateField) -> None:
@@ -351,7 +416,8 @@ def advance(state: StateField, params: ModelParams, kin: KineticsSpec,
     _require_consistent(params, kin, state)
     _require_monotone_grid(params, state.grid)
     stepper = _Stepper(params, kin, state.grid)
-    W_new, _clamp, reason = stepper.try_step(state.stack(), dt)
+    W = state.stack()
+    W_new, _clamp, reason = stepper.try_step(W, stepper.rate(W), dt)
     if W_new is None:
         if "non-finite" in reason:
             raise ArithmeticError(f"step of size {dt} produced {reason}")
@@ -442,13 +508,15 @@ def simulate(
     snapshot_times: Optional[Sequence[float]] = None,
     energy_configs: Sequence = (),
 ) -> SimulationResult:
-    """Run the IMEX scheme from ``initial`` to ``t_end`` (or to blow-up).
+    """Run the error-controlled IMEX scheme from ``initial`` to ``t_end``
+    (or to blow-up), starting with steps of ``dt_init``.
 
-    Monitors are recorded at every accepted step.  Snapshots are taken at
-    ``snapshot_times`` (default: 11 evenly spaced times from the initial
-    time to ``t_end``), in sorted order: the first state at or past a
-    target time is kept, at most one per step however many targets it
-    passes, and the final state is appended unless it was kept already.
+    Monitors are recorded at every accepted step; the ``dt`` column varies.
+    Snapshots are taken at ``snapshot_times`` (default: 11 evenly spaced
+    times from the initial time to ``t_end``), in sorted order: steps are
+    shortened to land on each target, a target counts as reached 1e-9
+    early, each state is kept at most once, and the final state is appended
+    unless it was kept already.
     The blow-up functional Q is tracked against the outlet-Robin
     eigenfunction at the first species' isolated-phase diffusivity.
 
@@ -456,15 +524,21 @@ def simulate(
     :mod:`flocstat.diagnostics`; each adds per-species monitor columns
     ``energy_p<p>_<i>``.
 
-    Raises ValueError for inconsistent inputs, before the first step, and
-    RuntimeError when MAX_STEPS steps do not reach ``t_end``.
+    Raises ValueError for inconsistent inputs, among them a horizon that
+    does not exceed the initial time by more than the time tolerance
+    ``1e-12*max(1, |t_end|)``, before the first step; and RuntimeError when
+    MAX_STEPS steps do not reach ``t_end``.
     """
     _require_consistent(params, kin, initial)
     _require_monotone_grid(params, initial.grid)
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
-    if t_end <= initial.t:
-        raise ValueError(f"t_end={t_end} does not exceed the initial time {initial.t}")
+    time_tol = 1e-12 * max(1.0, abs(t_end))
+    if t_end - initial.t <= time_tol:
+        raise ValueError(
+            f"t_end={t_end} does not exceed the initial time {initial.t} by more than "
+            f"the time tolerance {time_tol:.3g}"
+        )
     for name, val in (("dt_init", dt_init), ("dt_min", dt_min),
                       ("sup_threshold", sup_threshold)):
         if val <= 0:
@@ -485,17 +559,17 @@ def simulate(
         targets = sorted(float(s) for s in snapshot_times)
 
     W = initial.stack()
+    F = stepper.rate(W)
     t = initial.t
     dt = dt_init
     accepted = 0
     rejected = 0
-    accepted_since_change = 0
+    fallbacks = 0
     clamp_total = 0.0
     record(W, t, dt_init, 0.0)
     due = _targets_reached(targets, 0, t)  # the first target not yet reached
     snapshots = [initial] if due else []
     verdict: Optional[Verdict] = None
-    time_tol = 1e-12 * max(1.0, abs(t_end))
 
     while t < t_end - time_tol:
         if accepted + rejected >= MAX_STEPS:
@@ -503,19 +577,29 @@ def simulate(
                 f"step budget {MAX_STEPS} exhausted at t={t:.6g} (dt={dt:.3e}); "
                 f"the run is stalled, not blowing up"
             )
-        dt_eff = min(dt, t_end - t)
-        W_new, clamp, _reason = stepper.try_step(W, dt_eff)
-        if W_new is None:
-            rejected += 1
-            accepted_since_change = 0
-            dt = dt_eff / 2.0
-            if dt < dt_min:
+        # land on the next snapshot time or t_end rather than step past it
+        stop = min(targets[due], t_end) if due < len(targets) else t_end
+        if t + dt >= stop - time_tol:
+            dt_eff, t_next = stop - t, stop
+        else:
+            dt_eff, t_next = dt, t + dt
+        W_new, clamp, err, fallback, _reason = stepper.macro_step(W, F, dt_eff)
+        if W_new is None or err > 1.0:
+            smaller = 0.5 * dt  # the ladder value below the step that failed
+            while smaller >= dt_eff:
+                smaller *= 0.5
+            if smaller >= dt_min:
+                rejected += 1
+                dt = smaller
+                continue
+            if W_new is None:
+                rejected += 1
                 verdict = Verdict(kind="blow_up", t_final=t, reason="dt-collapse")
                 break
-            continue
+            # an accurate step would be shorter than dt_min: keep this one
         accepted += 1
-        accepted_since_change += 1
-        t += dt_eff
+        fallbacks += fallback
+        t = t_next
         W = W_new
         clamp_total += clamp
         record(W, t, dt_eff, clamp)
@@ -526,9 +610,12 @@ def simulate(
         if stepper.sup > sup_threshold:
             verdict = Verdict(kind="blow_up", t_final=t, reason="sup-threshold")
             break
-        if accepted_since_change >= STEPS_PER_DOUBLE and dt < dt_init:
-            dt = min(2.0 * dt, dt_init)
-            accepted_since_change = 0
+        F = stepper.rate(W)
+        # double dt when the error allows it and the explicit stage of the
+        # doubled coarse step stays nonnegative, so that no step is rejected
+        # for positivity again and again
+        if err <= GROW_BELOW and dt_eff == dt and float((F * (2.0 * dt) + W).min()) >= -CLAMP_TOL:
+            dt *= 2.0
 
     final = StateField.from_stack(grid, W, t)
     if verdict is None:
@@ -545,6 +632,7 @@ def simulate(
         final=final,
         steps_accepted=accepted,
         steps_rejected=rejected,
+        fallbacks=fallbacks,
         clamp_total=clamp_total,
         blowup_eigenpair=pair,
     )

@@ -278,6 +278,16 @@ class TestMainEntry:
             assert code == EXIT_CONFIG
             assert len(err.strip().splitlines()) == 1 and needle in err
 
+    def test_horizon_within_time_tolerance_exits_2(self, tmp_path, capsys):
+        """A positive horizon no longer than simulate's time tolerance would
+        end the run before its first step."""
+        code = main(["run", "--preset", "fig2a", "--t-end", "1e-13",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("run rejected: ") and "time tolerance" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", [
         "dt_init", "dt_min", "sup_threshold", "snapshots", "steady_tol",
         "steady_max_iter", "steady_damping", "write_monitors", "write_snapshots",
@@ -452,7 +462,7 @@ class TestMainEntry:
 
 
 # every (verb, preset) pair whose exit code is not 0; run and sweep end at
-# t = 1, after blowup_demo's blow-up at t = 0.8
+# t = 1, after blowup_demo's blow-up near t = 0.70
 NONZERO_EXITS = {
     ("run", "blowup_demo"): EXIT_BLOW_UP,
     # no shipped preset has a [sweep] section

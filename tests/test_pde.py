@@ -10,7 +10,7 @@ from scipy.integrate import trapezoid
 
 import flocstat as fs
 from conftest import floc_kinetics, standard_params
-from flocstat.pde import RECORD_BLOCK, _Stepper, monitor_keys
+from flocstat.pde import ATOL, CLAMP_TOL, RECORD_BLOCK, RTOL, _Stepper, monitor_keys
 from oracles import binomial_phase_energy, imex_step_banded
 
 
@@ -133,20 +133,33 @@ class TestBatchedSolve:
         stepper = _Stepper(params, kin, state.grid)
         W = state.stack()
         for dt in (1e-2, 5e-3, 5e-3, 1e-2, 2.5e-3, 1e-2, 3e-3):
-            W_new, _clamp, reason = stepper.try_step(W, dt)
+            W_new, _clamp, reason = stepper.try_step(W, stepper.rate(W), dt)
             assert reason == ""
             np.testing.assert_array_equal(W_new, imex_step_banded(params, kin, W, dt))
             W = W_new
         assert len(stepper._factors) == 4
 
 
+def macro_step_oracle(state, params, kin, dt):
+    """The documented macro step built from ``advance``: 2*fine - coarse
+    from one step of dt and two of dt/2, clamped at zero, or the fine state
+    when it undershoots below -CLAMP_TOL."""
+    coarse = fs.advance(state, params, kin, dt).stack()
+    fine = fs.advance(fs.advance(state, params, kin, dt / 2), params, kin, dt / 2).stack()
+    W = 2.0 * fine - coarse
+    if W.min() < -CLAMP_TOL:
+        return fine
+    return np.clip(W, 0.0, None)
+
+
 def replayed_states(result, params, kin):
     """The recorded states of ``result``, one per monitor row, stepped again
-    with ``advance`` at each row's dt."""
+    with the macro step oracle at each row's dt."""
     state = result.initial
     states = [state]
-    for dt in result.monitors["dt"][1:].tolist():
-        state = fs.advance(state, params, kin, dt)
+    rows = zip(result.monitors["t"][1:].tolist(), result.monitors["dt"][1:].tolist())
+    for t, dt in rows:
+        state = fs.StateField.from_stack(state.grid, macro_step_oracle(state, params, kin, dt), t)
         states.append(state)
     return states
 
@@ -244,25 +257,35 @@ class TestSimulate:
         assert result.snapshots[-1].t == pytest.approx(2.0, abs=1e-9)
 
     def test_snapshot_selection(self):
-        """Unsorted targets, two inside one step and one past t_end: each
-        target takes the first recorded state at or past it (1e-9 early),
-        a state is kept once, and the final state closes the list."""
+        """Unsorted targets, two within 1e-9 of each other and one past
+        t_end: steps land on each target, a target counts as reached 1e-9
+        early, a state is kept once, and the final state closes the list."""
         params, kin, state = one_species_setup()
-        targets = [0.3 + 5e-10, 0.0, 0.1234, 5.0, 0.123, 0.2]
+        targets = [0.3, 0.0, 0.1234, 5.0, 0.123, 0.2 + 5e-10, 0.2]
         result = fs.simulate(state, params, kin, t_end=0.5, snapshot_times=targets)
         ts = result.monitors["t"].tolist()
-        picked = []
-        for target in sorted(targets):
-            k = next((k for k, t in enumerate(ts) if t >= target - 1e-9), None)
-            if k is not None and k not in picked:
-                picked.append(k)
-        assert picked[-1] != len(ts) - 1
-        picked.append(len(ts) - 1)
-        assert len(picked) == 5 and ts[picked[3]] < targets[0]  # reached 1e-9 early
+        assert [snap.t for snap in result.snapshots] == [0.0, 0.123, 0.1234, 0.2, 0.3, 0.5]
         states = replayed_states(result, params, kin)
-        assert [snap.t for snap in result.snapshots] == [ts[k] for k in picked]
-        for snap, k in zip(result.snapshots, picked):
-            np.testing.assert_array_equal(snap.stack(), states[k].stack())
+        for snap in result.snapshots:
+            np.testing.assert_array_equal(snap.stack(), states[ts.index(snap.t)].stack())
+
+    def test_snapshots_land_on_targets_at_large_dt(self):
+        """Once the biomass has washed out, dt grows past the spacing of the
+        targets; steps are shortened to land on each target time exactly."""
+        params, kin = standard_params(du=1.0, dv=1.0), zero_growth_kinetics(0.0)
+        state = fs.StateField.constant(fs.Grid(101), S=1.0, u=1.0, v=1.0)
+        targets = [0.7, 33.3, 50.0, 99.9]
+        result = fs.simulate(state, params, kin, t_end=100.0, snapshot_times=targets)
+        assert [snap.t for snap in result.snapshots] == targets + [100.0]
+        assert result.monitors["dt"].max() >= 10.0
+        assert result.steps_accepted < 1000
+
+    @pytest.mark.parametrize("t_end", [1e-13, 0.0])
+    def test_rejects_horizon_within_time_tolerance(self, grid_201, saturating_setup, t_end):
+        params, kin = saturating_setup
+        state = fs.StateField.constant(grid_201, S=0.1, u=1.0, v=1.0)
+        with pytest.raises(ValueError, match="does not exceed the initial time"):
+            fs.simulate(state, params, kin, t_end=t_end)
 
     def test_substrate_sup_bound(self, grid_201, saturating_setup):
         """sup_S never exceeds max(feed, initial sup) up to tolerance."""
@@ -343,6 +366,85 @@ class TestSimulate:
         result = fs.simulate(state, params, kin, t_end=0.5, energy_configs=(cfg,))
         key = f"energy_p2_{0}" if f"energy_p2_{0}" in result.monitors else "energy_p2_1"
         assert key in result.monitors
+
+
+def euler_run(params, kin, W, dt, t_end):
+    """Fixed-dt IMEX steps from W to t_end."""
+    stepper = _Stepper(params, kin, fs.Grid(W.shape[1]))
+    for _ in range(round(t_end / dt)):
+        W, _clamp, reason = stepper.try_step(W, stepper.rate(W), dt)
+        assert reason == ""
+    return W
+
+
+def richardson_reference(params, kin, W, dt, t_end):
+    """2*y(dt/2) - y(dt) from fixed-dt IMEX runs: second order in dt."""
+    return 2.0 * euler_run(params, kin, W, dt / 2, t_end) - euler_run(params, kin, W, dt, t_end)
+
+
+class TestErrorControl:
+    def test_macro_step_is_second_order(self):
+        """From a smooth state, the macro step's error at t = 0.5 falls about
+        4x per halving of dt, where the IMEX step's falls about 2x."""
+        params, kin = standard_params(du=0.1, dv=10.0), floc_kinetics()
+        state = fs.StateField.from_profiles(
+            fs.Grid(41), S=lambda x: 0.1 + 0.9 * x**2, u=[lambda x: 1.0 + np.sin(3 * x)],
+            v=[lambda x: 1.0 - 0.5 * x])
+        W0 = fs.simulate(state, params, kin, t_end=1.0).final.stack()
+        dts = (0.02, 0.01, 0.005)
+        ref = richardson_reference(params, kin, W0, dts[-1] / 16, 0.5)
+        stepper = _Stepper(params, kin, state.grid)
+
+        def macro_run(dt):
+            W = W0
+            for _ in range(round(0.5 / dt)):
+                W = stepper.macro_step(W, stepper.rate(W), dt)[0]
+            return W
+
+        macro = [np.abs(macro_run(dt) - ref).max() for dt in dts]
+        euler = [np.abs(euler_run(params, kin, W0, dt, 0.5) - ref).max() for dt in dts]
+        for a, b in zip(macro, macro[1:]):
+            assert 3.5 < a / b < 4.5
+        for a, b in zip(euler, euler[1:]):
+            assert 1.8 < a / b < 2.2
+
+    def test_controlled_run_matches_richardson_reference(self):
+        """fig6n's kinetics from constant data: the controlled run's final
+        state is within RTOL-scale error of a fixed-dt reference, in fewer
+        macro steps than the 500 steps of a fixed dt_init."""
+        config = fs.load_preset("fig6n")
+        state = fs.StateField.constant(fs.Grid(51), S=0.1, u=1.0, v=1.0)
+        result = fs.simulate(state, config.params, config.kin, t_end=5.0)
+        ref = richardson_reference(config.params, config.kin, state.stack(), 1e-3, 5.0)
+        error = np.abs(result.final.stack() - ref).max(axis=1) / np.abs(ref).max(axis=1)
+        assert error.max() < 3 * RTOL
+        assert result.steps_accepted + result.steps_rejected < 500
+
+    def test_fallback_keeps_the_fine_state(self):
+        """Under strong diffusion a spike makes 2*fine - coarse undershoot;
+        the macro step then keeps the fine state and reports the fallback."""
+        params, kin = standard_params(du=1.0, dv=1.0), floc_kinetics()
+        grid = fs.Grid(41)
+        u = np.zeros(grid.n)
+        u[20] = 1.0
+        state = fs.StateField(grid=grid, S=np.full(grid.n, 0.5), u=u[None],
+                              v=np.zeros((1, grid.n)))
+        stepper = _Stepper(params, kin, grid)
+        W = state.stack()
+        W_new, _clamp, _err, fallback, reason = stepper.macro_step(W, stepper.rate(W), 1e-3)
+        assert fallback and reason == ""
+        fine = fs.advance(fs.advance(state, params, kin, 5e-4), params, kin, 5e-4)
+        np.testing.assert_array_equal(W_new, fine.stack())
+        np.testing.assert_array_equal(W_new, macro_step_oracle(state, params, kin, 1e-3))
+
+    def test_error_estimate_is_zero_at_a_fixed_point(self):
+        """The feed state without biomass is a fixed point of every step,
+        so dt doubles after every step."""
+        params, kin = standard_params(), floc_kinetics()
+        state = fs.StateField.constant(fs.Grid(101), S=1.0, u=0.0, v=0.0)
+        result = fs.simulate(state, params, kin, t_end=10.0, snapshot_times=())
+        assert result.monitors["dt"][1:].tolist()[:6] == [0.01 * 2**k for k in range(6)]
+        assert result.steps_rejected == 0 and result.fallbacks == 0
 
 
 class TestClassifyOutcome:
