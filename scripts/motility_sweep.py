@@ -10,6 +10,7 @@ import argparse
 from pathlib import Path
 
 import flocstat as fs
+from flocstat.operators import min_grid_n
 
 BASE_CONFIG = """\
 [model]
@@ -54,9 +55,11 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    # the finest grid that keeps h <= 2*min(d) for the smallest dv scanned
+    # one node more than the coarsest grid with cell Peclet h/(2d) <= 1 at
+    # the smallest diffusivity, so that reproductive numbers (an eigen
+    # solve, which needs Peclet below 1) are computed for every point
     min_d = min([1.0, 0.1] + list(args.values))
-    grid_n = max(201, int(round(1.0 / (2.0 * min_d))) + 2)
+    grid_n = max(201, min_grid_n(min_d) + 1)
     text = BASE_CONFIG.format(
         t_end=args.t_end,
         grid_n=grid_n,

@@ -26,10 +26,8 @@ from .cli import (
 from .diagnostics import (
     EnergyConfig,
     ReproductiveNumbers,
-    blowup_functional,
     hp_energy,
     reproductive_numbers,
-    weighted_mass,
 )
 from .eigen import BoundaryVariant, EigenPair, lambda_bracket, solve_principal
 from .model import (
@@ -58,7 +56,6 @@ from .pde import (
     SimulationResult,
     StateField,
     Verdict,
-    advance,
     classify_outcome,
     monitor_bounds,
     simulate,
@@ -111,10 +108,8 @@ __all__ = [
     "Verdict",
     "ZeroGrowth",
     "__version__",
-    "advance",
     "apply_steady_operator",
     "available_presets",
-    "blowup_functional",
     "check_coexistence_hypotheses",
     "check_extinction_hypotheses",
     "check_structural_conditions",
@@ -136,5 +131,4 @@ __all__ = [
     "solve_principal",
     "sweep",
     "weight_vector",
-    "weighted_mass",
 ]

@@ -1,6 +1,6 @@
 """Derived quantities for runs and parameter sets.
 
-Three families:
+Two families:
 
 * **Reproductive numbers** — washout-stability indices for a single
   species.  Each compares the washout-state net growth rate of one phase
@@ -9,39 +9,29 @@ Three families:
   diffusivity.  Both below 1 means the washout state damps invasions of
   either phase; either above 1 flags an unstable washout state.
 
-* **Blow-up functional** — the eigenfunction-weighted biomass
-  ``Q = (yu + 1) * int(u * phi) + (yv + 1) * int(v * phi)`` with ``phi``
-  the principal eigenfunction of the *adjoint* transport (outlet-Robin
-  variant), normalized into (0, 1].  Along trajectories of quadratic
-  attachment models Q obeys a Riccati-type lower bound, so sustained
-  superlinear growth of Q is the canonical blow-up signature.  It is a
-  monitor, not a certificate: the Riccati coefficient is not pinned
-  down numerically here.
+* **Energy functionals** — two-phase polynomial energies ``H_p`` used to
+  track higher-moment growth.
 
-* **Mass and energy functionals** — the weighted total mass whose
-  growth the structural conditions control, and two-phase polynomial
-  energies ``H_p`` used to track higher-moment growth.
+The weighted total mass and the eigenfunction-weighted biomass Q of a run
+are monitor columns of :func:`flocstat.pde.simulate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, sqrt
-from typing import Optional
 
 import numpy as np
 
-from .eigen import EigenPair, solve_principal
-from .model import KineticsSpec, ModelParams, weight_vector
+from .eigen import solve_principal
+from .model import KineticsSpec, ModelParams
 from .operators import Array, BoundaryVariant, trapezoid
 
 __all__ = [
     "ReproductiveNumbers",
     "reproductive_numbers",
-    "blowup_functional",
     "EnergyConfig",
     "hp_energy",
-    "weighted_mass",
 ]
 
 #: half-width of the neutral band around R = 1 in the classification
@@ -121,38 +111,6 @@ def reproductive_numbers(
     )
 
 
-def blowup_functional(state, pair: EigenPair, *, yu: float, yv: float,
-                      species: int = 0) -> tuple[float, float, float]:
-    """Eigenfunction-weighted biomass of one species: ``(Y, Z, Q)``.
-
-    ``Y = int(u * phi)``, ``Z = int(v * phi)``, and
-    ``Q = (yu + 1) * Y + (yv + 1) * Z``.  The weight must be the
-    principal eigenfunction of the **outlet-Robin** transport variant
-    (the adjoint of the physical operator up to reflection), sampled on
-    the state's grid and normalized into (0, 1]; anything else is
-    rejected rather than silently producing a meaningless Q.
-    """
-    if pair.variant is not BoundaryVariant.OUTFLOW_ROBIN:
-        raise ValueError(
-            f"blow-up weight must use the outlet-Robin variant, got {pair.variant}"
-        )
-    grid_n = state.grid.n
-    if pair.n != grid_n:
-        raise ValueError(f"eigenfunction grid n={pair.n} != state grid n={grid_n}")
-    phi = pair.function
-    if float(phi.min()) <= 0.0 or float(phi.max()) > 1.0 + 1e-12:
-        raise ValueError("blow-up weight must be positive with sup at most 1")
-    if yu <= 0 or yv <= 0:
-        raise ValueError(f"yields must be positive, got yu={yu}, yv={yv}")
-    if not (0 <= species < state.m):
-        raise ValueError(f"species index {species} out of range for m={state.m}")
-    h = state.grid.h
-    Y = float(trapezoid(state.u[species] * phi, h))
-    Z = float(trapezoid(state.v[species] * phi, h))
-    Q = (yu + 1.0) * Y + (yv + 1.0) * Z
-    return Y, Z, Q
-
-
 @dataclass(frozen=True)
 class EnergyConfig:
     """Degree and coupling weight of the two-phase polynomial energy.
@@ -210,21 +168,3 @@ def hp_energy(u: Array, v: Array, cfg: EnergyConfig) -> tuple[Array, float]:
         return H, float(H[0])
     return H, float(trapezoid(H, 1.0 / (H.size - 1)))
 
-
-def weighted_mass(state, params: ModelParams, *, reading: str = "list") -> float:
-    """Weighted total mass ``sum_c w_c * int(component_c)`` of a state.
-
-    The weights are :func:`flocstat.model.weight_vector` in the given
-    reading; components are ordered (substrate, u_1, v_1, ...).  This is
-    the functional whose growth the structural mass-control condition
-    bounds.
-    """
-    weights = np.asarray(weight_vector(params, reading), dtype=float)
-    if state.m != params.m:
-        raise ValueError(f"state has m={state.m} species, params have m={params.m}")
-    h = state.grid.h
-    total = weights[0] * float(trapezoid(state.S, h))
-    for i in range(params.m):
-        total += weights[1 + 2 * i] * float(trapezoid(state.u[i], h))
-        total += weights[2 + 2 * i] * float(trapezoid(state.v[i], h))
-    return total

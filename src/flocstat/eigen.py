@@ -25,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .operators import Array, BoundaryVariant, band_matvec, operator_bands, peclet_number
+from .operators import (Array, BoundaryVariant, band_matvec, min_grid_n, operator_bands,
+                        peclet_admissible, peclet_number)
 
 __all__ = [
     "BoundaryVariant",
@@ -89,13 +90,11 @@ def solve_principal(
         raise ValueError(f"eigen solves need at least 16 nodes, got {n}")
     if d <= 0:
         raise ValueError(f"diffusivity must be positive, got {d}")
-    # strictly below 1: at Pe = 1 the interior upper band of A is zero, so
-    # A is reducible and has no positive eigenvector
     pe = peclet_number(d, n)
-    if pe >= 1.0:
+    if not peclet_admissible(d, n, strict=True):
         raise ValueError(
             f"grid too coarse for d={d}: cell Peclet h/(2d) = {pe:.3f} >= 1; "
-            f"use n > {1 + math.ceil(1.0 / (2.0 * d))}"
+            f"use n > {min_grid_n(d)}"
         )
     ab = operator_bands(d, n, variant)
     upper, lower = ab[0, 1:], ab[2, :-1]

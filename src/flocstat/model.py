@@ -24,9 +24,10 @@ import numpy as np
 
 Array = np.ndarray
 
-#: Verdict of a sampled inequality check.  "satisfied" means the check was
-#: not refuted at any sampled point (sampling cannot prove an inequality on
-#: an unbounded set); "violated" comes with a concrete witness point.
+#: Verdict of an inequality check.  "satisfied" means the check was not
+#: refuted at any sampled point (sampling cannot prove an inequality on an
+#: unbounded set); "violated" comes with a concrete witness point when a
+#: sampled point refutes the check (see ConditionReport).
 CheckVerdict = Literal["satisfied", "violated", "not_applicable"]
 
 
@@ -50,7 +51,7 @@ def _as_float_tuple(value: Union[float, Sequence[float]], m: int, name: str) -> 
 
 @dataclass(frozen=True)
 class Monod:
-    """Saturating uptake law ``S -> a*S/(b + S)``; nondecreasing, sup = a."""
+    """Saturating uptake law ``S -> a*S/(b + S)``; increasing, sup = a."""
 
     a: float
     b: float
@@ -73,17 +74,12 @@ class Monod:
         """Least upper bound of the law on [0, inf)."""
         return self.a
 
-    @property
-    def nondecreasing(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class Haldane:
     """Inhibited uptake law ``S -> a*S/(b + S + c*S^2)``.
 
-    Rises to a single interior maximum and decays afterwards, so it is not
-    a nondecreasing law (for c > 0).
+    Rises to a single interior maximum and decays afterwards.
     """
 
     a: float
@@ -107,10 +103,6 @@ class Haldane:
         """Maximum value, attained at S = sqrt(b/c)."""
         return self.a / (1.0 + 2.0 * math.sqrt(self.b * self.c))
 
-    @property
-    def nondecreasing(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class ZeroGrowth:
@@ -126,10 +118,6 @@ class ZeroGrowth:
     @property
     def sup(self) -> float:
         return 0.0
-
-    @property
-    def nondecreasing(self) -> bool:
-        return True
 
 
 GrowthLaw = Union[Monod, Haldane, ZeroGrowth]
@@ -149,7 +137,7 @@ def _require_nonneg_substrate(S) -> None:
 # (m, n) on a grid -- to a scalar rate field (shape () or (n,)).  All laws
 # are built from the species totals ``U = sum_j u_j`` and ``V = sum_j v_j``
 # (total biomass ``U + V``, attached biomass ``V``), are continuous,
-# nonnegative on the nonnegative orthant and nondecreasing in every density.
+# nonnegative on the nonnegative orthant and monotone in every density.
 #
 # Calling a law sums the species axis and delegates to ``_rate(U, V)``, the
 # formula on the totals.  The reaction kernel computes U and V once per
@@ -489,15 +477,20 @@ class ConditionReport:
       ``h * (sum_i (u_i+v_i)**l + 1)`` for the declared degree ``l``.
     - ``one_sided_balance``: per species, one of the two signed exchange
       combinations grows at most like ``K * (sum_i (u_i+v_i)**r + 1)`` with
-      ``r < 3``.
+      ``r < 3``.  The exponent r of a combination is one more than the
+      declared degree of the rate law it carries; a species whose two
+      exponents are both at least 3 violates the condition by degree, and
+      its ``balance_branches`` entry is ``(None, None, smaller exponent)``.
     - ``exchange_floor``: ``delta * sum(u_i+v_i) <= sum_i (alpha_i u_i +
       beta_i v_i) + 1`` for some ``delta > 0``, together with strict
       ``yu_i * yv_i < 1``.
 
     Sampled verdicts cannot prove an inequality on an unbounded set; a
     "satisfied" verdict means "not refuted on the sampled box"
-    ``[0, SAMPLE_BOX]^(2m+1)``, while a "violated" verdict carries a
-    concrete witness point.
+    ``[0, SAMPLE_BOX]^(2m+1)``.  A "violated" verdict of
+    ``quasipositive``, ``mass_control`` or ``exchange_floor`` carries the
+    sampled point that refutes it; ``one_sided_balance`` is decided by
+    declared degrees and carries none.
     """
 
     quasipositive: CheckVerdict
@@ -511,27 +504,17 @@ class ConditionReport:
     rate_growth_l: int
     rate_growth_h: float
     one_sided_balance: CheckVerdict
-    balance_branches: tuple[tuple[Optional[str], float, float], ...]
-    balance_witness: Optional[tuple[float, ...]]
+    balance_branches: tuple[tuple[Optional[str], Optional[float], float], ...]
     exchange_floor: CheckVerdict
     exchange_delta: float
     exchange_witness: Optional[tuple[float, ...]]
     yuyv_class: str
 
 
-def weight_vector(params: ModelParams, reading: str = "list") -> tuple[float, ...]:
-    """Mass-control weight vector ``(y_max, 1+yu_1, 1+yv_1, ..., 1+yu_m, 1+yv_m)``.
-
-    ``reading`` selects how the substrate weight ``y_max`` aggregates the
-    yields: ``"list"`` (default) takes ``max_i max(yu_i, yv_i, 1)``;
-    ``"product"`` takes ``max_i max(yu_i * yv_i, 1)``.
-    """
-    if reading == "list":
-        y_max = max(1.0, max(max(a, b) for a, b in zip(params.yu, params.yv)))
-    elif reading == "product":
-        y_max = max(1.0, max(params.yield_products))
-    else:
-        raise ValueError(f"unknown y_max reading {reading!r} (expected 'list' or 'product')")
+def weight_vector(params: ModelParams) -> tuple[float, ...]:
+    """Mass-control weight vector ``(y_max, 1+yu_1, 1+yv_1, ..., 1+yu_m, 1+yv_m)``
+    with ``y_max = max_i max(yu_i, yv_i, 1)``."""
+    y_max = max(1.0, max(max(a, b) for a, b in zip(params.yu, params.yv)))
     weights = [y_max]
     for i in range(params.m):
         weights.append(1.0 + params.yu[i])
@@ -629,9 +612,8 @@ def check_structural_conditions(params: ModelParams, kin: KineticsSpec) -> Condi
     rate_growth_verdict: CheckVerdict = "satisfied"  # finite sampled constant always exists
 
     # --- one-sided balance: sub-cubic growth of one signed combination -----
-    branches: list[tuple[Optional[str], float, float]] = []
+    branches: list[tuple[Optional[str], Optional[float], float]] = []
     balance_verdict: CheckVerdict = "satisfied"
-    balance_witness = None
     for i in range(m):
         ai = kin.alpha[i](u_pts, v_pts)
         bi = kin.beta[i](u_pts, v_pts)
@@ -640,27 +622,17 @@ def check_structural_conditions(params: ModelParams, kin: KineticsSpec) -> Condi
         r_u = kin.beta[i].degree + 1
         r_v = kin.alpha[i].degree + 1
         chosen: Optional[tuple[str, float, float]] = None
-        for label, expr, r_decl in (("isolated", expr_u, r_u), ("attached", expr_v, r_v)):
-            r_eff = max(1, r_decl)
-            if r_eff >= 3:
+        for label, expr, r in (("isolated", expr_u, r_u), ("attached", expr_v, r_v)):
+            if r >= 3:
                 continue
-            denom = ((u_pts + v_pts) ** r_eff).sum(axis=0) + 1.0
+            denom = ((u_pts + v_pts) ** r).sum(axis=0) + 1.0
             K = max(0.0, float(np.max(expr / denom)))
             if chosen is None or K < chosen[1]:
-                chosen = (label, K, float(r_eff))
+                chosen = (label, K, float(r))
         if chosen is None:
-            # neither signed combination has declared sub-cubic degree:
-            # refute the r=2 form with the constant that works on the unit
-            # sub-box, and report the sampled point breaking it
-            denom = ((u_pts + v_pts) ** 2).sum(axis=0) + 1.0
-            small = pts.sum(axis=0) <= 1.0
-            both = np.minimum(expr_u, expr_v)
-            K_small = max(1.0, float(np.max(both[small] / denom[small])) if small.any() else 1.0)
-            ratio = both / denom
-            worst = int(np.argmax(ratio))
+            # neither signed combination has declared sub-cubic degree
             balance_verdict = "violated"
-            balance_witness = tuple(pts[:, worst])
-            branches.append((None, K_small, 2.0))
+            branches.append((None, None, float(min(r_u, r_v))))
         else:
             branches.append(chosen)
 
@@ -703,7 +675,6 @@ def check_structural_conditions(params: ModelParams, kin: KineticsSpec) -> Condi
         rate_growth_h=h_needed,
         one_sided_balance=balance_verdict,
         balance_branches=tuple(branches),
-        balance_witness=balance_witness,
         exchange_floor=exchange_verdict,
         exchange_delta=exchange_delta,
         exchange_witness=exchange_witness,

@@ -15,6 +15,7 @@ diagonal, ``ab[1, :]`` main diagonal, ``ab[2, :-1]`` lower diagonal.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import NamedTuple
 
@@ -126,9 +127,25 @@ def trapezoid_weights(n: int) -> Array:
 
 
 def peclet_number(d: float, n: int) -> float:
-    """Cell Peclet number h/(2d); the time stepper needs this <= 1, the
-    eigen solver < 1."""
+    """Cell Peclet number h/(2d)."""
     return grid_spacing(n) / (2.0 * d)
+
+
+def peclet_admissible(d: float, n: int, *, strict: bool = False) -> bool:
+    """Whether the n-node grid resolves diffusivity d.
+
+    The time stepper admits cell Peclet number up to 1 (up to rounding):
+    there the upper band of A vanishes and ``I + dt*A`` stays an M-matrix.
+    The eigen solver needs it below 1 (``strict``): at Pe = 1, A is
+    reducible and has no positive eigenvector.
+    """
+    pe = peclet_number(d, n)
+    return pe < 1.0 if strict else pe <= 1.0 + 1e-12
+
+
+def min_grid_n(d: float) -> int:
+    """Smallest n whose cell Peclet number for diffusivity d is at most 1."""
+    return 1 + math.ceil(1.0 / (2.0 * d))
 
 
 class TransportDefect(NamedTuple):

@@ -2,7 +2,7 @@
 
 Time stepping is IMEX: the linear transport of every component
 (diffusion, drift, boundary feed) is folded into a tridiagonal solve per
-step, while the kinetic coupling is advanced explicitly.  The 2m+1
+step, while the kinetic coupling is stepped explicitly.  The 2m+1
 components are solved together as one block-diagonal tridiagonal system,
 whose LU factors (LAPACK ``dgttrf``) are computed once per distinct step
 size and reused by every step of that size (``dgttrs``).  On grids whose
@@ -32,6 +32,10 @@ there is kept.  A run ends either at the requested horizon or with a
 blow-up verdict — when some sup norm crosses a threshold, or when the step
 size collapses below a floor.  Blow-up is a verdict, not an exception, so
 parameter sweeps can tabulate it.
+
+The monitor rows ``simulate`` records are the one place a run's reported
+numbers are computed: ``monitors.csv`` writes them as they are, and a sweep
+reads its summary columns from the last row.
 """
 
 from __future__ import annotations
@@ -44,11 +48,10 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .diagnostics import hp_energy
 from .eigen import EigenPair, solve_principal
 from .model import KineticsSpec, ModelParams, _reaction_terms, weight_vector
-from .operators import (Array, BoundaryVariant, feed_vector, operator_bands, peclet_number,
-                         trapezoid)
+from .operators import (Array, BoundaryVariant, feed_vector, min_grid_n, operator_bands,
+                         peclet_admissible, peclet_number, trapezoid)
 
 __all__ = [
     "Grid",
@@ -57,7 +60,6 @@ __all__ = [
     "SimulationResult",
     "OutcomeReport",
     "BoundReport",
-    "advance",
     "simulate",
     "monitor_keys",
     "classify_outcome",
@@ -85,6 +87,13 @@ GROW_BELOW = 0.2
 #: a run that takes this many steps, accepted and rejected, is stalled
 MAX_STEPS = 5_000_000
 
+#: a step rejected for positivity or non-finite values whose halved dt
+#: would fall below this ends the run with a dt-collapse verdict
+DT_MIN = 1e-8
+
+#: a sup norm above this ends the run with a sup-threshold verdict
+SUP_THRESHOLD = 1e8
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -103,14 +112,6 @@ class Grid:
     @property
     def x(self) -> Array:
         return np.linspace(0.0, 1.0, self.n)
-
-    def integrate(self, w: Array) -> float:
-        """Composite trapezoid integral over [0, 1] (last axis)."""
-        return float(self.integrate_rows(np.asarray(w, dtype=float)))
-
-    def integrate_rows(self, W: Array) -> Array:
-        """Composite trapezoid integrals over [0, 1] along the last axis."""
-        return trapezoid(W, self.h)
 
 
 _Profile = Union[float, Sequence[float], Array, Callable[[Array], Array]]
@@ -246,16 +247,21 @@ class SimulationResult:
     """Transient run output: monitor series, snapshots, verdict.
 
     monitors: column name -> 1D array, one row per recorded instant
-        (every accepted step, plus the initial instant).  Columns:
-        ``t``, ``sup_S``, ``sup_u_i``/``sup_v_i`` per species, ``l1_S``,
-        ``l1_u_i``/``l1_v_i``, ``mass`` (weighted total), ``Q`` (blow-up
-        functional of species 1), ``dt`` (step that produced the row),
-        ``clamp`` (largest undershoot removed by clamping in the step),
-        and ``energy_p<p>_<i>`` when energy configs were requested.
+        (every accepted step, plus the initial instant); the columns are
+        ``monitor_keys(m)``, the header of ``monitors.csv``: ``t``,
+        ``sup_S``, ``sup_u_i``/``sup_v_i`` per species, ``l1_S``,
+        ``l1_u_i``/``l1_v_i`` (trapezoid integrals), ``mass`` (the
+        ``weight_vector`` sum of the integrals), ``Q`` (the
+        eigenfunction-weighted biomass of species 1,
+        ``(yu + 1)*int(u*phi) + (yv + 1)*int(v*phi)``) and ``dt`` (step that
+        produced the row).  The last row is the final state.
     snapshots: states at selected times (each carries its t).
     steps_accepted/steps_rejected: macro steps (see ``simulate``).
-    fallbacks: accepted steps that kept the fine state because the
-        extrapolated one undershot below -CLAMP_TOL.
+    fallbacks: accepted steps in which the extrapolated state was negative
+        at some node, which then kept the fine state.
+    clamp_total: sum over accepted steps of the largest undershoot that
+        clamping removed from an IMEX substep.
+    blowup_eigenpair: the outlet-Robin eigenpair whose function weights Q.
     """
 
     grid: Grid
@@ -347,12 +353,13 @@ class _Stepper:
 
         A coarse step of dt and two fine steps of dt/2 (the coarse and the
         first fine step share ``F = rate(W)``) give ``2*fine - coarse``,
-        which is second order.  If it undershoots below -CLAMP_TOL the fine state is
-        kept instead (a fallback).  Returns (new stack, clamp magnitude,
-        error estimate, fallback, "") on acceptance, or (None, 0, inf,
-        False, reason) when a substep is rejected.  The error estimate is
-        the RMS over all nodes of ``(fine - coarse)/(ATOL + RTOL*max(fine,
-        coarse))``; the step is accurate when it is at most 1.
+        which is second order.  At each node where it is negative the fine
+        state is kept instead, so a decaying value stays positive rather
+        than being clipped to 0 (a fallback).  Returns (new stack, clamp
+        magnitude, error estimate, fallback, "") on acceptance, or (None,
+        0, inf, False, reason) when a substep is rejected.  The error
+        estimate is the RMS over all nodes of ``(fine - coarse)/(ATOL +
+        RTOL*max(fine, coarse))``; the step is accurate when it is at most 1.
         """
         coarse, clamp, reason = self.try_step(W, F, dt)
         if coarse is None:
@@ -370,15 +377,10 @@ class _Stepper:
         ratio /= scale
         err = math.sqrt(float(np.vdot(ratio, ratio)) / ratio.size)
         W_new = 2.0 * fine - coarse
-        low, high = float(W_new.min()), float(W_new.max())
-        fallback = low < -CLAMP_TOL
+        fallback = float(W_new.min()) < 0.0
         if fallback:
-            W_new = fine
-            high = float(fine.max())
-        elif low < 0.0:
-            np.clip(W_new, 0.0, None, out=W_new)
-            clamp = max(clamp, -low)
-        self.sup = max(high, 0.0)
+            np.copyto(W_new, fine, where=W_new < 0.0)
+        self.sup = float(W_new.max())
         return W_new, max(clamp, clamp_half, clamp_fine), err, fallback, ""
 
 
@@ -392,49 +394,24 @@ def _require_consistent(params: ModelParams, kin: KineticsSpec, state: StateFiel
 
 def _require_monotone_grid(params: ModelParams, grid: Grid) -> None:
     d_min = min([params.d0, *params.du, *params.dv])
-    # Pe = 1 is admitted: the upper band of A vanishes there, and I + dt*A
-    # stays an M-matrix (the eigen solver needs Pe < 1 strictly)
-    pe = peclet_number(d_min, grid.n)
-    if pe > 1.0 + 1e-12:
-        need = 1 + math.ceil(1.0 / (2.0 * d_min))
+    if not peclet_admissible(d_min, grid.n):
         raise ValueError(
             f"grid too coarse for the smallest diffusivity {d_min}: cell Peclet "
-            f"{pe:.3f} > 1 breaks the scheme's positivity; use n >= {need}"
+            f"{peclet_number(d_min, grid.n):.3f} > 1 breaks the scheme's positivity; "
+            f"use n >= {min_grid_n(d_min)}"
         )
 
 
-def advance(state: StateField, params: ModelParams, kin: KineticsSpec,
-            dt: float) -> StateField:
-    """One IMEX step of size dt (no adaptivity — see simulate for that).
-
-    Raises ArithmeticError if the step produces non-finite values, and
-    ValueError if it would undershoot zero beyond the clamp tolerance;
-    both mean dt is too large for the current state.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    _require_consistent(params, kin, state)
-    _require_monotone_grid(params, state.grid)
-    stepper = _Stepper(params, kin, state.grid)
-    W = state.stack()
-    W_new, _clamp, reason = stepper.try_step(W, stepper.rate(W), dt)
-    if W_new is None:
-        if "non-finite" in reason:
-            raise ArithmeticError(f"step of size {dt} produced {reason}")
-        raise ValueError(f"step of size {dt} rejected ({reason}); reduce dt")
-    return StateField.from_stack(state.grid, W_new, state.t + dt)
-
-
 def monitor_keys(m: int) -> list[str]:
-    """The monitor columns ``simulate`` records for m species, in order,
-    before any energy columns (see :class:`SimulationResult`)."""
+    """The monitor columns ``simulate`` records for m species, in order:
+    the header of ``monitors.csv`` (see :class:`SimulationResult`)."""
     labels = ["S"] + [f"{k}_{i + 1}" for i in range(m) for k in ("u", "v")]
     return (["t"] + [f"sup_{c}" for c in labels] + [f"l1_{c}" for c in labels]
-            + ["mass", "Q", "dt", "clamp"])
+            + ["mass", "Q", "dt"])
 
 
 class _MonitorRecorder:
-    """The monitor rows of one run (columns: ``monitor_keys`` plus energies).
+    """The monitor rows of one run (columns: ``monitor_keys``).
 
     Recorded states wait in a buffer of RECORD_BLOCK states.  When it fills,
     and when the run ends, the monitors of the whole buffer are evaluated at
@@ -442,22 +419,19 @@ class _MonitorRecorder:
     state by state.
     """
 
-    def __init__(self, params: ModelParams, grid: Grid, phi: Array,
-                 energy_configs: Sequence):
-        m = params.m
+    def __init__(self, params: ModelParams, grid: Grid, phi: Array):
         self.params = params
-        self.grid = grid
+        self.h = grid.h
         self.phi = phi
         self.weights = np.asarray(weight_vector(params))
-        self.energy = [(cfg, i) for cfg in energy_configs for i in range(m)]
-        self.keys = monitor_keys(m) + [f"energy_p{cfg.p}_{i + 1}" for cfg, i in self.energy]
-        self.block = np.empty((RECORD_BLOCK, 2 * m + 1, grid.n))
-        self.pending: list[tuple[float, float, float]] = []  # (t, dt used, clamp)
+        self.keys = monitor_keys(params.m)
+        self.block = np.empty((RECORD_BLOCK, 2 * params.m + 1, grid.n))
+        self.pending: list[tuple[float, float]] = []  # (t, dt used)
         self.rows: list[Array] = []
 
-    def record(self, W: Array, t: float, dt_used: float, clamp: float) -> None:
+    def record(self, W: Array, t: float, dt_used: float) -> None:
         self.block[len(self.pending)] = W
-        self.pending.append((t, dt_used, clamp))
+        self.pending.append((t, dt_used))
         if len(self.pending) == RECORD_BLOCK:
             self.flush()
 
@@ -466,18 +440,16 @@ class _MonitorRecorder:
         if not k:
             return
         Ws = self.block[:k]
-        c = Ws.shape[1]  # columns: t, c sups, c l1s, mass, Q, dt, clamp, energies
+        c = Ws.shape[1]  # columns: t, c sups, c l1s, mass, Q, dt
         rows = np.empty((k, len(self.keys)))
-        rows[:, [0, 2 * c + 3, 2 * c + 4]] = self.pending
+        rows[:, [0, 2 * c + 3]] = self.pending
         rows[:, 1:c + 1] = Ws.max(axis=-1)
-        l1s = self.grid.integrate_rows(Ws)
+        l1s = trapezoid(Ws, self.h)
         rows[:, c + 1:2 * c + 1] = l1s
         rows[:, 2 * c + 1] = [self.weights @ l1 for l1 in l1s]
-        YZ = self.grid.integrate_rows(Ws[:, 1:3] * self.phi)
+        YZ = trapezoid(Ws[:, 1:3] * self.phi, self.h)
         yu, yv = self.params.yu[0], self.params.yv[0]
         rows[:, 2 * c + 2] = (yu + 1.0) * YZ[:, 0] + (yv + 1.0) * YZ[:, 1]
-        for j, (cfg, i) in enumerate(self.energy):
-            rows[:, 2 * c + 5 + j] = [hp_energy(W[1 + 2 * i], W[2 + 2 * i], cfg)[1] for W in Ws]
         self.rows.append(rows)
         self.pending.clear()
 
@@ -503,10 +475,7 @@ def simulate(
     *,
     t_end: float,
     dt_init: float = 1e-2,
-    dt_min: float = 1e-8,
-    sup_threshold: float = 1e8,
     snapshot_times: Optional[Sequence[float]] = None,
-    energy_configs: Sequence = (),
 ) -> SimulationResult:
     """Run the error-controlled IMEX scheme from ``initial`` to ``t_end``
     (or to blow-up), starting with steps of ``dt_init``.
@@ -519,10 +488,6 @@ def simulate(
     unless it was kept already.
     The blow-up functional Q is tracked against the outlet-Robin
     eigenfunction at the first species' isolated-phase diffusivity.
-
-    ``energy_configs`` takes EnergyConfig values from
-    :mod:`flocstat.diagnostics`; each adds per-species monitor columns
-    ``energy_p<p>_<i>``.
 
     Raises ValueError for inconsistent inputs, among them a horizon that
     does not exceed the initial time by more than the time tolerance
@@ -539,19 +504,17 @@ def simulate(
             f"t_end={t_end} does not exceed the initial time {initial.t} by more than "
             f"the time tolerance {time_tol:.3g}"
         )
-    for name, val in (("dt_init", dt_init), ("dt_min", dt_min),
-                      ("sup_threshold", sup_threshold)):
-        if val <= 0:
-            raise ValueError(f"{name} must be positive, got {val}")
-    if sup_threshold <= initial.sup():
+    if dt_init <= 0:
+        raise ValueError(f"dt_init must be positive, got {dt_init}")
+    if SUP_THRESHOLD <= initial.sup():
         raise ValueError(
-            f"sup_threshold {sup_threshold} does not exceed the initial sup {initial.sup()}"
+            f"sup_threshold {SUP_THRESHOLD} does not exceed the initial sup {initial.sup()}"
         )
 
     grid = initial.grid
     stepper = _Stepper(params, kin, grid)
     pair = solve_principal(params.du[0], grid.n, BoundaryVariant.OUTFLOW_ROBIN)
-    recorder = _MonitorRecorder(params, grid, pair.function, energy_configs)
+    recorder = _MonitorRecorder(params, grid, pair.function)
     record = recorder.record
     if snapshot_times is None:
         targets = np.linspace(initial.t, t_end, 11).tolist()
@@ -566,7 +529,7 @@ def simulate(
     rejected = 0
     fallbacks = 0
     clamp_total = 0.0
-    record(W, t, dt_init, 0.0)
+    record(W, t, dt_init)
     due = _targets_reached(targets, 0, t)  # the first target not yet reached
     snapshots = [initial] if due else []
     verdict: Optional[Verdict] = None
@@ -588,7 +551,7 @@ def simulate(
             smaller = 0.5 * dt  # the ladder value below the step that failed
             while smaller >= dt_eff:
                 smaller *= 0.5
-            if smaller >= dt_min:
+            if smaller >= DT_MIN:
                 rejected += 1
                 dt = smaller
                 continue
@@ -596,18 +559,18 @@ def simulate(
                 rejected += 1
                 verdict = Verdict(kind="blow_up", t_final=t, reason="dt-collapse")
                 break
-            # an accurate step would be shorter than dt_min: keep this one
+            # an accurate step would be shorter than DT_MIN: keep this one
         accepted += 1
         fallbacks += fallback
         t = t_next
         W = W_new
         clamp_total += clamp
-        record(W, t, dt_eff, clamp)
+        record(W, t, dt_eff)
         reached = _targets_reached(targets, due, t)
         if reached > due:
             due = reached
             snapshots.append(StateField.from_stack(grid, W, t))
-        if stepper.sup > sup_threshold:
+        if stepper.sup > SUP_THRESHOLD:
             verdict = Verdict(kind="blow_up", t_final=t, reason="sup-threshold")
             break
         F = stepper.rate(W)

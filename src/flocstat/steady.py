@@ -529,8 +529,8 @@ def check_coexistence_hypotheses(params: ModelParams, kin: KineticsSpec, *,
 
     theta and rho are searched on a 64-point logarithmic grid over
     [1e-4, 1] (the construction only requires them "small enough", so
-    the grid brackets plausible magnitudes).  Requires
-    nondecreasing exchange-rate descriptors — the envelope floors are
+    the grid brackets plausible magnitudes).  Requires exchange-rate
+    descriptors that are monotone in the densities — the envelope floors are
     evaluated at the lower envelopes, which bounds the rates from below
     on the whole envelope box only under monotonicity.
     """

@@ -20,8 +20,8 @@ from flocstat.cli import (
     available_presets,
     build_initial_state,
     main,
-    monitor_columns,
 )
+from flocstat.pde import monitor_keys
 
 MINIMAL = """\
 [model]
@@ -176,10 +176,17 @@ class TestRunExperiment:
         assert snap_header == "x,S,u_1,v_1"
 
     def test_monitor_columns_m2(self):
-        assert monitor_columns(2) == [
+        assert monitor_keys(2) == [
             "t", "sup_S", "sup_u_1", "sup_v_1", "sup_u_2", "sup_v_2",
             "l1_S", "l1_u_1", "l1_v_1", "l1_u_2", "l1_v_2", "mass", "Q", "dt",
         ]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_monitors_csv_header_is_monitor_keys(self, tmp_path, m):
+        text = MINIMAL.replace("d0 = 1", f"d0 = 1\nm = {m}").replace("t_end = 2", "t_end = 0.1")
+        result, _verdict = fs.run_experiment(fs.parse_config(text), tmp_path)
+        header = (tmp_path / "monitors.csv").read_text().splitlines()[0]
+        assert header.split(",") == monitor_keys(m) == list(result.monitors)
 
     def test_snapshot_rows_ordered_by_x(self, tmp_path):
         cfg = fs.parse_config(MINIMAL)
@@ -242,6 +249,20 @@ class TestSweep:
         assert (tmp_path / "a" / "summary.csv").read_bytes() == (
             tmp_path / "b" / "summary.csv"
         ).read_bytes()
+
+    def test_summary_copies_last_monitor_row(self, tmp_path):
+        """Each sup/L1 cell of summary.csv is, as text, the cell of the same
+        column in the last row of that point's monitors.csv."""
+        text = MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 10 0.05\n"
+        fs.sweep(fs.parse_config(text), tmp_path)
+        with (tmp_path / "summary.csv").open(newline="") as handle:
+            summary = list(csv.DictReader(handle))
+        assert len(summary) == 2
+        for index, row in enumerate(summary):
+            with (tmp_path / f"point_{index:03d}" / "monitors.csv").open(newline="") as handle:
+                last = list(csv.DictReader(handle))[-1]
+            for key in ("sup_S", "sup_u_1", "sup_v_1", "l1_S", "l1_u_1", "l1_v_1"):
+                assert row[key] == last[key], (index, key)
 
     def test_reproductive_numbers_in_rows(self, tmp_path):
         text = MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 10\n"
@@ -354,6 +375,10 @@ class TestMainEntry:
         assert code == EXIT_OK
         assert "quasipositive: satisfied" in out
         assert "reproductive numbers" in out
+        # violated by the declared degrees of the exchange laws: no sampled
+        # constant or witness point goes with it
+        assert "one_sided_balance: violated (species 1: none (declared r=3))\n" in out
+        assert "witness" not in out
 
     def test_steady_verb(self, tmp_path, capsys):
         code = main(["steady", "--preset", "fig2a", "--grid-n", "201",
@@ -509,6 +534,22 @@ class TestPackaging:
         assert len(blocks) == 1
         config = fs.parse_config(blocks[0])
         assert config.sweep is not None and config.sweep.parameter == "dv"
+
+    def test_readme_library_example_runs(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"## Library example\n\n```python\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1
+        monkeypatch.chdir(tmp_path)
+        exec(compile(blocks[0], "README.md", "exec"), {})
+        verdict, sup_u = capsys.readouterr().out.split()
+        assert verdict == "extinction-v" and float(sup_u) > 0.0
+        assert (tmp_path / "out" / "fig2a" / "monitors.csv").is_file()
+
+    def test_readme_names_are_exported(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        named = set(re.findall(r"\bfs\.(\w+)", readme))
+        assert "simulate" in named
+        assert sorted(named - set(fs.__all__)) == []
 
     def test_every_export_resolves(self):
         assert [name for name in fs.__all__ if not hasattr(fs, name)] == []

@@ -1,4 +1,4 @@
-"""Tests for reproductive numbers, the outflow-weighted functional, and energies."""
+"""Tests for reproductive numbers, the run functionals Q and mass, and energies."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import flocstat as fs
 from flocstat.eigen import BoundaryVariant
+from flocstat.operators import trapezoid
 from conftest import floc_kinetics, standard_params
 
 from oracles import binomial_phase_energy
@@ -48,23 +49,24 @@ class TestReproductiveNumbers:
         assert repro.raw_u < 0.0 and repro.raw_v < 0.0
 
 
+def first_monitor_row(state, params):
+    """The monitor row ``simulate`` records for its initial state."""
+    result = fs.simulate(state, params, floc_kinetics(), t_end=1e-3)
+    return result, {key: column[0] for key, column in result.monitors.items()}
+
+
 class TestBlowupFunctional:
     def test_weighted_masses_of_constant_state(self):
+        """Q weights u and v with the outlet-Robin eigenfunction at du."""
         grid = fs.Grid(201)
-        pair = fs.solve_principal(1.0, n=201, variant=BoundaryVariant.OUTFLOW_ROBIN)
+        params = standard_params(du=1.0, yu=2.0, yv=2.0)
         state = fs.StateField.constant(grid, S=1.0, u=2.0, v=3.0)
-        Y, Z, Q = fs.blowup_functional(state, pair, yu=2.0, yv=2.0)
-        phi_mass = grid.integrate(pair.function)
-        assert Y == pytest.approx(2.0 * phi_mass, rel=1e-12)
-        assert Z == pytest.approx(3.0 * phi_mass, rel=1e-12)
-        assert Q == pytest.approx((2.0 + 1.0) * Y + (2.0 + 1.0) * Z, rel=1e-12)
-
-    def test_requires_outflow_variant(self):
-        grid = fs.Grid(201)
-        pair = fs.solve_principal(1.0, n=201, variant=BoundaryVariant.INFLOW_ROBIN)
-        state = fs.StateField.constant(grid, S=1.0, u=1.0, v=1.0)
-        with pytest.raises(ValueError):
-            fs.blowup_functional(state, pair, yu=2.0, yv=2.0)
+        result, row = first_monitor_row(state, params)
+        pair = fs.solve_principal(1.0, n=201, variant=BoundaryVariant.OUTFLOW_ROBIN)
+        np.testing.assert_array_equal(result.blowup_eigenpair.function, pair.function)
+        phi_mass = trapezoid(pair.function, grid.h)
+        assert row["Q"] == pytest.approx((2.0 + 1.0) * 2.0 * phi_mass
+                                         + (2.0 + 1.0) * 3.0 * phi_mass, rel=1e-12)
 
 
 class TestEnergy:
@@ -120,15 +122,10 @@ class TestEnergy:
 
 class TestWeightedMass:
     def test_list_reading_fixture(self):
-        params = standard_params(yu=1.0, yv=1.0)
-        grid = fs.Grid(51)
-        state = fs.StateField.constant(grid, S=1.0, u=1.0, v=1.0)
-        assert fs.weighted_mass(state, params) == pytest.approx(5.0, rel=1e-12)
-
-    def test_product_reading_differs_when_yields_mixed(self):
+        """The mass column weights the integrals with ``weight_vector``:
+        y_max = max(yu, yv, 1) for the substrate, 1 + yield for biomass."""
         params = standard_params(yu=0.5, yv=2.0)
-        grid = fs.Grid(51)
-        state = fs.StateField.constant(grid, S=1.0, u=1.0, v=1.0)
-        lst = fs.weighted_mass(state, params, reading="list")
-        prod = fs.weighted_mass(state, params, reading="product")
-        assert lst != pytest.approx(prod)
+        assert fs.weight_vector(params) == (2.0, 1.5, 3.0)
+        state = fs.StateField.constant(fs.Grid(51), S=1.0, u=1.0, v=1.0)
+        _result, row = first_monitor_row(state, params)
+        assert row["mass"] == pytest.approx(2.0 + 1.5 + 3.0, rel=1e-12)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import flocstat as fs
 from conftest import floc_kinetics, standard_params
-from flocstat.model import _reaction_terms
+from flocstat.model import _reaction_terms, _sample_points
+from flocstat.operators import trapezoid
 from oracles import reaction_reference
 
 RATE_LAWS = (
@@ -26,7 +27,6 @@ class TestGrowthLaws:
         assert f(1.0) == pytest.approx(2.0, abs=1e-15)
         assert f(3.0) == pytest.approx(3.0, abs=1e-15)
         assert f.sup == pytest.approx(4.0)
-        assert f.nondecreasing
 
     def test_haldane_values(self):
         f = fs.Haldane(3.0, 1.0, 1.0)
@@ -35,7 +35,6 @@ class TestGrowthLaws:
         assert f(1.0) == pytest.approx(1.0, abs=1e-15)
         assert f(2.0) == pytest.approx(6.0 / 7.0, abs=1e-15)
         assert f.sup == pytest.approx(1.0)
-        assert not f.nondecreasing
 
     def test_zero_growth(self):
         f = fs.ZeroGrowth()
@@ -132,7 +131,6 @@ class TestModelParams:
     def test_kinetics_requires_zero_growth_at_zero(self):
         class BadLaw:
             sup = 1.0
-            nondecreasing = True
 
             def __call__(self, S):
                 return np.asarray(S) * 0.0 + 1.0
@@ -237,7 +235,8 @@ class TestWeightVectorAndConditions:
         kin = floc_kinetics()
         grid = fs.Grid(21)
         state = fs.StateField.constant(grid, S=1.0, u=1.0, v=1.0)
-        assert fs.weighted_mass(state, p) == pytest.approx(5.0, rel=1e-12)
+        integrals = trapezoid(state.stack(), grid.h)
+        assert np.dot(fs.weight_vector(p), integrals) == pytest.approx(5.0, rel=1e-12)
 
     def test_structural_report_bounded_yields(self):
         p = standard_params(yu=0.5, yv=0.5)
@@ -252,6 +251,21 @@ class TestWeightVectorAndConditions:
         assert all(r < 3 for _, _, r in report.balance_branches)
         assert report.exchange_floor == "satisfied"
         assert report.yuyv_class == "all_products_below_one"
+
+    def test_one_sided_balance_decided_by_degree(self):
+        """fig2a's exchange laws both have degree 2, so both signed
+        combinations have exponent 3: the condition is violated by degree,
+        with no constant and no witness.  No sampled point could serve as
+        one: the attached combination is at most 0 on the whole box."""
+        config = fs.load_preset("fig2a")
+        report = fs.check_structural_conditions(config.params, config.kin)
+        assert report.one_sided_balance == "violated"
+        assert report.balance_branches == ((None, None, 3.0),)
+        pts = _sample_points(1)
+        u, v = pts[1:2], pts[2:3]
+        kin, params = config.kin, config.params
+        attached = kin.alpha[0](u, v) * u[0] - kin.beta[0](u, v) * v[0] / params.yv[0]
+        assert attached.max() <= 0.0
 
     def test_structural_report_large_yields(self):
         p = standard_params(yu=2.0, yv=2.0)
