@@ -762,10 +762,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         f"mass_control: {report.mass_control} "
         f"(weights={report.mass_weights}, K1={report.mass_K1:g}, K2={report.mass_K2:g})"
     )
-    print(
-        f"rate_growth_bound: {report.rate_growth_bound} "
-        f"(degree={report.rate_growth_l}, h={report.rate_growth_h:g})"
-    )
+    print(f"rate_growth_bound: degree={report.rate_growth_l}, h={report.rate_growth_h:g}")
     branches = ", ".join(
         f"species {i + 1}: " + (f"{branch} (K={K:g}, r={r:g})" if branch
                                 else f"none (declared r={r:g})")

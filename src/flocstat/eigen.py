@@ -10,7 +10,9 @@ which is what makes small-d computations delicate.
 The solver discretizes with the second-order stencils in
 :mod:`flocstat.operators`.  Below cell Peclet number 1 the tridiagonal
 matrix is similar, through a diagonal scaling, to a symmetric one, whose
-smallest eigenpair LAPACK returns directly.  The mirrored variant
+smallest eigenpair LAPACK returns directly: bisection (``dstebz``) and
+inverse iteration (``dstein``), called through
+:func:`flocstat._lapack.smallest_eigenpair`.  The mirrored variant
 (advection reversed, Robin row at the outlet) has the same spectrum — its
 matrix is the index-reversal of the other — and is provided because the
 blow-up functional weights mass with its eigenfunction.
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from ._lapack import smallest_eigenpair
 from .operators import (Array, BoundaryVariant, band_matvec, min_grid_n, operator_bands,
                         peclet_admissible, peclet_number)
 
@@ -98,10 +100,7 @@ def solve_principal(
         )
     ab = operator_bands(d, n, variant)
     upper, lower = ab[0, 1:], ab[2, :-1]
-    values, vectors = eigh_tridiagonal(
-        ab[1], -np.sqrt(upper * lower), select="i", select_range=(0, 0)
-    )
-    lam, y = float(values[0]), vectors[:, 0]
+    lam, y = smallest_eigenpair(ab[1], -np.sqrt(upper * lower))
     if y[int(np.argmax(np.abs(y)))] < 0:
         y = -y
     # phi = D y, its magnitude formed in log space node by node

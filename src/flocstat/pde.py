@@ -5,7 +5,8 @@ Time stepping is IMEX: the linear transport of every component
 step, while the kinetic coupling is stepped explicitly.  The 2m+1
 components are solved together as one block-diagonal tridiagonal system,
 whose LU factors (LAPACK ``dgttrf``) are computed once per distinct step
-size and reused by every step of that size (``dgttrs``).  On grids whose
+size and reused by every step of that size (``dgttrs``); both routines come
+from :mod:`flocstat._lapack`.  On grids whose
 cell Peclet number ``h/(2*min d)`` does not exceed 1, the implicit
 matrix is an M-matrix, which yields two discrete structure theorems this
 module leans on:
@@ -45,9 +46,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs
+from numpy.linalg import LinAlgError
 
+from ._lapack import dgttrf, dgttrs
 from .eigen import EigenPair, solve_principal
 from .model import KineticsSpec, ModelParams, _reaction_terms, weight_vector
 from .operators import (Array, BoundaryVariant, feed_vector, min_grid_n, operator_bands,

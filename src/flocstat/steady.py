@@ -14,7 +14,8 @@ operator.  This module provides:
 * one application of the integral operator, which evaluates the same
   trapezoid rule in O(n) without forming the matrix: the kernel is 1
   below the diagonal and a geometric decay above it, so the quadrature
-  is a cumulative sum plus one unit upper-bidiagonal solve (the two-
+  is a cumulative sum plus one unit upper-bidiagonal solve, LAPACK
+  ``dtbtrs`` from :mod:`flocstat._lapack` (the two-
   component extinction systems are the exact restriction of the full
   operator when one biomass component is identically zero and the
   matching exchange rate vanishes there — no special casing);
@@ -40,8 +41,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
+from ._lapack import dtbtrs
 from .eigen import solve_principal
 from .model import GrowthLaw, KineticsSpec, ModelParams
 from .operators import Array, BoundaryVariant, transport_defect, trapezoid_weights

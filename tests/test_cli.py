@@ -582,9 +582,34 @@ class TestPackaging:
         src = Path(fs.__file__).resolve().parents[1]
         code = (
             "import sys, flocstat.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') "
-            "if m in sys.modules))"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special', "
+            "'scipy.linalg', 'numpy.f2py') if m in sys.modules))"
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_no_verb_imports_the_scipy_linalg_package(self, tmp_path):
+        """The LAPACK routines load without scipy/linalg/__init__.py, whose
+        set-up is most of a CLI process's start-up; no verb defers it."""
+        src = Path(fs.__file__).resolve().parents[1]
+        code = (
+            "import contextlib, io, sys\n"
+            "from flocstat.cli import main\n"
+            "for argv in (['run', '--preset', 'blowup_demo'], ['steady', '--preset', 'fig2a'],\n"
+            "             ['eigen', '--preset', 'fig2a'], ['check', '--preset', 'fig2a']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main(argv + ['--out', 'out'])\n"
+            "    print(argv[0], code, 'scipy' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            f"run {EXIT_BLOW_UP} True False",
+            f"steady {EXIT_OK} True False",
+            f"eigen {EXIT_OK} True False",
+            f"check {EXIT_OK} True False",
+            "['scipy.linalg._flapack']",
+        ]

@@ -244,7 +244,6 @@ class TestWeightVectorAndConditions:
         report = fs.check_structural_conditions(p, kin)
         assert report.quasipositive == "satisfied"
         assert report.mass_control == "satisfied"
-        assert report.rate_growth_bound == "satisfied"
         assert report.rate_growth_l == 1
         assert report.one_sided_balance == "satisfied"
         # linear rates keep the balance exponent strictly below the cubic cap
