@@ -6,8 +6,9 @@ package), drives the solvers, and writes deterministic CSV outputs.
 Exit codes
 ----------
 0   success
-2   configuration error (every violated key is listed on stderr), or a
-    run whose inputs the solver rejects before its first step
+2   configuration error (every violated key is listed on stderr), a run
+    whose inputs the solver rejects before its first step, or an output
+    directory or file that cannot be created or written
 3   solver non-convergence (steady-state iteration), or a grid too coarse
     for the eigen solver (for the steady hypothesis reports, also one on
     which an eigenfunction underflows to zero)
@@ -45,6 +46,7 @@ import argparse
 import configparser
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -538,10 +540,23 @@ def _simulate_config(config: RunConfig) -> SimulationResult:
 def run_experiment(
     config: RunConfig, out_dir: Union[str, Path]
 ) -> tuple[SimulationResult, str]:
-    """Simulate ``config``, write CSVs into ``out_dir``, return (result, verdict)."""
-    result = _simulate_config(config)
+    """Simulate ``config``, write CSVs into ``out_dir``, return (result, verdict).
+
+    ``out_dir`` is created before the simulation starts, so that an output
+    path that cannot be created fails before any stepping; a simulation
+    that raises removes it again if this call created it.
+    """
+    out_path = Path(out_dir)
+    created = not out_path.exists()
+    out_path.mkdir(parents=True, exist_ok=True)
+    try:
+        result = _simulate_config(config)
+    except Exception:
+        if created:
+            out_path.rmdir()
+        raise
     outcome = classify_outcome(result)
-    write_outputs(Path(out_dir), config, result)
+    write_outputs(out_path, config, result)
     return result, outcome.label
 
 
@@ -558,13 +573,19 @@ SUMMARY_COLUMNS = ["parameter", "value", "verdict", "t_final", *_FINAL_MONITORS,
                    "R_u", "R_v", "error"]
 
 
+def _point_row(axis: SweepAxis, value: float) -> dict[str, str]:
+    """A summary row that names its point and has every other cell empty."""
+    row = dict.fromkeys(SUMMARY_COLUMNS, "")
+    row["parameter"] = axis.parameter
+    row["value"] = _fmt(value)
+    return row
+
+
 def _sweep_point(
     config: RunConfig, axis: SweepAxis, value: float, out_dir: Path, index: int
 ) -> dict[str, str]:
     """Run one sweep point; never raises (failures land in the row)."""
-    row = dict.fromkeys(SUMMARY_COLUMNS, "")
-    row["parameter"] = axis.parameter
-    row["value"] = _fmt(value)
+    row = _point_row(axis, value)
     try:
         params = _apply_sweep_value(config.params, axis.parameter, value)
         point = replace(config, params=params, sweep=None)
@@ -582,23 +603,48 @@ def _sweep_point(
     return row
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sweep(config: RunConfig, out_dir: Union[str, Path]) -> list[dict[str, str]]:
-    """Run the sweep points one after another, in sweep order, and write
-    summary.csv with one row per point.
+    """Run the sweep points in forked worker processes, one per usable CPU,
+    and write summary.csv with one row per point, in sweep order.
 
     Each point writes its CSVs to its own ``point_NNN`` directory.  A failed
     point contributes a row with its error message instead of aborting the
-    sweep.
+    sweep; so does a point whose worker process died (``BrokenProcessPool``).
+    Every worker has exited when this returns.  Workers are forked (POSIX
+    only) so that they start with flocstat already imported; as with any
+    fork, the calling process should run no other threads.
     """
+    # imported here: the executor's modules would add to every verb's start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     if config.sweep is None:
         raise ConfigError(["configuration has no [sweep] section"])
     axis = config.sweep
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    rows = [
-        _sweep_point(config, axis, value, out_path, i)
-        for i, value in enumerate(axis.values)
-    ]
+    workers = min(len(axis.values), _usable_cpus())
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [
+            pool.submit(_sweep_point, config, axis, value, out_path, i)
+            for i, value in enumerate(axis.values)
+        ]
+        rows = []
+        for value, future in zip(axis.values, futures):
+            try:
+                rows.append(future.result())
+            except BrokenProcessPool as exc:
+                row = _point_row(axis, value)
+                row["error"] = f"{type(exc).__name__}: {exc}"
+                rows.append(row)
     with (out_path / "summary.csv").open("w", newline="") as handle:
         # quotes only fields that need it, such as error messages with commas
         writer = csv.writer(handle, lineterminator="\n")
@@ -619,7 +665,10 @@ def _load_from_args(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError([f"config file not found: {path}"])
-        config = load_config(path)
+        try:
+            config = load_config(path)
+        except OSError as exc:  # main reads any other OSError as an output failure
+            raise ConfigError([f"cannot read config file: {exc}"]) from exc
     elif args.preset is not None:
         try:
             config = load_preset(args.preset)
@@ -830,8 +879,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(sp, presets)
         sp.set_defaults(handler=handler)
         if name == "sweep":
-            # points run in one thread; the flag is accepted and ignored so
-            # that existing `sweep --threads K` command lines keep working
+            # points run one per usable CPU whatever K is; the flag is
+            # accepted and ignored so that `sweep --threads K` keeps working
             sp.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     return parser
 
@@ -846,6 +895,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("configuration error:", file=sys.stderr)
         for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

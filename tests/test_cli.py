@@ -1,10 +1,13 @@
 """Tests for config parsing, presets, CSV outputs, sweeps, and exit codes."""
 
 import csv
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +274,77 @@ class TestSweep:
         assert float(rows[0]["R_u"]) == pytest.approx(1.7065, abs=1e-3)
         assert float(rows[0]["R_v"]) == pytest.approx(2.4589, abs=1e-3)
 
+    def test_worker_points_match_run_experiment_in_this_process(self, tmp_path):
+        """Every file a worker process writes for a point is byte-identical
+        to run_experiment on that point's config in the calling process, and
+        no worker outlives the sweep.  (A rerun's summary.csv is pinned by
+        test_rows_in_sweep_order_and_rerun_identical.)"""
+        text = MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 10 0.05 1\n"
+        cfg = fs.parse_config(text)
+        fs.sweep(cfg, tmp_path / "a")
+        assert multiprocessing.active_children() == []
+        for index, value in enumerate(cfg.sweep.values):
+            point = replace(cfg, params=replace(cfg.params, dv=(value,)), sweep=None)
+            fs.run_experiment(point, tmp_path / "alone" / str(index))
+            swept = tmp_path / "a" / f"point_{index:03d}"
+            alone = tmp_path / "alone" / str(index)
+            names = sorted(p.name for p in alone.iterdir())
+            assert sorted(p.name for p in swept.iterdir()) == names
+            for name in names:
+                assert (swept / name).read_bytes() == (alone / name).read_bytes(), (index, name)
+
+    def test_rows_in_sweep_order_when_the_first_point_is_slowest(self, tmp_path, monkeypatch):
+        """The first point finishes last; its row still comes first.  Forked
+        workers inherit the patched run_experiment."""
+        text = MINIMAL + "\n[sweep]\nparameter = yu\nvalues = 0.3 0.1 0.2\n"
+        cfg = fs.parse_config(text)
+        fs.sweep(cfg, tmp_path / "plain")
+        real_run = fs.cli.run_experiment
+
+        def slow_first(config, out_dir):
+            if config.params.yu == (0.3,):
+                time.sleep(0.5)
+            return real_run(config, out_dir)
+
+        monkeypatch.setattr("flocstat.cli.run_experiment", slow_first)
+        rows = fs.sweep(cfg, tmp_path / "slow")
+        assert [r["value"] for r in rows] == ["0.3", "0.1", "0.2"]
+        assert (tmp_path / "slow" / "summary.csv").read_bytes() == (
+            tmp_path / "plain" / "summary.csv"
+        ).read_bytes()
+
+    def test_dying_worker_ends_in_error_rows_not_a_hang(self, tmp_path):
+        """A worker that exits mid-point breaks the pool: the points it took
+        with it get a BrokenProcessPool row, summary.csv is still written,
+        sweep exits 0 and no worker is left."""
+        (tmp_path / "sweep.ini").write_text(MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 1 5 10\n")
+        code = (
+            "import multiprocessing, os\n"
+            "import flocstat.cli as cli\n"
+            "real_run = cli.run_experiment\n"
+            "def run_or_die(config, out_dir):\n"
+            "    if config.params.dv == (5.0,):\n"
+            "        os._exit(1)\n"
+            "    return real_run(config, out_dir)\n"
+            "cli.run_experiment = run_or_die\n"
+            "print(cli.main(['sweep', '--config', 'sweep.ini', '--out', 'out']))\n"
+            "print(multiprocessing.active_children())\n"
+        )
+        src = Path(fs.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                              timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-2:] == [str(EXIT_OK), "[]"]
+        with (tmp_path / "out" / "summary.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["value"] for row in rows] == ["1.0", "5.0", "10.0"]
+        assert rows[1]["error"].startswith("BrokenProcessPool: ")
+        for row in rows:
+            assert row["error"].startswith("BrokenProcessPool: ") or (
+                row["error"] == "" and row["verdict"]
+            )
+
 
 class TestMainEntry:
     def test_run_exit_ok(self, tmp_path, capsys):
@@ -477,6 +551,39 @@ class TestMainEntry:
         assert code == EXIT_OK
         assert (tmp_path / "out" / "summary.csv").is_file()
 
+    @pytest.mark.parametrize("verb", ["run", "steady", "sweep"])
+    def test_uncreatable_out_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, verb):
+        """An --out below a regular file cannot be created; run finds that
+        out before it simulates."""
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("run simulated before creating its output directory")
+
+        monkeypatch.setattr("flocstat.cli.simulate", no_simulation)
+        (tmp_path / "afile").write_text("")
+        cfg_path = tmp_path / "sweep.ini"
+        cfg_path.write_text(MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 5 10\n")
+        code = main([verb, "--config", str(cfg_path), "--out", str(tmp_path / "afile" / "x")])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err.startswith("cannot write outputs: ")
+        assert "Not a directory" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_unreadable_config_is_a_configuration_error(self, tmp_path, capsys, monkeypatch):
+        """Only output failures read as "cannot write outputs"."""
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("flocstat.cli.load_config", unreadable)
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(MINIMAL)
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error:\n  - cannot read config file: "
+            f"[Errno 13] Permission denied: '{cfg_path}'\n"
+        )
+
     def test_sweep_preset_without_sweep_section_exits_2(self, tmp_path, capsys):
         code = main(["sweep", "--preset", "fig2a", "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
@@ -578,12 +685,28 @@ class TestPackaging:
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.startswith("d0: d=1 lambda=")
 
+    def test_python_m_flocstat_sweep_runs_without_warnings(self, tmp_path):
+        """Forking the sweep's workers raises no warning, even as an error."""
+        (tmp_path / "sweep.ini").write_text(MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 5 10 1\n")
+        src = Path(fs.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "flocstat", "sweep", "--config", "sweep.ini",
+             "--out", "out"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("sweep over dv: 3 points, 0 failed;")
+
     def test_cli_import_leaves_heavy_scipy_modules_out(self):
+        """Importing the CLI loads no heavy scipy subpackage, and none of the
+        executor modules that only `sweep` imports."""
         src = Path(fs.__file__).resolve().parents[1]
         code = (
             "import sys, flocstat.cli; "
             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special', "
-            "'scipy.linalg', 'numpy.f2py') if m in sys.modules))"
+            "'scipy.linalg', 'numpy.f2py', 'concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))"
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, check=True)
