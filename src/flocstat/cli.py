@@ -603,6 +603,14 @@ def _sweep_point(
     return row
 
 
+def _smallest_diffusivity(params: ModelParams, parameter: str, value: float) -> float:
+    """The smallest diffusivity of the sweep point ``parameter = value``."""
+    diffusivities = {"d0": (params.d0,), "du": params.du, "dv": params.dv}
+    if parameter in diffusivities:
+        diffusivities[parameter] = (value,)
+    return min(min(d) for d in diffusivities.values())
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -614,12 +622,16 @@ def sweep(config: RunConfig, out_dir: Union[str, Path]) -> list[dict[str, str]]:
     """Run the sweep points in forked worker processes, one per usable CPU,
     and write summary.csv with one row per point, in sweep order.
 
-    Each point writes its CSVs to its own ``point_NNN`` directory.  A failed
-    point contributes a row with its error message instead of aborting the
-    sweep; so does a point whose worker process died (``BrokenProcessPool``).
-    Every worker has exited when this returns.  Workers are forked (POSIX
-    only) so that they start with flocstat already imported; as with any
-    fork, the calling process should run no other threads.
+    Points are submitted in ascending order of their smallest diffusivity,
+    ties in sweep order: the smaller it is, the more steps a point tends to
+    take, and a slow point submitted last would keep one worker busy after
+    the others finish.  Each point writes its CSVs to its own ``point_NNN``
+    directory.  A failed point contributes a row with its error message
+    instead of aborting the sweep; so does a point whose worker process died
+    (``BrokenProcessPool``).  Every worker has exited when this returns.
+    Workers are forked (POSIX only) so that they start with flocstat already
+    imported; as with any fork, the calling process should run no other
+    threads.
     """
     # imported here: the executor's modules would add to every verb's start-up
     import multiprocessing
@@ -632,15 +644,15 @@ def sweep(config: RunConfig, out_dir: Union[str, Path]) -> list[dict[str, str]]:
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     workers = min(len(axis.values), _usable_cpus())
+    order = sorted(range(len(axis.values)), key=lambda i: _smallest_diffusivity(
+        config.params, axis.parameter, axis.values[i]))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [
-            pool.submit(_sweep_point, config, axis, value, out_path, i)
-            for i, value in enumerate(axis.values)
-        ]
+        futures = {i: pool.submit(_sweep_point, config, axis, axis.values[i], out_path, i)
+                   for i in order}
         rows = []
-        for value, future in zip(axis.values, futures):
+        for i, value in enumerate(axis.values):
             try:
-                rows.append(future.result())
+                rows.append(futures[i].result())
             except BrokenProcessPool as exc:
                 row = _point_row(axis, value)
                 row["error"] = f"{type(exc).__name__}: {exc}"

@@ -45,12 +45,28 @@ def _as_float_tuple(value: Union[float, Sequence[float]], m: int, name: str) -> 
 # Growth laws  f_i(S), g_i(S)
 # ---------------------------------------------------------------------------
 #
-# Calling a law checks that the substrate is nonnegative; ``_rate`` is the
-# same formula unchecked, for the reaction kernel of the time stepper.
+# A law's formula is its ``_plan(row)``: it returns the evaluation that
+# writes the formula at S into ``row``, or None when the row does not depend
+# on S and is filled now.  The reaction kernel plans each law once into a
+# work row it owns and evaluates it once per state.
+
+
+class _GrowthLaw:
+    """Calling a law checks that the substrate is nonnegative and evaluates
+    the law's formula on it."""
+
+    def __call__(self, S):
+        _require_nonneg_substrate(S)
+        S = np.asarray(S, dtype=float)
+        row = np.empty(S.shape)
+        evaluate = self._plan(row)
+        if evaluate is not None:
+            evaluate(S)
+        return row if row.ndim else float(row)
 
 
 @dataclass(frozen=True)
-class Monod:
+class Monod(_GrowthLaw):
     """Saturating uptake law ``S -> a*S/(b + S)``; increasing, sup = a."""
 
     a: float
@@ -62,12 +78,14 @@ class Monod:
         if not (self.b > 0 and math.isfinite(self.b)):
             raise ValueError(f"Monod half-saturation b must be positive, got {self.b}")
 
-    def __call__(self, S):
-        _require_nonneg_substrate(S)
-        return self._rate(S)
+    def _plan(self, row):
+        a, b, denominator = np.array(self.a), np.array(self.b), np.empty_like(row)
 
-    def _rate(self, S):
-        return self.a * S / (self.b + S)
+        def evaluate(S):  # a*S / (b + S)
+            np.multiply(a, S, out=row)
+            np.add(b, S, out=denominator)
+            np.divide(row, denominator, out=row)
+        return evaluate
 
     @property
     def sup(self) -> float:
@@ -76,7 +94,7 @@ class Monod:
 
 
 @dataclass(frozen=True)
-class Haldane:
+class Haldane(_GrowthLaw):
     """Inhibited uptake law ``S -> a*S/(b + S + c*S^2)``.
 
     Rises to a single interior maximum and decays afterwards.
@@ -91,12 +109,18 @@ class Haldane:
             if not (coeff > 0 and math.isfinite(coeff)):
                 raise ValueError(f"Haldane coefficient {label} must be positive, got {coeff}")
 
-    def __call__(self, S):
-        _require_nonneg_substrate(S)
-        return self._rate(S)
+    def _plan(self, row):
+        a, b, c = (np.array(x) for x in (self.a, self.b, self.c))
+        denominator, square = np.empty_like(row), np.empty_like(row)
 
-    def _rate(self, S):
-        return self.a * S / (self.b + S + self.c * S * S)
+        def evaluate(S):  # a*S / ((b + S) + (c*S)*S)
+            np.multiply(a, S, out=row)
+            np.add(b, S, out=denominator)
+            np.multiply(c, S, out=square)
+            np.multiply(square, S, out=square)
+            np.add(denominator, square, out=denominator)
+            np.divide(row, denominator, out=row)
+        return evaluate
 
     @property
     def sup(self) -> float:
@@ -105,15 +129,11 @@ class Haldane:
 
 
 @dataclass(frozen=True)
-class ZeroGrowth:
+class ZeroGrowth(_GrowthLaw):
     """Identically zero uptake (species does not consume substrate)."""
 
-    def __call__(self, S):
-        _require_nonneg_substrate(S)
-        return self._rate(S)
-
-    def _rate(self, S):
-        return np.zeros_like(np.asarray(S, dtype=float)) if np.ndim(S) else 0.0
+    def _plan(self, row):
+        row[...] = 0.0
 
     @property
     def sup(self) -> float:
@@ -139,16 +159,21 @@ def _require_nonneg_substrate(S) -> None:
 # (total biomass ``U + V``, attached biomass ``V``), are continuous,
 # nonnegative on the nonnegative orthant and monotone in every density.
 #
-# Calling a law sums the species axis and delegates to ``_rate(U, V)``, the
-# formula on the totals.  The reaction kernel computes U and V once per
-# evaluation and calls ``_rate`` for every law.
+# A law's formula is its ``_plan(row)``, as for the growth laws; its
+# evaluation takes ``(U + V, V)``, which the reaction kernel forms once per
+# state for all laws.
 
 
 class _TotalsRate:
-    """Evaluates ``_rate`` on the species totals of (u, v)."""
+    """Calling a law evaluates its formula on the species totals of (u, v)."""
 
     def __call__(self, u: Array, v: Array):
-        return self._rate(np.sum(u, axis=0), np.sum(v, axis=0))
+        U, V = np.sum(u, axis=0), np.sum(v, axis=0)
+        row = np.empty(np.shape(U))
+        evaluate = self._plan(row)
+        if evaluate is not None:
+            evaluate(U + V, V)
+        return row if row.ndim else row[()]
 
 
 @dataclass(frozen=True)
@@ -161,8 +186,8 @@ class ConstantRate(_TotalsRate):
         if not (self.c >= 0 and math.isfinite(self.c)):
             raise ValueError(f"ConstantRate coefficient must be nonnegative, got {self.c}")
 
-    def _rate(self, U, V):
-        return np.full_like(U, self.c)
+    def _plan(self, row):
+        row[...] = self.c
 
     #: polynomial degree in the densities
     degree: int = field(default=0, init=False, repr=False)
@@ -186,8 +211,9 @@ class LinearTotalRate(_TotalsRate):
         if not (self.c >= 0 and math.isfinite(self.c)):
             raise ValueError(f"LinearTotalRate coefficient must be nonnegative, got {self.c}")
 
-    def _rate(self, U, V):
-        return self.c * (U + V)
+    def _plan(self, row):
+        c = np.array(self.c)
+        return lambda total, V: np.multiply(c, total, out=row)
 
     degree: int = field(default=1, init=False, repr=False)
 
@@ -208,8 +234,8 @@ class AttachedTimesTotalRate(_TotalsRate):
     the all-isolated state invariant under attachment.
     """
 
-    def _rate(self, U, V):
-        return (U + V) * V
+    def _plan(self, row):
+        return lambda total, V: np.multiply(total, V, out=row)
 
     degree: int = field(default=2, init=False, repr=False)
 
@@ -226,8 +252,13 @@ class AttachedTimesTotalRate(_TotalsRate):
 class OnePlusAttachedTimesTotalRate(_TotalsRate):
     """Rate ``(1 + sum_j v_j) * (sum_j(u_j + v_j))``."""
 
-    def _rate(self, U, V):
-        return (1.0 + V) * (U + V)
+    def _plan(self, row):
+        one = np.array(1.0)
+
+        def evaluate(total, V):
+            np.add(one, V, out=row)
+            np.multiply(row, total, out=row)
+        return evaluate
 
     degree: int = field(default=2, init=False, repr=False)
 
@@ -253,8 +284,15 @@ class PowerTotalRate(_TotalsRate):
         if not (isinstance(self.l, int) and self.l >= 1):
             raise ValueError(f"PowerTotalRate exponent must be an integer >= 1, got {self.l}")
 
-    def _rate(self, U, V):
-        return self.c * (U + V)**self.l
+    def _plan(self, row):
+        c = np.array(self.c)
+
+        def evaluate(total, V):
+            np.copyto(row, total)
+            power = row  # a local name, for the in-place operator
+            power **= self.l  # numpy takes the same power as for total**l
+            np.multiply(c, row, out=row)
+        return evaluate
 
     @property
     def degree(self) -> int:
@@ -427,36 +465,98 @@ def _reaction_terms(params: ModelParams, kin: KineticsSpec, S: Array, u: Array,
     """:func:`reaction_field` without its checks, on (n,) and (m, n) profiles.
 
     The caller guarantees what ``reaction_field`` verifies: float arrays of
-    matching shapes, with nonnegative entries.  The time stepper calls this
-    on every step, with states that construction and clamping keep valid,
-    and may overwrite the returned array.
-
-    The species totals are summed once for all rate laws, and each row is
-    written in place; every row takes the same floating-point operations, in
-    the same order, as the formulas in ``reaction_field``'s docstring.
+    matching shapes, with nonnegative entries.  Plans a
+    :class:`_ReactionKernel` for this one evaluation.
     """
-    U = np.add.reduce(u, axis=0)  # np.sum's reduction, without its wrapper
-    V = np.add.reduce(v, axis=0)
-    out = np.zeros((2 * params.m + 1, S.shape[0]))
-    growth_u, growth_v, attach, detach = np.empty((4, S.shape[0]))
-    for i in range(params.m):
-        iso, att = out[1 + 2 * i], out[2 + 2 * i]
-        np.multiply(kin.f[i]._rate(S), u[i], out=growth_u)
-        np.multiply(kin.g[i]._rate(S), v[i], out=growth_v)
-        np.multiply(kin.alpha[i]._rate(U, V), u[i], out=attach)
-        np.multiply(kin.beta[i]._rate(U, V), v[i], out=detach)
-        # isolated: growth_u - attach / yu + detach
-        np.divide(attach, params.yu[i], out=iso)
-        np.subtract(growth_u, iso, out=iso)
-        iso += detach
-        # attached: growth_v + attach - detach / yv
-        np.add(growth_v, attach, out=att)
-        detach /= params.yv[i]
-        att -= detach
+    out = np.empty((2 * params.m + 1, S.shape[0]))
+    return _ReactionKernel(params, kin, S.shape[0])(S, np.stack((u, v), axis=1), out)
+
+
+def _plan_laws(laws: Sequence, rows: Array) -> list:
+    """Plan each law into its row; the per-state evaluations of the laws
+    whose rows are not filled now."""
+    return [form for form in (law._plan(row) for law, row in zip(laws, rows))
+            if form is not None]
+
+
+class _ReactionKernel:
+    """The reaction terms of one (params, kin) on n-node profiles, planned
+    once: the time stepper evaluates them twice per macro step.
+
+    The kernel owns its work rows, laid out species by species like the
+    state stack, so that with one species every call below takes whole
+    contiguous arrays of one shape, numpy's cheapest call.  The growth and
+    exchange laws write their rates through their ``_plan`` forms; the
+    species totals U, V and U + V are formed once per evaluation for all
+    exchange laws, and with one species the totals are the density rows
+    themselves, without a reduction.
+
+    Every element takes the same floating-point operations, in the same
+    order, as the formulas in ``reaction_field``'s docstring: ``a - b`` is
+    computed as ``a + (-b)`` and ``-(b / y)`` as ``b / (-y)``, which IEEE
+    arithmetic rounds identically, so that the isolated and attached rows
+    of a species are written by two calls.  Only the sign of a zero total
+    can differ, where a density is -0.0 (``np.add.reduce`` over one species
+    adds +0.0); no magnitude depends on it, and adding the feed turns every
+    -0.0 into +0.0, so the stepper's rates agree bit for bit.
+    """
+
+    def __init__(self, params: ModelParams, kin: KineticsSpec, n: int):
+        m = self.m = params.m
+        # rows (m, 2, n), in the order of the densities they multiply:
+        # f_i(S), g_i(S), and alpha_i, beta_i
+        self._growth_rates = np.empty((m, 2, n))
+        self._exchange_rates = np.empty((m, 2, n))
+        self._growth_forms = _plan_laws([law for pair in zip(kin.f, kin.g) for law in pair],
+                                        self._growth_rates.reshape(2 * m, n))
+        self._exchange_forms = _plan_laws(
+            [law for pair in zip(kin.alpha, kin.beta) for law in pair],
+            self._exchange_rates.reshape(2 * m, n))
+        self._growth = np.empty((m, 2, n))  # f_i(S) u_i, g_i(S) v_i
+        # per species: -attach/yu, attach, detach, -detach/yv
+        ex = np.empty((m, 4, n))
+        self._terms = ex[:, 1:3]
+        self._first = ex[:, 0:2]  # added to the isolated and attached rows,
+        self._second = ex[:, 2:4]  # and then these
+        self._scalings = []  # (term, -yield, where term / -yield goes)
+        for i in range(m):
+            self._scalings += [(ex[i, 1], np.array(-params.yu[i]), ex[i, 0]),
+                               (ex[i, 2], np.array(-params.yv[i]), ex[i, 3])]
+        self._totals = np.empty((3, n))  # U, V (more than one species), U + V
+        self._consumed = np.empty((m, n))
+        self._zero = np.array(0.0)
+
+    def __call__(self, S: Array, uv: Array, out: Array) -> Array:
+        """Write the reaction terms into ``out`` (2m+1, n), in
+        ``reaction_field``'s row order; ``uv`` (m, 2, n) holds u_i, v_i."""
+        for form in self._growth_forms:
+            form(S)
+        np.multiply(self._growth_rates, uv, out=self._growth)
+        if self._exchange_forms:
+            totals = self._totals
+            if self.m == 1:
+                V = uv[0, 1]
+                total = np.add(uv[0, 0], V, out=totals[2])
+            else:
+                U = np.add.reduce(uv[:, 0], axis=0, out=totals[0])
+                V = np.add.reduce(uv[:, 1], axis=0, out=totals[1])
+                total = np.add(U, V, out=totals[2])
+            for form in self._exchange_forms:
+                form(total, V)
+        np.multiply(self._exchange_rates, uv, out=self._terms)
+        for term, neg_yield, scaled in self._scalings:
+            np.divide(term, neg_yield, out=scaled)
+        # isolated: growth_u - attach/yu + detach;
+        # attached: growth_v + attach - detach/yv
+        rows = out[1:].reshape(self._growth.shape)
+        np.add(self._growth, self._first, out=rows)
+        np.add(rows, self._second, out=rows)
         # substrate: minus (growth_u + growth_v), accumulated over species
-        growth_u += growth_v
-        out[0] -= growth_u
-    return out
+        consumed = np.add(self._growth[:, 0], self._growth[:, 1], out=self._consumed)
+        np.subtract(self._zero, consumed[0], out=out[0])
+        for row in consumed[1:]:
+            np.subtract(out[0], row, out=out[0])
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ import numpy as np
 
 from ._lapack import dtbtrs
 from .eigen import solve_principal
-from .model import GrowthLaw, KineticsSpec, ModelParams
+from .model import GrowthLaw, KineticsSpec, ModelParams, _plan_laws
 from .operators import Array, BoundaryVariant, transport_defect, trapezoid_weights
 from .pde import Grid
 
@@ -155,7 +155,6 @@ class _SteadyOperator:
     def __init__(self, params: ModelParams, kin: KineticsSpec, n: int):
         _require_theory_regime(params, kin)
         self.params = params
-        self.kin = kin
         self.n = n
         grid = Grid(n)
         self.w = trapezoid_weights(n)
@@ -170,31 +169,60 @@ class _SteadyOperator:
         ab[0, 1:] = -decay[:-1]
         self.ab = ab
 
+        # work rows, reused by every application: the rates f, g, alpha,
+        # beta and their products with u, v, u, v; the available substrate,
+        # u + v and a quotient; the sources, the quadrature, and the
+        # right-hand side of the solve
+        self._rates, self._products = np.empty((2, 4, n))
+        self._available, self._total, self._scaled = np.empty((3, n))
+        self._sources, self._out = np.empty((2, 3, n))
+        self._rhs = np.empty((3 * n, 1))
+        self._zero, self._one = np.array(0.0), np.array(1.0)
+        self._yields = np.array(params.yu[0]), np.array(params.yv[0])
+        self._growth_forms = _plan_laws((kin.f[0], kin.g[0]), self._rates[:2])
+        self._exchange_forms = _plan_laws((kin.alpha[0], kin.beta[0]), self._rates[2:])
+
     def sources(self, X: Array) -> Array:
-        """Reaction densities feeding each component's transport balance."""
+        """Reaction densities feeding each component's transport balance,
+        in a work array that the next call overwrites."""
         Stilde, u, v = X
-        S_avail = np.clip(1.0 - Stilde, 0.0, None)
+        # the available substrate 1 - Stilde, clamped as np.clip(.., 0, None)
+        S_avail = np.subtract(self._one, Stilde, out=self._available)
+        np.maximum(S_avail, self._zero, out=S_avail)
         # one species: the totals U, V of the rate laws are u and v
-        fS = self.kin.f[0]._rate(S_avail)
-        gS = self.kin.g[0]._rate(S_avail)
-        attach = self.kin.alpha[0]._rate(u, v)
-        detach = self.kin.beta[0]._rate(u, v)
-        yu, yv = self.params.yu[0], self.params.yv[0]
-        growth_u, growth_v = fS * u, gS * v
-        attach_u, detach_v = attach * u, detach * v
-        consume = growth_u + growth_v
-        src_u = growth_u + detach_v - attach_u / yu
-        src_v = growth_v + attach_u - detach_v / yv
-        return np.stack([consume, src_u, src_v])
+        total = np.add(u, v, out=self._total)
+        for form in self._growth_forms:
+            form(S_avail)
+        for form in self._exchange_forms:
+            form(total, v)
+        rates, products = self._rates, self._products
+        np.multiply(rates[:2], X[1:], out=products[:2])  # growth_u, growth_v
+        np.multiply(rates[2:], X[1:], out=products[2:])  # attach_u, detach_v
+        growth_u, growth_v, attach_u, detach_v = products
+        consume, src_u, src_v = out = self._sources
+        yu, yv = self._yields
+        scaled = self._scaled
+        np.add(growth_u, growth_v, out=consume)
+        # src_u = growth_u + detach_v - attach_u / yu
+        np.add(growth_u, detach_v, out=src_u)
+        np.subtract(src_u, np.divide(attach_u, yu, out=scaled), out=src_u)
+        # src_v = growth_v + attach_u - detach_v / yv
+        np.add(growth_v, attach_u, out=src_v)
+        np.subtract(src_v, np.divide(detach_v, yv, out=scaled), out=src_v)
+        return out
 
     def apply(self, X: Array) -> Array:
-        q = self.sources(X) * self.w
-        # right-hand side a*q_{k+1}, solved in place; the band has a unit
-        # diagonal, so the solve cannot fail
-        rhs = np.append(q.reshape(-1)[1:], 0.0) * self.decay
-        tail = dtbtrs(self.ab, rhs[:, None], diag="U", overwrite_b=1)[0]
-        out = np.cumsum(q, axis=1) + tail.reshape(3, self.n)
-        return np.clip(out, 0.0, None, out=out)
+        """The operator at X, in a work array that the next call overwrites."""
+        q = np.multiply(self.sources(X), self.w, out=self._sources)
+        # right-hand side a*q_{k+1}, with 0 on the last row, solved in
+        # place; the band has a unit diagonal, so the solve cannot fail
+        rhs = self._rhs[:, 0]
+        np.multiply(q.reshape(-1)[1:], self.decay[:-1], out=rhs[:-1])
+        rhs[-1] = 0.0
+        tail = dtbtrs(self.ab, self._rhs, diag="U", overwrite_b=1)[0]
+        out = np.cumsum(q, axis=1, out=self._out)
+        np.add(out, tail.reshape(3, self.n), out=out)
+        return np.maximum(out, self._zero, out=out)  # np.clip(out, 0, None)
 
     def differential_defect(self, X: Array) -> float:
         """Sup-norm defect of the triple against the differential balances."""
@@ -327,6 +355,9 @@ _FALLBACK_DEPLETION = 0.5
 #: (fig5l), while a span of 50 or 100 stops fig5l before it converges
 _CONTRACTION_WINDOW = 200
 
+# the reduction behind ndarray.max, without its wrapper
+_max = np.maximum.reduce
+
 
 def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
                       tol: float = 1e-10, max_iter: int = 5000,
@@ -356,14 +387,20 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
     reason = f"iteration limit {max_iter} reached"
     iterations = 0
     changes = []
+    # the iterate, the next one and their difference live in three buffers
+    X_new, diff = np.empty_like(X), np.empty_like(X)
+    keep, step = np.array(1.0 - damping), np.array(damping)
     # overflow is detected below and reported as the stopping reason
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, max_iter + 1):
             GX = op.apply(X)
-            X_new = (1.0 - damping) * X + damping * GX
+            # X_new = (1 - w)*X + w*G(X)
+            np.multiply(keep, X, out=X_new)
+            np.add(X_new, np.multiply(step, GX, out=GX), out=X_new)
             # X is finite, so the change is finite exactly when X_new is
-            change = float(np.max(np.abs(X_new - X)))
-            X = X_new
+            np.subtract(X_new, X, out=diff)
+            change = float(_max(np.absolute(diff, out=diff), None))
+            X, X_new = X_new, X
             if not math.isfinite(change):
                 reason = f"non-finite iterate at iteration {iterations}"
                 break

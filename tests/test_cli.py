@@ -293,6 +293,34 @@ class TestSweep:
             for name in names:
                 assert (swept / name).read_bytes() == (alone / name).read_bytes(), (index, name)
 
+    @pytest.mark.parametrize("parameter, values, order", [
+        ("dv", "10 0.5 2 0.5 1", [1, 3, 0, 2, 4]),
+        ("d0", "2 0.5 0.7", [1, 2, 0]),
+        ("yu", "0.3 0.1 0.2", [0, 1, 2]),
+    ])
+    def test_points_submitted_by_smallest_diffusivity(self, tmp_path, monkeypatch, parameter,
+                                                      values, order):
+        """Points go to the workers in ascending order of their smallest
+        diffusivity (MINIMAL's are d0 = du = 1, dv = 10), ties in sweep
+        order; summary.csv keeps sweep order."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        submitted = []
+        real_submit = ProcessPoolExecutor.submit
+
+        def recording_submit(pool, fn, *args, **kwargs):
+            submitted.append(args[-1])  # the point index
+            return real_submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+        cfg = fs.parse_config(MINIMAL + f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\n")
+        rows = fs.sweep(cfg, tmp_path)
+        assert submitted == order
+        assert [float(row["value"]) for row in rows] == list(cfg.sweep.values)
+        with (tmp_path / "summary.csv").open(newline="") as handle:
+            assert [row["value"] for row in csv.DictReader(handle)] == [r["value"] for r in rows]
+        assert all(row["error"] == "" for row in rows)
+
     def test_rows_in_sweep_order_when_the_first_point_is_slowest(self, tmp_path, monkeypatch):
         """The first point finishes last; its row still comes first.  Forked
         workers inherit the patched run_experiment."""

@@ -1,5 +1,6 @@
 """Tests for the time integrator: invariants, verdicts, monitors, determinism."""
 
+import itertools
 import math
 
 import numpy as np
@@ -458,6 +459,61 @@ class TestErrorControl:
         result = fs.simulate(state, params, kin, t_end=10.0, snapshot_times=())
         assert result.monitors["dt"][1:].tolist()[:6] == [0.01 * 2**k for k in range(6)]
         assert result.steps_rejected == 0 and result.fallbacks == 0
+
+
+class TestStepBuffers:
+    """A macro step writes its stages and its result into stepper buffers;
+    the state and the rate it starts from must survive it, so that a
+    rejected step retries from them unchanged."""
+
+    def test_consecutive_rejections_replay_exactly(self, monkeypatch):
+        """A seed population grows unseen while dt doubles, then blooms: two
+        macro steps in a row are rejected from a state that an accepted step
+        produced.  Every recorded state still equals the macro step
+        oracle's replay."""
+        starts = []
+        real_macro_step = _Stepper.macro_step
+
+        def recording_macro_step(stepper, W, F, dt):
+            starts.append(id(W))
+            return real_macro_step(stepper, W, F, dt)
+
+        monkeypatch.setattr(_Stepper, "macro_step", recording_macro_step)
+        params = standard_params(du=0.1, dv=0.1)
+        kin = floc_kinetics(f=fs.Monod(10.0, 1.0), g=fs.Monod(10.0, 1.0))
+        state = fs.StateField.constant(fs.Grid(41), S=1.0, u=1e-12, v=1e-12)
+        result = fs.simulate(state, params, kin, t_end=10.0, snapshot_times=())
+        assert result.steps_rejected >= 2
+        # a step is retried from the same state only after a rejection
+        attempts = [len(list(group)) for _, group in itertools.groupby(starts)]
+        assert max(attempts[1:]) >= 3
+        expected, final = per_row_monitors(result, params, kin)
+        for key, column in expected.items():
+            np.testing.assert_array_equal(result.monitors[key], column, err_msg=key)
+        np.testing.assert_array_equal(result.final.stack(), final.stack())
+
+    def test_rates_do_not_alias_held_arrays(self):
+        """Each rate is a new array; macro steps leave the states and rates
+        they start from unchanged, and a macro step's result stays valid
+        through the next macro step from it."""
+        params, kin, state = one_species_setup()
+        stepper = _Stepper(params, kin, state.grid)
+        W1 = state.stack()
+        W2 = imex_step(state, params, kin, 1e-2).stack()
+        F1, F2 = stepper.rate(W1), stepper.rate(W2)
+        assert not np.shares_memory(F1, F2)
+        held = [a.copy() for a in (W1, F1, W2, F2)]
+        W_new = stepper.macro_step(W1, F1, 1e-2)[0]
+        F_new = stepper.rate(W_new)
+        kept = W_new.copy()
+        W_next = stepper.macro_step(W_new, F_new, 1e-2)[0]
+        assert W_new is not None and W_next is not None
+        assert not np.shares_memory(W_next, W_new)
+        np.testing.assert_array_equal(W_new, kept)
+        for rate in (F_new, stepper.rate(W_next)):
+            assert not any(np.shares_memory(rate, a) for a in (F1, F2, W1, W2, W_new, W_next))
+        for array, copy in zip((W1, F1, W2, F2), held):
+            np.testing.assert_array_equal(array, copy)
 
 
 class TestClassifyOutcome:
