@@ -48,7 +48,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -106,57 +106,39 @@ class ConfigError(Exception):
 # --------------------------------------------------------------------------
 
 
-def _parse_growth(text: str) -> GrowthLaw:
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty growth descriptor")
-    kind, args = tokens[0].lower(), tokens[1:]
-    if kind == "monod":
-        if len(args) != 2:
-            raise ValueError("monod takes 2 arguments: monod <a> <b>")
-        return Monod(float(args[0]), float(args[1]))
-    if kind == "haldane":
-        if len(args) != 3:
-            raise ValueError("haldane takes 3 arguments: haldane <a> <b> <c>")
-        return Haldane(float(args[0]), float(args[1]), float(args[2]))
-    if kind == "zero":
-        if args:
-            raise ValueError("zero takes no arguments")
-        return ZeroGrowth()
-    raise ValueError(
-        f"unknown growth law {tokens[0]!r} (expected monod, haldane, or zero)"
-    )
+#: descriptor name -> law class; a class's fields are its arguments,
+#: converted to int or float as annotated
+_GROWTH_LAWS = {"monod": Monod, "haldane": Haldane, "zero": ZeroGrowth}
+_RATE_LAWS = {
+    "constant": ConstantRate,
+    "linear_total": LinearTotalRate,
+    "attached_times_total": AttachedTimesTotalRate,
+    "one_plus_attached_times_total": OnePlusAttachedTimesTotalRate,
+    "power_total": PowerTotalRate,
+}
 
 
-def _parse_rate(text: str) -> FlocRate:
+def _parse_law(text: str, laws: dict, kind: str) -> Union[GrowthLaw, FlocRate]:
+    """The law a descriptor ``<name> <arg> ...`` names; ``kind`` ("growth"
+    or "rate") names the table ``laws`` in messages."""
     tokens = text.split()
     if not tokens:
-        raise ValueError("empty rate descriptor")
-    kind, args = tokens[0].lower(), tokens[1:]
-    if kind == "constant":
-        if len(args) != 1:
-            raise ValueError("constant takes 1 argument: constant <c>")
-        return ConstantRate(float(args[0]))
-    if kind == "linear_total":
-        if len(args) != 1:
-            raise ValueError("linear_total takes 1 argument: linear_total <c>")
-        return LinearTotalRate(float(args[0]))
-    if kind == "attached_times_total":
-        if args:
-            raise ValueError("attached_times_total takes no arguments")
-        return AttachedTimesTotalRate()
-    if kind == "one_plus_attached_times_total":
-        if args:
-            raise ValueError("one_plus_attached_times_total takes no arguments")
-        return OnePlusAttachedTimesTotalRate()
-    if kind == "power_total":
-        if len(args) != 2:
-            raise ValueError("power_total takes 2 arguments: power_total <c> <l>")
-        return PowerTotalRate(float(args[0]), int(args[1]))
-    raise ValueError(
-        f"unknown rate law {tokens[0]!r} (expected constant, linear_total, "
-        "attached_times_total, one_plus_attached_times_total, or power_total)"
-    )
+        raise ValueError(f"empty {kind} descriptor")
+    name, args = tokens[0].lower(), tokens[1:]
+    if name not in laws:
+        *others, last = laws
+        raise ValueError(
+            f"unknown {kind} law {tokens[0]!r} (expected {', '.join(others)}, or {last})"
+        )
+    arguments = fields(laws[name])
+    if len(args) != len(arguments):
+        if not arguments:
+            raise ValueError(f"{name} takes no arguments")
+        usage = " ".join(f"<{f.name}>" for f in arguments)
+        plural = "s" if len(arguments) > 1 else ""
+        raise ValueError(f"{name} takes {len(arguments)} argument{plural}: {name} {usage}")
+    return laws[name](*((int if f.type in (int, "int") else float)(arg)
+                        for f, arg in zip(arguments, args)))
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -326,14 +308,15 @@ def parse_config(text: str) -> RunConfig:
             problems.append(f"[model] {exc}")
 
     # ---- [kinetics] ------------------------------------------------------
-    def kinetics_list(key: str, parser: Callable[[str], object]) -> Optional[tuple]:
+    def kinetics_list(key: str, laws: dict, kind: str) -> Optional[tuple]:
         text_value = raw("kinetics", key)
         if text_value is None:
             return None
         pieces = [p.strip() for p in text_value.split(";")]
         parsed = []
         for piece in pieces:
-            item = _collect(problems, "kinetics", key, parser, piece)
+            item = _collect(problems, "kinetics", key,
+                            lambda text: _parse_law(text, laws, kind), piece)
             if item is None:
                 return None
             parsed.append(item)
@@ -344,10 +327,10 @@ def parse_config(text: str) -> RunConfig:
             return None
         return tuple(parsed) if len(parsed) == m else tuple(parsed) * m
 
-    f_laws = kinetics_list("f", _parse_growth)
-    g_laws = kinetics_list("g", _parse_growth)
-    alpha = kinetics_list("alpha", _parse_rate)
-    beta = kinetics_list("beta", _parse_rate)
+    f_laws = kinetics_list("f", _GROWTH_LAWS, "growth")
+    g_laws = kinetics_list("g", _GROWTH_LAWS, "growth")
+    alpha = kinetics_list("alpha", _RATE_LAWS, "rate")
+    beta = kinetics_list("beta", _RATE_LAWS, "rate")
 
     kin: Optional[KineticsSpec] = None
     if None not in (f_laws, g_laws, alpha, beta):
@@ -567,7 +550,7 @@ def _apply_sweep_value(params: ModelParams, parameter: str, value: float) -> Mod
 
 
 #: the columns of summary.csv that copy the last monitor row of a point
-_FINAL_MONITORS = ("sup_S", "sup_u_1", "sup_v_1", "l1_S", "l1_u_1", "l1_v_1")
+_FINAL_MONITORS = tuple(key for key in monitor_keys(1) if key.startswith(("sup_", "l1_")))
 
 SUMMARY_COLUMNS = ["parameter", "value", "verdict", "t_final", *_FINAL_MONITORS,
                    "R_u", "R_v", "error"]
@@ -627,8 +610,11 @@ def sweep(config: RunConfig, out_dir: Union[str, Path]) -> list[dict[str, str]]:
     take, and a slow point submitted last would keep one worker busy after
     the others finish.  Each point writes its CSVs to its own ``point_NNN``
     directory.  A failed point contributes a row with its error message
-    instead of aborting the sweep; so does a point whose worker process died
-    (``BrokenProcessPool``).  Every worker has exited when this returns.
+    instead of aborting the sweep.  A worker process that dies breaks the
+    whole pool; every point it left unfinished is then rerun alone, in a
+    fresh one-worker pool, so that only a point that breaks its own pool
+    gets a ``BrokenProcessPool`` row.  Every worker has exited when this
+    returns.
     Workers are forked (POSIX only) so that they start with flocstat already
     imported; as with any fork, the calling process should run no other
     threads.
@@ -646,17 +632,27 @@ def sweep(config: RunConfig, out_dir: Union[str, Path]) -> list[dict[str, str]]:
     workers = min(len(axis.values), _usable_cpus())
     order = sorted(range(len(axis.values)), key=lambda i: _smallest_diffusivity(
         config.params, axis.parameter, axis.values[i]))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {i: pool.submit(_sweep_point, config, axis, axis.values[i], out_path, i)
-                   for i in order}
-        rows = []
-        for i, value in enumerate(axis.values):
-            try:
-                rows.append(futures[i].result())
-            except BrokenProcessPool as exc:
-                row = _point_row(axis, value)
-                row["error"] = f"{type(exc).__name__}: {exc}"
-                rows.append(row)
+
+    def run_points(indices: Sequence[int], size: int) -> tuple[dict, list[int]]:
+        """The rows of the points ``indices``, run in a pool of ``size``
+        workers, and the points that a dying worker took with it."""
+        rows, broken = {}, []
+        with ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = {i: pool.submit(_sweep_point, config, axis, axis.values[i], out_path, i)
+                       for i in indices}
+            for i, future in futures.items():
+                try:
+                    rows[i] = future.result()
+                except BrokenProcessPool as exc:
+                    rows[i] = _point_row(axis, axis.values[i])
+                    rows[i]["error"] = f"{type(exc).__name__}: {exc}"
+                    broken.append(i)
+        return rows, broken
+
+    by_index, broken = run_points(order, workers)
+    for i in broken:
+        by_index.update(run_points([i], 1)[0])
+    rows = [by_index[i] for i in range(len(axis.values))]
     with (out_path / "summary.csv").open("w", newline="") as handle:
         # quotes only fields that need it, such as error messages with commas
         writer = csv.writer(handle, lineterminator="\n")
@@ -835,7 +831,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         f"(delta={report.exchange_delta:g}, yield products: {report.yuyv_class})"
     )
     for name, verdict, witness in (
-        ("quasipositive", report.quasipositive, report.qp_witness),
         ("mass_control", report.mass_control, report.mass_witness),
         ("exchange_floor", report.exchange_floor, report.exchange_witness),
     ):

@@ -9,15 +9,18 @@ isolated and attached compartments through an attachment rate
 ``alpha_i(u, v)`` and a detachment rate ``beta_i(u, v)``, weighted by
 the yields ``y_u``/``y_v``.
 
-This module holds the parameter and kinetics containers, pointwise
-reaction-term evaluation, and the sampled structural-condition checks
-used by the rest of the package.
+This module holds the law classes, the only definition of each law; the
+parameter and kinetics containers; the reaction kernel, the only code
+that assembles the reaction terms (for the time stepper, the steady
+operator and :func:`reaction_field`); and the structural-condition checks,
+of which quasipositivity is decided from the law classes and the others
+on a sampled box.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Optional, Sequence, Union
 
 import numpy as np
@@ -176,54 +179,43 @@ class _TotalsRate:
         return row if row.ndim else row[()]
 
 
-@dataclass(frozen=True)
-class ConstantRate(_TotalsRate):
-    """Density-independent rate ``c``."""
-
-    c: float
+class _ScaledRate(_TotalsRate):
+    """A law with a nonnegative coefficient ``c``: it vanishes identically,
+    and so without either phase, exactly when ``c = 0``."""
 
     def __post_init__(self) -> None:
         if not (self.c >= 0 and math.isfinite(self.c)):
-            raise ValueError(f"ConstantRate coefficient must be nonnegative, got {self.c}")
+            raise ValueError(f"{type(self).__name__} coefficient must be nonnegative, got {self.c}")
+
+    @property
+    def vanishes_without_attached(self) -> bool:
+        return self.c == 0.0
+
+    vanishes_without_isolated = vanishes_without_attached
+
+
+@dataclass(frozen=True)
+class ConstantRate(_ScaledRate):
+    """Density-independent rate ``c``."""
+
+    c: float
+    #: polynomial degree in the densities
+    degree = 0
 
     def _plan(self, row):
         row[...] = self.c
 
-    #: polynomial degree in the densities
-    degree: int = field(default=0, init=False, repr=False)
-
-    @property
-    def vanishes_without_attached(self) -> bool:
-        return self.c == 0.0
-
-    @property
-    def vanishes_without_isolated(self) -> bool:
-        return self.c == 0.0
-
 
 @dataclass(frozen=True)
-class LinearTotalRate(_TotalsRate):
+class LinearTotalRate(_ScaledRate):
     """Rate proportional to total biomass: ``c * sum_j(u_j + v_j)``."""
 
     c: float
-
-    def __post_init__(self) -> None:
-        if not (self.c >= 0 and math.isfinite(self.c)):
-            raise ValueError(f"LinearTotalRate coefficient must be nonnegative, got {self.c}")
+    degree = 1
 
     def _plan(self, row):
         c = np.array(self.c)
         return lambda total, V: np.multiply(c, total, out=row)
-
-    degree: int = field(default=1, init=False, repr=False)
-
-    @property
-    def vanishes_without_attached(self) -> bool:
-        return self.c == 0.0
-
-    @property
-    def vanishes_without_isolated(self) -> bool:
-        return self.c == 0.0
 
 
 @dataclass(frozen=True)
@@ -234,23 +226,20 @@ class AttachedTimesTotalRate(_TotalsRate):
     the all-isolated state invariant under attachment.
     """
 
+    degree = 2
+    vanishes_without_attached = True
+    vanishes_without_isolated = False
+
     def _plan(self, row):
         return lambda total, V: np.multiply(total, V, out=row)
-
-    degree: int = field(default=2, init=False, repr=False)
-
-    @property
-    def vanishes_without_attached(self) -> bool:
-        return True
-
-    @property
-    def vanishes_without_isolated(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
 class OnePlusAttachedTimesTotalRate(_TotalsRate):
     """Rate ``(1 + sum_j v_j) * (sum_j(u_j + v_j))``."""
+
+    degree = 2
+    vanishes_without_attached = vanishes_without_isolated = False
 
     def _plan(self, row):
         one = np.array(1.0)
@@ -260,27 +249,16 @@ class OnePlusAttachedTimesTotalRate(_TotalsRate):
             np.multiply(row, total, out=row)
         return evaluate
 
-    degree: int = field(default=2, init=False, repr=False)
-
-    @property
-    def vanishes_without_attached(self) -> bool:
-        return False
-
-    @property
-    def vanishes_without_isolated(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
-class PowerTotalRate(_TotalsRate):
+class PowerTotalRate(_ScaledRate):
     """Rate ``c * (sum_j(u_j + v_j))**l`` with integer exponent ``l >= 1``."""
 
     c: float
     l: int
 
     def __post_init__(self) -> None:
-        if not (self.c >= 0 and math.isfinite(self.c)):
-            raise ValueError(f"PowerTotalRate coefficient must be nonnegative, got {self.c}")
+        super().__post_init__()
         if not (isinstance(self.l, int) and self.l >= 1):
             raise ValueError(f"PowerTotalRate exponent must be an integer >= 1, got {self.l}")
 
@@ -297,14 +275,6 @@ class PowerTotalRate(_TotalsRate):
     @property
     def degree(self) -> int:
         return self.l if self.c > 0 else 0
-
-    @property
-    def vanishes_without_attached(self) -> bool:
-        return self.c == 0.0
-
-    @property
-    def vanishes_without_isolated(self) -> bool:
-        return self.c == 0.0
 
 
 FlocRate = Union[
@@ -454,22 +424,10 @@ def reaction_field(params: ModelParams, kin: KineticsSpec, S, u, v) -> Array:
         raise ValueError("attached densities must be nonnegative")
     _require_nonneg_substrate(S_arr)
     # the kernel works on profiles: a pointwise state is a one-node profile
-    m = params.m
-    out = _reaction_terms(params, kin, S_arr.reshape(-1), u_arr.reshape(m, -1),
-                          v_arr.reshape(m, -1))
+    m, n = params.m, S_arr.size
+    uv = np.stack((u_arr.reshape(m, n), v_arr.reshape(m, n)), axis=1)
+    out = _ReactionKernel(params, kin, n)(S_arr.reshape(n), uv, np.empty((2 * m + 1, n)))
     return out.reshape((2 * m + 1,) + S_arr.shape)
-
-
-def _reaction_terms(params: ModelParams, kin: KineticsSpec, S: Array, u: Array,
-                    v: Array) -> Array:
-    """:func:`reaction_field` without its checks, on (n,) and (m, n) profiles.
-
-    The caller guarantees what ``reaction_field`` verifies: float arrays of
-    matching shapes, with nonnegative entries.  Plans a
-    :class:`_ReactionKernel` for this one evaluation.
-    """
-    out = np.empty((2 * params.m + 1, S.shape[0]))
-    return _ReactionKernel(params, kin, S.shape[0])(S, np.stack((u, v), axis=1), out)
 
 
 def _plan_laws(laws: Sequence, rows: Array) -> list:
@@ -481,7 +439,9 @@ def _plan_laws(laws: Sequence, rows: Array) -> list:
 
 class _ReactionKernel:
     """The reaction terms of one (params, kin) on n-node profiles, planned
-    once: the time stepper evaluates them twice per macro step.
+    once.  The only code that assembles them: the time stepper evaluates a
+    kernel twice per macro step, the steady operator once per application,
+    and :func:`reaction_field` plans one per call.
 
     The kernel owns its work rows, laid out species by species like the
     state stack, so that with one species every call below takes whole
@@ -497,8 +457,8 @@ class _ReactionKernel:
     arithmetic rounds identically, so that the isolated and attached rows
     of a species are written by two calls.  Only the sign of a zero total
     can differ, where a density is -0.0 (``np.add.reduce`` over one species
-    adds +0.0); no magnitude depends on it, and adding the feed turns every
-    -0.0 into +0.0, so the stepper's rates agree bit for bit.
+    adds +0.0); no magnitude depends on it, and the stepper's addition of
+    the feed turns every -0.0 into +0.0.
     """
 
     def __init__(self, params: ModelParams, kin: KineticsSpec, n: int):
@@ -566,11 +526,17 @@ class _ReactionKernel:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Sampled verdicts for the structural conditions of the reaction field.
+    """Verdicts for the structural conditions of the reaction field.
 
     - ``quasipositive``: every component's reaction term is nonnegative on
       the part of the boundary where that component vanishes (so the
       nonnegative orthant is forward-invariant for the reaction part).
+      Decided from the law classes, not sampled: on ``u_i = 0`` the
+      isolated row is ``beta_i v_i``, on ``v_i = 0`` the attached row is
+      ``alpha_i u_i``, and on ``S = 0`` the substrate row is 0, because
+      every rate law is nonnegative and every growth law vanishes at
+      ``S = 0`` (:class:`KineticsSpec` checks it).  It is always
+      "satisfied" and has no witness.
     - ``mass_control``: the weighted reaction sum with weights
       ``(y_max, 1+yu_1, 1+yv_1, ...)`` is bounded by ``K1 * sum(w) + K2``.
     - ``rate_growth_l``, ``rate_growth_h``: the declared degree ``l`` of
@@ -590,14 +556,12 @@ class ConditionReport:
 
     Sampled verdicts cannot prove an inequality on an unbounded set; a
     "satisfied" verdict means "not refuted on the sampled box"
-    ``[0, SAMPLE_BOX]^(2m+1)``.  A "violated" verdict of
-    ``quasipositive``, ``mass_control`` or ``exchange_floor`` carries the
-    sampled point that refutes it; ``one_sided_balance`` is decided by
-    declared degrees and carries none.
+    ``[0, SAMPLE_BOX]^(2m+1)``.  A "violated" verdict of ``mass_control``
+    or ``exchange_floor`` carries the sampled point that refutes it;
+    ``one_sided_balance`` is decided by declared degrees and carries none.
     """
 
     quasipositive: CheckVerdict
-    qp_witness: Optional[tuple[float, ...]]
     mass_control: CheckVerdict
     mass_weights: tuple[float, ...]
     mass_K1: float
@@ -641,34 +605,18 @@ def _sample_points(m: int) -> Array:
     return rng.uniform(0.0, SAMPLE_BOX, size=(2 * m + 1, SAMPLES_PER_AXIS**3))
 
 
-def _eval_field_on_samples(params: ModelParams, kin: KineticsSpec, pts: Array) -> Array:
-    S = pts[0]
-    u = pts[1 : 1 + 2 * params.m : 2]
-    v = pts[2 : 2 + 2 * params.m : 2]
-    return reaction_field(params, kin, S, u, v)
-
-
 def check_structural_conditions(params: ModelParams, kin: KineticsSpec) -> ConditionReport:
-    """Run all sampled structural checks and collect them in one report."""
+    """Run the structural checks and collect them in one report."""
     if kin.m != params.m:
         raise ValueError(f"kinetics have m={kin.m} species but params have m={params.m}")
     m = params.m
     tol = 1e-9
 
     pts = _sample_points(m)
-
-    # --- quasipositivity: zero out one component at a time -----------------
-    qp_verdict: CheckVerdict = "satisfied"
-    qp_witness = None
-    for comp in range(2 * m + 1):
-        boundary = pts.copy()
-        boundary[comp] = 0.0
-        F = _eval_field_on_samples(params, kin, boundary)
-        worst = int(np.argmin(F[comp]))
-        if F[comp][worst] < -tol:
-            qp_verdict = "violated"
-            qp_witness = tuple(boundary[:, worst])
-            break
+    u_pts, v_pts = pts[1::2], pts[2::2]
+    # alpha_i and beta_i on the box, evaluated once for the three checks
+    # that read them
+    rates = [(kin.alpha[i](u_pts, v_pts), kin.beta[i](u_pts, v_pts)) for i in range(m)]
 
     # --- weighted mass control ---------------------------------------------
     weights = weight_vector(params)
@@ -690,7 +638,7 @@ def check_structural_conditions(params: ModelParams, kin: KineticsSpec) -> Condi
         K1 = max(K1, max(0.0, 1.0 + params.yv[i] - y_max) * kin.g[i].sup)
     K2 = 0.0
 
-    F = _eval_field_on_samples(params, kin, pts)
+    F = reaction_field(params, kin, pts[0], u_pts, v_pts)
     weighted = np.tensordot(np.asarray(weights), F, axes=(0, 0))
     budget = K1 * pts.sum(axis=0) + K2
     excess = weighted - budget
@@ -704,20 +652,16 @@ def check_structural_conditions(params: ModelParams, kin: KineticsSpec) -> Condi
 
     # --- polynomial growth bound on the exchange rates ---------------------
     l_declared = max(1, max(max(r.degree for r in kin.alpha), max(r.degree for r in kin.beta)))
-    u_pts = pts[1 : 1 + 2 * m : 2]
-    v_pts = pts[2 : 2 + 2 * m : 2]
     power_sum = ((u_pts + v_pts) ** l_declared).sum(axis=0) + 1.0
     h_needed = 0.0
-    for i in range(m):
-        h_needed = max(h_needed, float(np.max(kin.alpha[i](u_pts, v_pts) / power_sum)))
-        h_needed = max(h_needed, float(np.max(kin.beta[i](u_pts, v_pts) / power_sum)))
+    for ai, bi in rates:
+        h_needed = max(h_needed, float(np.max(ai / power_sum)))
+        h_needed = max(h_needed, float(np.max(bi / power_sum)))
 
     # --- one-sided balance: sub-cubic growth of one signed combination -----
     branches: list[tuple[Optional[str], Optional[float], float]] = []
     balance_verdict: CheckVerdict = "satisfied"
-    for i in range(m):
-        ai = kin.alpha[i](u_pts, v_pts)
-        bi = kin.beta[i](u_pts, v_pts)
+    for i, (ai, bi) in enumerate(rates):
         expr_u = -ai * u_pts[i] / params.yu[i] + bi * v_pts[i]
         expr_v = ai * u_pts[i] - bi * v_pts[i] / params.yv[i]
         r_u = kin.beta[i].degree + 1
@@ -746,8 +690,8 @@ def check_structural_conditions(params: ModelParams, kin: KineticsSpec) -> Condi
     else:
         total = (u_pts + v_pts).sum(axis=0)
         supplied = np.zeros_like(total)
-        for i in range(m):
-            supplied += kin.alpha[i](u_pts, v_pts) * u_pts[i] + kin.beta[i](u_pts, v_pts) * v_pts[i]
+        for i, (ai, bi) in enumerate(rates):
+            supplied += ai * u_pts[i] + bi * v_pts[i]
         ratio = (supplied + 1.0) / np.maximum(total, 1e-300)
         ratio[total == 0.0] = np.inf
         # a genuine floor must not decay as the box grows: compare the
@@ -764,8 +708,7 @@ def check_structural_conditions(params: ModelParams, kin: KineticsSpec) -> Condi
             exchange_delta = delta_full
 
     return ConditionReport(
-        quasipositive=qp_verdict,
-        qp_witness=qp_witness,
+        quasipositive="satisfied",  # decided from the law classes
         mass_control=mass_verdict,
         mass_weights=weights,
         mass_K1=K1,

@@ -18,7 +18,10 @@ operator.  This module provides:
   ``dtbtrs`` from :mod:`flocstat._lapack` (the two-
   component extinction systems are the exact restriction of the full
   operator when one biomass component is identically zero and the
-  matching exchange rate vanishes there — no special casing);
+  matching exchange rate vanishes there — no special casing).  Its
+  sources are the reaction terms at the available substrate
+  ``max(1 - Stilde, 0)``, assembled by the reaction kernel of the time
+  stepper (``flocstat.model._ReactionKernel``);
 * a damped Picard iteration, where non-convergence is a reportable
   result, not an exception: the iteration stops at its limit, at an
   iterate that overflows, or once it stops contracting (its sup change
@@ -44,7 +47,7 @@ import numpy as np
 
 from ._lapack import dtbtrs
 from .eigen import solve_principal
-from .model import GrowthLaw, KineticsSpec, ModelParams, _plan_laws
+from .model import GrowthLaw, KineticsSpec, ModelParams, _ReactionKernel
 from .operators import Array, BoundaryVariant, transport_defect, trapezoid_weights
 from .pde import Grid
 
@@ -169,46 +172,26 @@ class _SteadyOperator:
         ab[0, 1:] = -decay[:-1]
         self.ab = ab
 
-        # work rows, reused by every application: the rates f, g, alpha,
-        # beta and their products with u, v, u, v; the available substrate,
-        # u + v and a quotient; the sources, the quadrature, and the
-        # right-hand side of the solve
-        self._rates, self._products = np.empty((2, 4, n))
-        self._available, self._total, self._scaled = np.empty((3, n))
+        # work rows, reused by every application: the available substrate,
+        # the sources, the quadrature, and the right-hand side of the solve
+        self._kernel = _ReactionKernel(params, kin, n)
+        self._available = np.empty(n)
         self._sources, self._out = np.empty((2, 3, n))
         self._rhs = np.empty((3 * n, 1))
         self._zero, self._one = np.array(0.0), np.array(1.0)
-        self._yields = np.array(params.yu[0]), np.array(params.yv[0])
-        self._growth_forms = _plan_laws((kin.f[0], kin.g[0]), self._rates[:2])
-        self._exchange_forms = _plan_laws((kin.alpha[0], kin.beta[0]), self._rates[2:])
 
     def sources(self, X: Array) -> Array:
         """Reaction densities feeding each component's transport balance,
-        in a work array that the next call overwrites."""
-        Stilde, u, v = X
+        in a work array that the next call overwrites: the consumption and
+        the isolated and attached reaction terms, at the available
+        substrate."""
         # the available substrate 1 - Stilde, clamped as np.clip(.., 0, None)
-        S_avail = np.subtract(self._one, Stilde, out=self._available)
+        S_avail = np.subtract(self._one, X[0], out=self._available)
         np.maximum(S_avail, self._zero, out=S_avail)
-        # one species: the totals U, V of the rate laws are u and v
-        total = np.add(u, v, out=self._total)
-        for form in self._growth_forms:
-            form(S_avail)
-        for form in self._exchange_forms:
-            form(total, v)
-        rates, products = self._rates, self._products
-        np.multiply(rates[:2], X[1:], out=products[:2])  # growth_u, growth_v
-        np.multiply(rates[2:], X[1:], out=products[2:])  # attach_u, detach_v
-        growth_u, growth_v, attach_u, detach_v = products
-        consume, src_u, src_v = out = self._sources
-        yu, yv = self._yields
-        scaled = self._scaled
-        np.add(growth_u, growth_v, out=consume)
-        # src_u = growth_u + detach_v - attach_u / yu
-        np.add(growth_u, detach_v, out=src_u)
-        np.subtract(src_u, np.divide(attach_u, yu, out=scaled), out=src_u)
-        # src_v = growth_v + attach_u - detach_v / yv
-        np.add(growth_v, attach_u, out=src_v)
-        np.subtract(src_v, np.divide(detach_v, yv, out=scaled), out=src_v)
+        # (u, v) as the kernel's (1, 2, n) stack: a view of X's rows
+        out = self._kernel(S_avail, X[1:].reshape(1, 2, self.n), self._sources)
+        # consumption: minus the substrate row, as 0 - row (never -0.0)
+        np.subtract(self._zero, out[0], out=out[0])
         return out
 
     def apply(self, X: Array) -> Array:

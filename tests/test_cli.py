@@ -115,6 +115,53 @@ class TestParseConfig:
             fs.parse_config(MINIMAL.replace("\nu = 1", f"\nu = {value}"))
         assert err.value.problems == ("[initial] u: values must be finite",)
 
+    @pytest.mark.parametrize("key, descriptor, message", [
+        ("f", "monod 4", "monod takes 2 arguments: monod <a> <b>"),
+        ("f", "MONOD 4 1 2", "monod takes 2 arguments: monod <a> <b>"),
+        ("f", "haldane 3 1", "haldane takes 3 arguments: haldane <a> <b> <c>"),
+        ("f", "zero 1", "zero takes no arguments"),
+        ("f", "bogus 1", "unknown growth law 'bogus' (expected monod, haldane, or zero)"),
+        ("f", "Constant 1", "unknown growth law 'Constant' (expected monod, haldane, or zero)"),
+        ("f", "", "empty growth descriptor"),
+        ("f", "monod x 1", "could not convert string to float: 'x'"),
+        ("f", "monod -1 1", "Monod coefficient a must be positive, got -1.0"),
+        ("alpha", "constant", "constant takes 1 argument: constant <c>"),
+        ("alpha", "constant 1 2", "constant takes 1 argument: constant <c>"),
+        ("alpha", "linear_total", "linear_total takes 1 argument: linear_total <c>"),
+        ("alpha", "attached_times_total 1", "attached_times_total takes no arguments"),
+        ("alpha", "one_plus_attached_times_total 1",
+         "one_plus_attached_times_total takes no arguments"),
+        ("alpha", "power_total 1", "power_total takes 2 arguments: power_total <c> <l>"),
+        ("alpha", "power_total 1 2.5", "invalid literal for int() with base 10: '2.5'"),
+        ("alpha", "power_total 1 0", "PowerTotalRate exponent must be an integer >= 1, got 0"),
+        ("alpha", "monod 4 1", "unknown rate law 'monod' (expected constant, linear_total, "
+                               "attached_times_total, one_plus_attached_times_total, or "
+                               "power_total)"),
+        ("alpha", "", "empty rate descriptor"),
+    ])
+    def test_descriptor_messages(self, key, descriptor, message):
+        line = {"f": "f = monod 4 1", "alpha": "alpha = attached_times_total"}[key]
+        with pytest.raises(fs.ConfigError) as err:
+            fs.parse_config(MINIMAL.replace(line, f"{key} = {descriptor}"))
+        assert err.value.problems == (f"[kinetics] {key}: {message}",)
+
+    @pytest.mark.parametrize("key, descriptor, law", [
+        ("f", "monod 4 1", fs.Monod(4.0, 1.0)),
+        ("f", "Haldane 3 1 2", fs.Haldane(3.0, 1.0, 2.0)),
+        ("f", "zero", fs.ZeroGrowth()),
+        ("alpha", "constant 0.5", fs.ConstantRate(0.5)),
+        ("alpha", "linear_total 2", fs.LinearTotalRate(2.0)),
+        ("alpha", "attached_times_total", fs.AttachedTimesTotalRate()),
+        ("alpha", "one_plus_attached_times_total", fs.OnePlusAttachedTimesTotalRate()),
+        ("alpha", "power_total 0.5 3", fs.PowerTotalRate(0.5, 3)),
+    ])
+    def test_descriptors_build_their_laws(self, key, descriptor, law):
+        line = {"f": "f = monod 4 1", "alpha": "alpha = attached_times_total"}[key]
+        parsed = getattr(fs.parse_config(MINIMAL.replace(line, f"{key} = {descriptor}")).kin,
+                         key)[0]
+        assert parsed == law
+        assert [type(x) for x in vars(parsed).values()] == [type(x) for x in vars(law).values()]
+
     def test_sweep_section(self):
         cfg = fs.parse_config(MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 0.1 1 10\n")
         assert cfg.sweep.parameter == "dv"
@@ -372,6 +419,31 @@ class TestSweep:
             assert row["error"].startswith("BrokenProcessPool: ") or (
                 row["error"] == "" and row["verdict"]
             )
+
+    def test_dying_worker_takes_only_its_own_point(self, tmp_path, monkeypatch):
+        """The points a dying worker leaves unfinished are rerun alone: the
+        rows and files of dv = 1 and dv = 10 equal those of a sweep in which
+        no worker dies.  Forked workers inherit the patched run_experiment."""
+        cfg = fs.parse_config(MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 1 5 10\n")
+        clean = fs.sweep(cfg, tmp_path / "clean")
+        real_run = fs.cli.run_experiment
+
+        def run_or_die(config, out_dir):
+            if config.params.dv == (5.0,):
+                os._exit(1)
+            return real_run(config, out_dir)
+
+        monkeypatch.setattr("flocstat.cli.run_experiment", run_or_die)
+        rows = fs.sweep(cfg, tmp_path / "dying")
+        assert multiprocessing.active_children() == []
+        assert rows[1]["error"].startswith("BrokenProcessPool: ")
+        assert [rows[0], rows[2]] == [clean[0], clean[2]]
+        for index in (0, 2):
+            swept, alone = (tmp_path / run / f"point_{index:03d}" for run in ("dying", "clean"))
+            names = sorted(p.name for p in alone.iterdir())
+            assert sorted(p.name for p in swept.iterdir()) == names
+            for name in names:
+                assert (swept / name).read_bytes() == (alone / name).read_bytes(), (index, name)
 
 
 class TestMainEntry:

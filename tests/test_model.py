@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 import flocstat as fs
 from conftest import floc_kinetics, standard_params
-from flocstat.model import _reaction_terms, _sample_points
+from flocstat.model import _sample_points
 from flocstat.operators import trapezoid
 from oracles import reaction_reference
 
+GROWTH_LAWS = (fs.Monod(4.0, 1.0), fs.Haldane(3.0, 1.0, 1.0), fs.ZeroGrowth())
 RATE_LAWS = (
     fs.ConstantRate(0.7),
     fs.LinearTotalRate(1.3),
@@ -174,7 +175,9 @@ class TestReactionField:
         st.floats(min_value=0.0, max_value=5.0),
     )
     def test_quasipositivity_on_boundary(self, S, u, v):
-        """Each reaction component is nonnegative where its own density is zero."""
+        """Each reaction component is nonnegative where its own density is zero:
+        for the standard kinetics, and for every growth law and every rate law
+        in each position, with one and with two species."""
         p, kin = standard_params(), floc_kinetics()
         S_arr = np.array([S])
         u_arr, v_arr = np.array([[u]]), np.array([[v]])
@@ -187,6 +190,25 @@ class TestReactionField:
         # substrate zero: growth vanishes so consumption vanishes
         fS = fs.reaction_field(p, kin, np.array([0.0]), u_arr, v_arr)
         assert fS[0, 0] >= -1e-12
+
+        for m in (1, 2):
+            p = fs.ModelParams(m=m, d0=1.0, du=1.0, dv=1.0, yu=(0.1, 0.7)[:m],
+                               yv=(0.3, 1.9)[:m], gamma_s=1.0)
+            u_arr, v_arr = np.array([[u], [v]])[:m], np.array([[v], [u]])[:m]
+            for j, growth in enumerate(GROWTH_LAWS):
+                for k, rate in enumerate(RATE_LAWS):
+                    kin = fs.KineticsSpec(
+                        f=(growth,) * m, g=(GROWTH_LAWS[(j + 1) % len(GROWTH_LAWS)],) * m,
+                        alpha=(rate,) * m, beta=(RATE_LAWS[(k + 1) % len(RATE_LAWS)],) * m)
+                    for i in range(m):
+                        no_v = v_arr.copy()
+                        no_v[i] = 0.0
+                        assert fs.reaction_field(p, kin, S_arr, u_arr, no_v)[2 + 2 * i, 0] >= -1e-12
+                        no_u = u_arr.copy()
+                        no_u[i] = 0.0
+                        assert fs.reaction_field(p, kin, S_arr, no_u, v_arr)[1 + 2 * i, 0] >= -1e-12
+                    fS = fs.reaction_field(p, kin, np.array([0.0]), u_arr, v_arr)
+                    assert fS[0, 0] >= -1e-12
 
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -205,7 +227,6 @@ class TestReactionField:
         W[:, ::5] = 0.0
         S, u, v = W[0], W[1::2], W[2::2]
         expected = reaction_reference(params, kin, S, u, v)
-        np.testing.assert_array_equal(_reaction_terms(params, kin, S, u, v), expected)
         np.testing.assert_array_equal(fs.reaction_field(params, kin, S, u, v), expected)
         point = fs.reaction_field(params, kin, S[7], u[:, 7], v[:, 7])
         np.testing.assert_array_equal(point, expected[:, 7])

@@ -115,6 +115,25 @@ class TestSteadyOperator:
         out = np.asarray(fs.apply_steady_operator(trip, params, kin))
         assert np.min(out) >= 0.0
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (fs.AttachedTimesTotalRate(), fs.OnePlusAttachedTimesTotalRate()),
+        (fs.LinearTotalRate(1.3), fs.PowerTotalRate(0.5, 3)),
+        (fs.ConstantRate(0.7), fs.LinearTotalRate(2.0)),
+    ])
+    def test_sources_are_the_reaction_field(self, alpha, beta):
+        """The operator's sources are the consumption -R[0] and the biomass
+        rows R[1], R[2] of reaction_field at the available substrate
+        max(1 - Stilde, 0), exactly, also where Stilde exceeds 1."""
+        params = theory_params()
+        kin = floc_kinetics(f=fs.Haldane(3.0, 1.0, 1.0), alpha=alpha, beta=beta)
+        X = np.random.default_rng(5).uniform(0.0, 3.0, size=(3, 64))
+        X[0] /= 2.0  # Stilde in [0, 1.5]
+        X[:, ::7] = 0.0
+        assert (X[0] > 1.0).any()
+        got = fs.steady._SteadyOperator(params, kin, 64).sources(X)
+        R = fs.reaction_field(params, kin, np.maximum(1.0 - X[0], 0.0), X[1:2], X[2:3])
+        np.testing.assert_array_equal(got, np.stack((-R[0], R[1], R[2])))
+
     @pytest.mark.parametrize("n", [101, 401])
     @pytest.mark.parametrize("d", [0.001, 0.01, 0.1, 1.0, 10.0, 100.0])
     def test_matches_dense_quadrature(self, n, d):
