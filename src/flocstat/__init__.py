@@ -29,7 +29,7 @@ from .diagnostics import (
     hp_energy,
     reproductive_numbers,
 )
-from .eigen import BoundaryVariant, EigenPair, lambda_bracket, solve_principal
+from .eigen import EigenPair, lambda_bracket, solve_principal
 from .model import (
     AttachedTimesTotalRate,
     ConditionReport,
@@ -78,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttachedTimesTotalRate",
     "BoundReport",
-    "BoundaryVariant",
     "ClauseMargin",
     "CoexistenceReport",
     "ConditionReport",

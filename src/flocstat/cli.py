@@ -71,6 +71,7 @@ from .model import (
     ZeroGrowth,
     check_structural_conditions,
 )
+from .operators import MIN_GRID_N
 from .pde import Grid, SimulationResult, StateField, classify_outcome, monitor_keys, simulate
 from .steady import (
     check_coexistence_hypotheses,
@@ -266,8 +267,11 @@ def parse_config(text: str) -> RunConfig:
         problems.append("[model] m: must be a positive integer")
         m = 1
 
-    def model_floats(key: str, per_species: bool) -> Optional[tuple[float, ...]]:
+    def model_floats(key: str, per_species: bool,
+                     default: Optional[tuple[float, ...]] = None) -> Optional[tuple[float, ...]]:
         text_value = raw("model", key)
+        if text_value is None:
+            return default
         values = _collect(problems, "model", key, _parse_floats, text_value)
         if values is None:
             return None
@@ -287,8 +291,8 @@ def parse_config(text: str) -> RunConfig:
     yu = model_floats("yu", per_species=True)
     yv = model_floats("yv", per_species=True)
     gamma_s = model_floats("gamma_s", per_species=False)
-    gamma_u = model_floats("gamma_u", per_species=True) if raw("model", "gamma_u") else (0.0,)
-    gamma_v = model_floats("gamma_v", per_species=True) if raw("model", "gamma_v") else (0.0,)
+    gamma_u = model_floats("gamma_u", per_species=True, default=(0.0,))
+    gamma_v = model_floats("gamma_v", per_species=True, default=(0.0,))
 
     params: Optional[ModelParams] = None
     if None not in (d0, du, dv, yu, yv, gamma_s, gamma_u, gamma_v):
@@ -376,8 +380,8 @@ def parse_config(text: str) -> RunConfig:
         problems.append(f"[controls] t_end: {problem}")
         t_end = None
     grid_n = _collect(problems, "controls", "grid_n", int, raw("controls", "grid_n"))
-    if grid_n is not None and grid_n < 16:
-        problems.append("[controls] grid_n: must be at least 16")
+    if grid_n is not None and grid_n < MIN_GRID_N:
+        problems.append(f"[controls] grid_n: must be at least {MIN_GRID_N}")
         grid_n = None
 
     # ---- [sweep] ---------------------------------------------------------
@@ -685,11 +689,11 @@ def _load_from_args(args: argparse.Namespace) -> RunConfig:
     else:
         raise ConfigError(["one of --config or --preset is required"])
     controls = config.controls
-    if getattr(args, "grid_n", None) is not None:
-        if args.grid_n < 16:
-            raise ConfigError(["--grid-n must be at least 16"])
+    if args.grid_n is not None:
+        if args.grid_n < MIN_GRID_N:
+            raise ConfigError([f"--grid-n must be at least {MIN_GRID_N}"])
         controls = replace(controls, grid_n=args.grid_n)
-    if getattr(args, "t_end", None) is not None:
+    if args.t_end is not None:
         if problem := _horizon_problem(args.t_end):
             raise ConfigError([f"--t-end {problem}"])
         controls = replace(controls, t_end=args.t_end)
@@ -847,6 +851,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             f"reproductive numbers: R_u={repro.R_u:.6f} R_v={repro.R_v:.6f} "
             f"({repro.classification})"
         )
+    else:
+        print(f"reproductive numbers: defined for single-species models only (m={params.m})")
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .eigen import solve_principal
 from .model import KineticsSpec, ModelParams
-from .operators import Array, BoundaryVariant, trapezoid
+from .operators import Array, trapezoid
 
 __all__ = [
     "ReproductiveNumbers",
@@ -81,8 +81,8 @@ def reproductive_numbers(
         raise ValueError(
             f"reproductive numbers are defined for single-species models; got m={params.m}"
         )
-    lam_u = solve_principal(params.du[0], grid_n, BoundaryVariant.INFLOW_ROBIN).value
-    lam_v = solve_principal(params.dv[0], grid_n, BoundaryVariant.INFLOW_ROBIN).value
+    lam_u = solve_principal(params.du[0], grid_n).value
+    lam_v = solve_principal(params.dv[0], grid_n).value
 
     S_in = params.gamma_s
     loss_u = float(kin.alpha[0](0.0, 0.0)) / params.yu[0]

@@ -12,10 +12,7 @@ The solver discretizes with the second-order stencils in
 matrix is similar, through a diagonal scaling, to a symmetric one, whose
 smallest eigenpair LAPACK returns directly: bisection (``dstebz``) and
 inverse iteration (``dstein``), called through
-:func:`flocstat._lapack.smallest_eigenpair`.  The mirrored variant
-(advection reversed, Robin row at the outlet) has the same spectrum — its
-matrix is the index-reversal of the other — and is provided because the
-blow-up functional weights mass with its eigenfunction.
+:func:`flocstat._lapack.smallest_eigenpair`.
 """
 
 from __future__ import annotations
@@ -27,16 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._lapack import smallest_eigenpair
-from .operators import (Array, BoundaryVariant, band_matvec, min_grid_n, operator_bands,
-                        peclet_admissible, peclet_number)
-
-__all__ = [
-    "BoundaryVariant",
-    "EigenPair",
-    "LambdaBracket",
-    "solve_principal",
-    "lambda_bracket",
-]
+from .operators import (Array, band_matvec, min_grid_n, operator_bands, peclet_admissible,
+                        peclet_number)
 
 
 @dataclass(frozen=True)
@@ -46,7 +35,6 @@ class EigenPair:
     Attributes:
         d: diffusivity the pair belongs to.
         n: number of grid nodes.
-        variant: which boundary row carries the Robin condition.
         value: principal eigenvalue (strictly above 1 on admissible grids).
         function: eigenfunction sampled on the uniform grid, strictly
             positive (entries below the smallest double, about
@@ -59,7 +47,6 @@ class EigenPair:
 
     d: float
     n: int
-    variant: BoundaryVariant
     value: float
     function: Array
     iterations: int
@@ -70,11 +57,7 @@ class EigenPair:
         return np.linspace(0.0, 1.0, self.n)
 
 
-def solve_principal(
-    d: float,
-    n: int = 401,
-    variant: BoundaryVariant = BoundaryVariant.INFLOW_ROBIN,
-) -> EigenPair:
+def solve_principal(d: float, n: int = 401) -> EigenPair:
     """Principal eigenpair by one symmetric tridiagonal eigen-solve.
 
     With cell Peclet number below 1 (``h < 2d``) every off-diagonal entry
@@ -88,8 +71,6 @@ def solve_principal(
     residual is above the rounding floor, means the grid does not resolve
     the eigenfunction and raises ValueError.
     """
-    if not (isinstance(n, int) and n >= 16):
-        raise ValueError(f"eigen solves need at least 16 nodes, got {n}")
     if d <= 0:
         raise ValueError(f"diffusivity must be positive, got {d}")
     pe = peclet_number(d, n)
@@ -98,7 +79,7 @@ def solve_principal(
             f"grid too coarse for d={d}: cell Peclet h/(2d) = {pe:.3f} >= 1; "
             f"use n > {min_grid_n(d)}"
         )
-    ab = operator_bands(d, n, variant)
+    ab = operator_bands(d, n)
     upper, lower = ab[0, 1:], ab[2, :-1]
     lam, y = smallest_eigenpair(ab[1], -np.sqrt(upper * lower))
     if y[int(np.argmax(np.abs(y)))] < 0:
@@ -118,8 +99,7 @@ def solve_principal(
             f"grid too coarse for d={d}: eigenfunction not resolved at cell Peclet "
             f"{pe:.3f} (min {float(np.min(phi)):.3e}, residual {resid:.3e}); use a finer grid"
         )
-    return EigenPair(d=float(d), n=n, variant=variant, value=lam, function=phi,
-                     iterations=1, residual=resid)
+    return EigenPair(d=float(d), n=n, value=lam, function=phi, iterations=1, residual=resid)
 
 
 class LambdaBracket(NamedTuple):

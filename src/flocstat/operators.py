@@ -3,11 +3,10 @@
 Every scalar field in the model is transported by ``w -> d*w'' - w'``
 with a feed condition ``-d*w'(0) + w(0) = gamma`` at the inlet and a
 no-flux condition ``w'(1) = 0`` at the outlet.  This module builds the
-tridiagonal matrices for that operator (and its advection-reversed
-mirror) on a uniform grid, with the boundary conditions folded into the
-first and last rows by second-order ghost-node elimination.  It also holds
-the composite trapezoid rule that integrates sampled profiles, and its
-weights.
+tridiagonal matrix for that operator on a uniform grid, with the boundary
+conditions folded into the first and last rows by second-order ghost-node
+elimination.  It also holds the composite trapezoid rule that integrates
+sampled profiles, and its weights.
 
 Matrices are returned in scipy's banded layout: ``ab[0, 1:]`` upper
 diagonal, ``ab[1, :]`` main diagonal, ``ab[2, :-1]`` lower diagonal.
@@ -16,7 +15,6 @@ diagonal, ``ab[1, :]`` main diagonal, ``ab[2, :-1]`` lower diagonal.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -24,34 +22,25 @@ import numpy as np
 Array = np.ndarray
 
 
-class BoundaryVariant(str, Enum):
-    """Which end carries the Robin (flux-balance) row.
-
-    INFLOW_ROBIN:  operator ``-d*w'' + w'`` with ``-d*w'(0) + w(0) = 0``
-                   and ``w'(1) = 0`` — the sign convention under which the
-                   transport part of the evolution equations is ``-A w``.
-    OUTFLOW_ROBIN: operator ``-d*w'' - w'`` with ``w'(0) = 0`` and
-                   ``d*w'(1) + w(1) = 0`` — the adjoint convention used by
-                   the weighted-mass (blow-up) functional.
-    """
-
-    INFLOW_ROBIN = "inflow_robin"
-    OUTFLOW_ROBIN = "outflow_robin"
+#: the fewest grid nodes a run, an eigen solve or a steady solve accepts
+MIN_GRID_N = 16
 
 
 def grid_spacing(n: int) -> float:
-    if not (isinstance(n, int) and n >= 3):
-        raise ValueError(f"grid needs at least 3 nodes, got {n}")
+    if not (isinstance(n, int) and n >= MIN_GRID_N):
+        raise ValueError(f"grid needs at least {MIN_GRID_N} nodes, got {n}")
     return 1.0 / (n - 1)
 
 
-def operator_bands(d: float, n: int, variant: BoundaryVariant = BoundaryVariant.INFLOW_ROBIN) -> Array:
-    """Banded matrix of the (negative-definite-free) transport operator.
+def operator_bands(d: float, n: int) -> Array:
+    """Banded matrix A of the transport operator, ``(A w)_j ~ -d*w''(x_j) + w'(x_j)``
+    with homogeneous boundary rows.
 
-    For INFLOW_ROBIN this is ``A`` with ``(A w)_j ~ -d*w''(x_j) + w'(x_j)``
-    and homogeneous boundary rows; the evolution operator applied by the
-    time stepper is ``-A`` plus the feed vector.  All eigenvalues of ``A``
-    are real and exceed 1 on Peclet-compliant grids (h < 2d).
+    The evolution operator applied by the time stepper is ``-A`` plus the
+    feed vector.  All eigenvalues of ``A`` are real and exceed 1 on
+    Peclet-compliant grids (h < 2d).  The adjoint operator ``-d*w'' - w'``
+    with ``w'(0) = 0`` and ``d*w'(1) + w(1) = 0`` is, on this grid, exactly
+    ``A`` under index reversal (x -> 1 - x).
     """
     if not (d > 0 and np.isfinite(d)):
         raise ValueError(f"diffusivity must be positive, got {d}")
@@ -59,28 +48,15 @@ def operator_bands(d: float, n: int, variant: BoundaryVariant = BoundaryVariant.
     ab = np.zeros((3, n))
     diff = d / h**2
     adv = 1.0 / (2.0 * h)
-    if variant == BoundaryVariant.INFLOW_ROBIN:
-        ab[0, 2:] = -diff + adv      # upper diagonal, interior columns
-        ab[1, 1:-1] = 2.0 * diff     # main diagonal, interior
-        ab[2, :-2] = -diff - adv     # lower diagonal, interior columns
-        # Robin feed row at x=0 (ghost value w_{-1} = w_1 - 2h(w_0-gamma)/d)
-        ab[1, 0] = 2.0 * diff + 2.0 / h + 1.0 / d
-        ab[0, 1] = -2.0 * diff
-        # no-flux row at x=1 (ghost value w_n = w_{n-2})
-        ab[1, -1] = 2.0 * diff
-        ab[2, -2] = -2.0 * diff
-    elif variant == BoundaryVariant.OUTFLOW_ROBIN:
-        ab[0, 2:] = -diff - adv
-        ab[1, 1:-1] = 2.0 * diff
-        ab[2, :-2] = -diff + adv
-        # no-flux row at x=0
-        ab[1, 0] = 2.0 * diff
-        ab[0, 1] = -2.0 * diff
-        # Robin outflow row at x=1 (ghost value w_n = w_{n-2} - 2h*w_{n-1}/d)
-        ab[1, -1] = 2.0 * diff + 2.0 / h + 1.0 / d
-        ab[2, -2] = -2.0 * diff
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown boundary variant {variant!r}")
+    ab[0, 2:] = -diff + adv      # upper diagonal, interior columns
+    ab[1, 1:-1] = 2.0 * diff     # main diagonal, interior
+    ab[2, :-2] = -diff - adv     # lower diagonal, interior columns
+    # Robin feed row at x=0 (ghost value w_{-1} = w_1 - 2h(w_0-gamma)/d)
+    ab[1, 0] = 2.0 * diff + 2.0 / h + 1.0 / d
+    ab[0, 1] = -2.0 * diff
+    # no-flux row at x=1 (ghost value w_n = w_{n-2})
+    ab[1, -1] = 2.0 * diff
+    ab[2, -2] = -2.0 * diff
     return ab
 
 
@@ -88,7 +64,7 @@ def feed_vector(d: float, n: int, gamma: float) -> Array:
     """Inhomogeneity carrying the inlet feed ``gamma`` into the first row.
 
     The full transport right-hand side for a field with feed gamma is
-    ``-(A w) + feed_vector`` where ``A = operator_bands(d, n, INFLOW_ROBIN)``.
+    ``-(A w) + feed_vector`` where ``A = operator_bands(d, n)``.
     """
     if gamma < 0:
         raise ValueError(f"feed concentration must be nonnegative, got {gamma}")

@@ -61,7 +61,7 @@ from numpy.linalg import LinAlgError
 from ._lapack import dgttrf, dgttrs
 from .eigen import EigenPair, solve_principal
 from .model import KineticsSpec, ModelParams, _ReactionKernel, weight_vector
-from .operators import (Array, BoundaryVariant, feed_vector, min_grid_n, operator_bands,
+from .operators import (Array, feed_vector, grid_spacing, min_grid_n, operator_bands,
                          peclet_admissible, peclet_number, trapezoid)
 
 __all__ = [
@@ -116,8 +116,7 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 16):
-            raise ValueError(f"grid needs at least 16 nodes, got {self.n}")
+        grid_spacing(self.n)  # raises below MIN_GRID_N nodes
 
     @property
     def h(self) -> float:
@@ -267,15 +266,19 @@ class SimulationResult:
         ``l1_u_i``/``l1_v_i`` (trapezoid integrals), ``mass`` (the
         ``weight_vector`` sum of the integrals), ``Q`` (the
         eigenfunction-weighted biomass of species 1,
-        ``(yu + 1)*int(u*phi) + (yv + 1)*int(v*phi)``) and ``dt`` (step that
-        produced the row).  The last row is the final state.
+        ``(yu + 1)*int(u*w) + (yv + 1)*int(v*w)`` with ``w(x) = phi(1 - x)``)
+        and ``dt`` (step that produced the row).  The last row is the final
+        state.
     snapshots: states at selected times (each carries its t).
     steps_accepted/steps_rejected: macro steps (see ``simulate``).
     fallbacks: accepted steps in which the extrapolated state was negative
         at some node, which then kept the fine state.
     clamp_total: sum over accepted steps of the largest undershoot that
         clamping removed from an IMEX substep.
-    blowup_eigenpair: the outlet-Robin eigenpair whose function weights Q.
+    blowup_eigenpair: the washout eigenpair at the first species' isolated-phase
+        diffusivity.  Q's weight is its function reflected, ``function[::-1]``:
+        the principal eigenfunction of the adjoint operator, with
+        ``w'(0) = 0`` and ``d*w'(1) + w(1) = 0``.
     """
 
     grid: Grid
@@ -306,7 +309,7 @@ class _Stepper:
             diffs += [params.du[i], params.dv[i]]
             feeds += [params.gamma_u[i], params.gamma_v[i]]
         n = grid.n
-        ab = np.hstack([operator_bands(d, n, BoundaryVariant.INFLOW_ROBIN) for d in diffs])
+        ab = np.hstack([operator_bands(d, n) for d in diffs])
         # side by side, each block's unused band corners ab[0, 0] and
         # ab[2, -1] are the couplings between blocks: they must stay zero
         ab[0, ::n] = 0.0
@@ -464,10 +467,10 @@ class _MonitorRecorder:
     state by state.
     """
 
-    def __init__(self, params: ModelParams, grid: Grid, phi: Array):
+    def __init__(self, params: ModelParams, grid: Grid, q_weight: Array):
         self.params = params
         self.h = grid.h
-        self.phi = phi
+        self.q_weight = q_weight
         self.weights = np.asarray(weight_vector(params))
         self.keys = monitor_keys(params.m)
         self.block = np.empty((RECORD_BLOCK, 2 * params.m + 1, grid.n))
@@ -492,7 +495,7 @@ class _MonitorRecorder:
         l1s = trapezoid(Ws, self.h)
         rows[:, c + 1:2 * c + 1] = l1s
         rows[:, 2 * c + 1] = [self.weights @ l1 for l1 in l1s]
-        YZ = trapezoid(Ws[:, 1:3] * self.phi, self.h)
+        YZ = trapezoid(Ws[:, 1:3] * self.q_weight, self.h)
         yu, yv = self.params.yu[0], self.params.yv[0]
         rows[:, 2 * c + 2] = (yu + 1.0) * YZ[:, 0] + (yv + 1.0) * YZ[:, 1]
         self.rows.append(rows)
@@ -531,8 +534,8 @@ def simulate(
     shortened to land on each target, a target counts as reached 1e-9
     early, each state is kept at most once, and the final state is appended
     unless it was kept already.
-    The blow-up functional Q is tracked against the outlet-Robin
-    eigenfunction at the first species' isolated-phase diffusivity.
+    The blow-up functional Q weights biomass with the washout eigenfunction
+    at the first species' isolated-phase diffusivity, reflected x -> 1 - x.
 
     Raises ValueError for inconsistent inputs, among them a horizon that
     does not exceed the initial time by more than the time tolerance
@@ -558,8 +561,9 @@ def simulate(
 
     grid = initial.grid
     stepper = _Stepper(params, kin, grid)
-    pair = solve_principal(params.du[0], grid.n, BoundaryVariant.OUTFLOW_ROBIN)
-    recorder = _MonitorRecorder(params, grid, pair.function)
+    pair = solve_principal(params.du[0], grid.n)
+    # Q's weight: the adjoint eigenfunction, phi reflected, copied contiguous once
+    recorder = _MonitorRecorder(params, grid, pair.function[::-1].copy())
     record = recorder.record
     if snapshot_times is None:
         targets = np.linspace(initial.t, t_end, 11).tolist()

@@ -48,7 +48,7 @@ import numpy as np
 from ._lapack import dtbtrs
 from .eigen import solve_principal
 from .model import GrowthLaw, KineticsSpec, ModelParams, _ReactionKernel
-from .operators import Array, BoundaryVariant, transport_defect, trapezoid_weights
+from .operators import Array, transport_defect, trapezoid_weights
 from .pde import Grid
 
 __all__ = [
@@ -480,7 +480,7 @@ def check_extinction_hypotheses(params: ModelParams, kin: KineticsSpec,
     else:
         raise ValueError(f"which must be 'attached' or 'isolated', got {which!r}")
 
-    lam = solve_principal(d_bio, grid_n, BoundaryVariant.INFLOW_ROBIN).value
+    lam = solve_principal(d_bio, grid_n).value
     attenuation = _kernel_attenuation(d_bio)
     growth_at_feed = float(growth(1.0))
     clauses = (
@@ -556,8 +556,7 @@ def check_coexistence_hypotheses(params: ModelParams, kin: KineticsSpec, *,
     on the whole envelope box only under monotonicity.
     """
     _require_theory_regime(params, kin)
-    pairs = [solve_principal(d, grid_n, BoundaryVariant.INFLOW_ROBIN)
-             for d in (params.d0, params.du[0], params.dv[0])]
+    pairs = [solve_principal(d, grid_n) for d in (params.d0, params.du[0], params.dv[0])]
     for label, pair in zip(("d0", "du", "dv"), pairs):
         # the envelope ratios below are 0/0 wherever an eigenfunction is 0
         if float(np.min(pair.function)) <= 0.0:

@@ -17,7 +17,7 @@ from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from flocstat.model import reaction_field
-from flocstat.operators import BoundaryVariant, operator_bands
+from flocstat.operators import operator_bands
 
 
 def transcendental_eigenvalue(d: float) -> float:
@@ -156,7 +156,7 @@ def imex_step_banded(params, kin, W, dt: float):
     for c, (d, gamma) in enumerate(zip(diffs, feeds)):
         feed = np.zeros(n)
         feed[0] = (2.0 / h + 1.0 / d) * gamma
-        lhs = dt * operator_bands(d, n, BoundaryVariant.INFLOW_ROBIN)
+        lhs = dt * operator_bands(d, n)
         lhs[1] += 1.0
         out[c] = solve_banded((1, 1), lhs, W[c] + dt * (R[c] + feed))
     if out.min() < 0.0:

@@ -11,6 +11,7 @@ import pytest
 
 import flocstat as fs
 from flocstat.cli import _simulate_config
+from flocstat.model import _sample_points
 from flocstat.operators import transport_defect
 from conftest import floc_kinetics, standard_params
 
@@ -262,12 +263,17 @@ def test_criterion_10_property_suites():
     start = time.perf_counter()
     parts = []
 
-    # (QP) boundary nonnegativity of the reaction field for every preset
+    # (QP) for every preset, each row of the reaction field is nonnegative
+    # on the face of check's sampled box where its own component vanishes
     qp_ok = True
     for name in fs.available_presets():
         config = fs.load_preset(name)
-        report = fs.check_structural_conditions(config.params, config.kin)
-        qp_ok = qp_ok and report.quasipositive == "satisfied"
+        box = _sample_points(config.params.m)
+        for row in range(len(box)):
+            face = box.copy()
+            face[row] = 0.0
+            field = fs.reaction_field(config.params, config.kin, face[0], face[1::2], face[2::2])
+            qp_ok = qp_ok and bool(np.min(field[row]) >= 0.0)
     parts.append(("quasipositivity", qp_ok))
 
     # (DISS) weighted-mass inequality on the sampled box for every preset

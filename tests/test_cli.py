@@ -51,6 +51,14 @@ t_end = 2
 grid_n = 101
 """
 
+TWO_SPECIES = MINIMAL.replace("du = 1", "du = 1 2").replace(
+    "dv = 10", "dv = 10 10"
+).replace("yu = 0.1", "yu = 0.1 0.2").replace(
+    "yv = 0.1", "yv = 0.1 0.2"
+).replace(
+    "f = monod 4 1", "f = monod 4 1; haldane 3 1 1"
+).replace("d0 = 1", "d0 = 1\nm = 2")
+
 
 class TestParseConfig:
     def test_minimal_document(self):
@@ -88,6 +96,13 @@ class TestParseConfig:
         assert "unknown key 'mystery'" in text
         assert "[kinetics] f" in text
         assert len(err.value.problems) == 3
+
+    @pytest.mark.parametrize("key", ["gamma_u", "gamma_v"])
+    def test_empty_optional_feed_rejected(self, key):
+        """An optional key given without a value is an error, not 0."""
+        with pytest.raises(fs.ConfigError) as err:
+            fs.parse_config(MINIMAL.replace("gamma_s = 1", f"gamma_s = 1\n{key} ="))
+        assert err.value.problems == (f"[model] {key}: no numeric values given",)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(fs.ConfigError, match="unknown section"):
@@ -172,14 +187,7 @@ class TestParseConfig:
             fs.parse_config(MINIMAL + "\n[sweep]\nparameter = q\nvalues = 1\n")
 
     def test_two_species_document(self):
-        text = MINIMAL.replace("du = 1", "du = 1 2").replace(
-            "dv = 10", "dv = 10 10"
-        ).replace("yu = 0.1", "yu = 0.1 0.2").replace(
-            "yv = 0.1", "yv = 0.1 0.2"
-        ).replace(
-            "f = monod 4 1", "f = monod 4 1; haldane 3 1 1"
-        ).replace("d0 = 1", "d0 = 1\nm = 2")
-        cfg = fs.parse_config(text)
+        cfg = fs.parse_config(TWO_SPECIES)
         assert cfg.params.m == 2
         assert isinstance(cfg.kin.f[1], fs.Haldane)
         assert len(cfg.kin.alpha) == 2
@@ -553,6 +561,17 @@ class TestMainEntry:
         # constant or witness point goes with it
         assert "one_sided_balance: violated (species 1: none (declared r=3))\n" in out
         assert "witness" not in out
+
+    def test_check_verb_two_species_says_why_no_reproductive_numbers(self, tmp_path, capsys):
+        config = tmp_path / "two.ini"
+        config.write_text(TWO_SPECIES)
+        code = main(["check", "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert captured.out.endswith(
+            "reproductive numbers: defined for single-species models only (m=2)\n")
+        assert "R_u" not in captured.out
+        assert captured.err == ""
 
     def test_steady_verb(self, tmp_path, capsys):
         code = main(["steady", "--preset", "fig2a", "--grid-n", "201",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import flocstat as fs
-from flocstat.eigen import BoundaryVariant
 from flocstat.operators import trapezoid
 from conftest import floc_kinetics, standard_params
 
@@ -57,16 +56,33 @@ def first_monitor_row(state, params):
 
 class TestBlowupFunctional:
     def test_weighted_masses_of_constant_state(self):
-        """Q weights u and v with the outlet-Robin eigenfunction at du."""
+        """Q weights u and v with the washout eigenfunction at du, reflected."""
         grid = fs.Grid(201)
         params = standard_params(du=1.0, yu=2.0, yv=2.0)
         state = fs.StateField.constant(grid, S=1.0, u=2.0, v=3.0)
         result, row = first_monitor_row(state, params)
-        pair = fs.solve_principal(1.0, n=201, variant=BoundaryVariant.OUTFLOW_ROBIN)
+        pair = fs.solve_principal(1.0, n=201)
         np.testing.assert_array_equal(result.blowup_eigenpair.function, pair.function)
-        phi_mass = trapezoid(pair.function, grid.h)
+        phi_mass = trapezoid(pair.function[::-1], grid.h)
         assert row["Q"] == pytest.approx((2.0 + 1.0) * 2.0 * phi_mass
                                          + (2.0 + 1.0) * 3.0 * phi_mass, rel=1e-12)
+
+    @pytest.mark.parametrize("du", [1.0, 0.2])
+    def test_weight_meets_the_adjoint_boundary_conditions(self, du):
+        """The Q weight w = phi(1 - x) satisfies w'(0) = 0 and
+        du*w'(1) + w(1) = 0 at second order (one-sided differences)."""
+        params = standard_params(du=du)
+
+        def defect(n: int) -> float:
+            state = fs.StateField.constant(fs.Grid(n), S=1.0, u=1.0, v=1.0)
+            w = first_monitor_row(state, params)[0].blowup_eigenpair.function[::-1]
+            h = 1.0 / (n - 1)
+            dw_in = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * h)
+            dw_out = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * h)
+            return max(abs(dw_in), abs(du * dw_out + w[-1]))
+
+        order = np.log(defect(201) / defect(801)) / np.log(4.0)
+        assert order > 1.9
 
 
 class TestEnergy:

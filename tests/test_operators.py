@@ -8,7 +8,7 @@ from scipy.integrate import trapezoid as scipy_trapezoid
 from scipy.linalg import solve_banded
 
 from flocstat.operators import (
-    BoundaryVariant,
+    MIN_GRID_N,
     TransportDefect,
     band_matvec,
     feed_vector,
@@ -35,7 +35,7 @@ class TestBands:
     def test_interior_stencil_inflow(self):
         d, n = 0.5, 21
         h = grid_spacing(n)
-        ab = operator_bands(d, n, BoundaryVariant.INFLOW_ROBIN)
+        ab = operator_bands(d, n)
         j = 10
         assert ab[1, j] == pytest.approx(2.0 * d / h**2)
         assert ab[0, j + 1] == pytest.approx(-d / h**2 + 1.0 / (2.0 * h))
@@ -45,22 +45,15 @@ class TestBands:
         """The constant feed profile is an exact discrete solution: A(g*1) = b(g)."""
         for d in (0.05, 0.3, 1.0, 10.0):
             n = 101
-            ab = operator_bands(d, n, BoundaryVariant.INFLOW_ROBIN)
+            ab = operator_bands(d, n)
             gamma = 1.7
             lhs = band_matvec(ab, np.full(n, gamma))
             rhs = feed_vector(d, n, gamma)
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
-    def test_outflow_is_reversed_inflow(self):
-        """The outflow-normalized operator is the inflow one under index reversal."""
-        d, n = 0.4, 33
-        A_in = dense_from_bands(operator_bands(d, n, BoundaryVariant.INFLOW_ROBIN))
-        A_out = dense_from_bands(operator_bands(d, n, BoundaryVariant.OUTFLOW_ROBIN))
-        np.testing.assert_allclose(A_out, A_in[::-1, ::-1], atol=1e-12)
-
     def test_band_matvec_matches_dense(self):
         rng = np.random.default_rng(7)
-        ab = operator_bands(0.2, 17, BoundaryVariant.INFLOW_ROBIN)
+        ab = operator_bands(0.2, 17)
         w = rng.random(17)
         np.testing.assert_allclose(
             band_matvec(ab, w), dense_from_bands(ab) @ w, rtol=1e-13
@@ -69,7 +62,7 @@ class TestBands:
     def test_inverse_positivity(self):
         """(I + dt*A)^{-1} preserves nonnegativity and is bounded by 1 on constants."""
         d, n, dt = 0.1, 201, 0.05
-        ab = operator_bands(d, n, BoundaryVariant.INFLOW_ROBIN)
+        ab = operator_bands(d, n)
         lhs = ab * dt
         lhs[1, :] += 1.0
         rng = np.random.default_rng(11)
@@ -81,6 +74,12 @@ class TestBands:
         assert np.max(ones) <= 1.0 + 1e-12
         assert np.min(ones) >= 0.0
 
+    def test_min_grid_n_is_enforced(self):
+        assert grid_spacing(MIN_GRID_N) == 1.0 / (MIN_GRID_N - 1)
+        for n in (MIN_GRID_N - 1, 3):
+            with pytest.raises(ValueError, match=f"at least {MIN_GRID_N} nodes"):
+                grid_spacing(n)
+
     def test_peclet_number(self):
         assert peclet_number(0.01, 201) == pytest.approx(grid_spacing(201) / 0.02)
 
@@ -88,7 +87,7 @@ class TestBands:
     def test_row_sums_nonnegative_inflow(self, d):
         """Row sums vanish in the interior and at outflow, and are positive at inflow."""
         n = 101
-        A = dense_from_bands(operator_bands(d, n, BoundaryVariant.INFLOW_ROBIN))
+        A = dense_from_bands(operator_bands(d, n))
         sums = A.sum(axis=1)
         np.testing.assert_allclose(sums[1:], 0.0, atol=1e-8)
         assert sums[0] > 0.0

@@ -179,7 +179,7 @@ def per_row_monitors(result, params, kin):
     integrals from scipy's ``trapezoid`` on that row alone."""
     h = result.grid.h
     weights = np.asarray(fs.weight_vector(params))
-    phi = result.blowup_eigenpair.function
+    phi = result.blowup_eigenpair.function[::-1]
     keys = monitor_keys(params.m)
     states = replayed_states(result, params, kin)
     rows = []
