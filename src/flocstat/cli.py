@@ -16,17 +16,24 @@ Exit codes
 
 INI schema
 ----------
-``[model]``     d0, du, dv, yu, yv, gamma_s  (required); m, gamma_u, gamma_v
-``[kinetics]``  f, g, alpha, beta            (required; descriptor strings)
-``[initial]``   S, u, v                      (required; constant or samples)
+``[model]``     m (species count, default 1); d0, gamma_s (required; one value
+                each); du, dv, yu, yv (required; 1 or m values each);
+                gamma_u, gamma_v (1 or m values each, default 0)
+``[kinetics]``  f, g (required; 1 or m growth descriptors each); alpha, beta
+                (required; 1 or m rate descriptors each)
+``[initial]``   S (required; one profile); u, v (required; 1 or m profiles
+                each)
 ``[controls]``  t_end (required; finite and positive); grid_n (at least 16,
-                default 201)
-``[sweep]``     parameter (one of d0/du/dv/yu/yv/gamma_s), values
+                default 201); ``--t-end`` and ``--grid-n`` override them,
+                under the same checks
+``[sweep]``     optional, single-species runs only: parameter (required; one
+                of d0, du, dv, yu, yv, gamma_s) and values (required; one or
+                more floats)
 
-For ``m`` species the per-species entries (du, dv, yu, yv, gamma_u, gamma_v)
-are space- or comma-separated lists of ``m`` floats, kinetics descriptors are
-separated by ``;``, and the initial attached/isolated profiles are
-``;``-separated per species.  Growth descriptors: ``monod a b``, ``haldane a b c``, ``zero``.
+The table ``_SCHEMA`` below is this schema; :func:`parse_config` reads every
+key through it.  Values are separated by spaces or commas; descriptors and
+profiles by ``;``.  A key with 1 entry gives it to every species.
+Growth descriptors: ``monod a b``, ``haldane a b c``, ``zero``.
 Exchange-rate descriptors: ``constant c``, ``linear_total c``,
 ``attached_times_total``, ``one_plus_attached_times_total``,
 ``power_total c l``.
@@ -49,6 +56,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -90,8 +98,6 @@ PRESET_ALIASES = {
     "fig3": "fig3a",
     "fig6": "fig6p",
 }
-
-_SWEEPABLE = ("d0", "du", "dv", "yu", "yv", "gamma_s")
 
 
 class ConfigError(Exception):
@@ -142,6 +148,9 @@ def _parse_law(text: str, laws: dict, kind: str) -> Union[GrowthLaw, FlocRate]:
                         for f, arg in zip(arguments, args)))
 
 
+Profile = tuple[float, ...]
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     values = tuple(float(tok) for tok in text.replace(",", " ").split())
     if not values:
@@ -149,7 +158,26 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return values
 
 
-Profile = tuple[float, ...]
+def _parse_float(text: str) -> float:
+    values = _parse_floats(text)
+    if len(values) != 1:
+        raise ValueError("expected a single value")
+    return values[0]
+
+
+def _parse_profile(text: str) -> Profile:
+    """One float (a constant profile) or samples at evenly spaced abscissae."""
+    values = _parse_floats(text)
+    if not all(map(math.isfinite, values)):
+        raise ValueError("values must be finite")
+    if any(val < 0 for val in values):
+        raise ValueError("values must be nonnegative")
+    return values
+
+
+def _per_species(parse: Callable[[str], object]) -> Callable[[str], tuple]:
+    """A parser of ``;``-separated entries, each read by ``parse``."""
+    return lambda text: tuple(parse(piece.strip()) for piece in text.split(";"))
 
 
 # --------------------------------------------------------------------------
@@ -186,20 +214,8 @@ class RunConfig:
     sweep: Optional[SweepAxis] = None
 
 
-_REQUIRED_KEYS = {
-    "model": ("d0", "du", "dv", "yu", "yv", "gamma_s"),
-    "kinetics": ("f", "g", "alpha", "beta"),
-    "initial": ("S", "u", "v"),
-    "controls": ("t_end",),
-}
-
-_KNOWN_KEYS = {
-    "model": {"m", "d0", "du", "dv", "yu", "yv", "gamma_s", "gamma_u", "gamma_v"},
-    "kinetics": {"f", "g", "alpha", "beta"},
-    "initial": {"S", "u", "v"},
-    "controls": {"t_end", "grid_n"},
-    "sweep": {"parameter", "values"},
-}
+def _species_problem(m: int) -> Optional[str]:
+    return None if m >= 1 else "must be a positive integer"
 
 
 def _horizon_problem(t_end: float) -> Optional[str]:
@@ -211,21 +227,79 @@ def _horizon_problem(t_end: float) -> Optional[str]:
     return None
 
 
-def _collect(
-    problems: list[str],
-    section: str,
-    key: str,
-    parser: Callable[[str], object],
-    raw: Optional[str],
-):
-    """Parse one value, recording (not raising) any violation."""
-    if raw is None:
+def _grid_problem(grid_n: int) -> Optional[str]:
+    return None if grid_n >= MIN_GRID_N else f"must be at least {MIN_GRID_N}"
+
+
+def _sweep_problem(parameter: str) -> Optional[str]:
+    if parameter in _SWEEPABLE:
         return None
-    try:
-        return parser(raw)
-    except (ValueError, OverflowError) as exc:
-        problems.append(f"[{section}] {key}: {exc}")
-        return None
+    return f"{parameter!r} is not sweepable (choose one of {', '.join(_SWEEPABLE)})"
+
+
+@dataclass(frozen=True)
+class _Key:
+    """How :func:`parse_config` reads one INI key.
+
+    ``parse`` turns the key's text into its value and raises ValueError on
+    bad text; ``check`` says why a parsed value is out of range, or returns
+    None.  A per-species key names its entries (``values``, ``descriptors``
+    or ``profiles``) in ``entries``: it holds 1 of them, for every species,
+    or m.
+    """
+
+    parse: Callable[[str], object]
+    required: bool = False
+    entries: Optional[str] = None
+    check: Callable[[object], Optional[str]] = lambda value: None
+
+    def read(self, text: str, m: int):
+        """The value ``text`` gives for m species; raises ValueError."""
+        value = self.parse(text)
+        if problem := self.check(value):
+            raise ValueError(problem)
+        if self.entries is None:
+            return value
+        if len(value) not in (1, m):
+            raise ValueError(f"expected 1 or {m} {self.entries}, got {len(value)}")
+        return value * m if len(value) == 1 else value
+
+
+#: the [model] key that sets the species count m of the per-species keys
+_SPECIES = "m"
+
+_FLOAT = _Key(_parse_float, required=True)
+_VALUES = _Key(_parse_floats, required=True, entries="values")
+_FEED = _Key(_parse_floats, entries="values")
+_GROWTH = _Key(_per_species(partial(_parse_law, laws=_GROWTH_LAWS, kind="growth")),
+               required=True, entries="descriptors")
+_RATE = _Key(_per_species(partial(_parse_law, laws=_RATE_LAWS, kind="rate")),
+             required=True, entries="descriptors")
+_PROFILES = _Key(_per_species(_parse_profile), required=True, entries="profiles")
+
+#: the INI schema: section -> key -> how it is read, in the order that
+#: problems are reported.  A key left out takes the default of the field it
+#: fills (ModelParams.gamma_u/gamma_v, Controls.grid_n; m is 1).
+_SCHEMA: dict[str, dict[str, _Key]] = {
+    "model": {
+        _SPECIES: _Key(int, check=_species_problem),
+        "d0": _FLOAT, "du": _VALUES, "dv": _VALUES, "yu": _VALUES, "yv": _VALUES,
+        "gamma_s": _FLOAT, "gamma_u": _FEED, "gamma_v": _FEED,
+    },
+    "kinetics": {"f": _GROWTH, "g": _GROWTH, "alpha": _RATE, "beta": _RATE},
+    "initial": {"S": _Key(_parse_profile, required=True), "u": _PROFILES, "v": _PROFILES},
+    "controls": {
+        "t_end": _Key(float, required=True, check=_horizon_problem),
+        "grid_n": _Key(int, check=_grid_problem),
+    },
+    "sweep": {
+        "parameter": _Key(str, required=True, check=_sweep_problem),
+        "values": _Key(_parse_floats, required=True),
+    },
+}
+
+#: the physical parameters: the required [model] keys
+_SWEEPABLE = tuple(key for key, spec in _SCHEMA["model"].items() if spec.required)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -245,179 +319,62 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError([f"INI syntax: {exc}"]) from exc
 
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SCHEMA:
             problems.append(f"unknown section [{section}]")
             continue
-        for key in cp[section]:
-            if key not in _KNOWN_KEYS[section]:
-                problems.append(f"[{section}] unknown key {key!r}")
-    for section, keys in _REQUIRED_KEYS.items():
-        for key in keys:
+        problems += [f"[{section}] unknown key {key!r}"
+                     for key in cp[section] if key not in _SCHEMA[section]]
+    # [sweep] may be left out; its missing keys are reported as it is read
+    problems += [f"[{section}] missing required key {key!r}"
+                 for section, keys in _SCHEMA.items() if section != "sweep"
+                 for key, spec in keys.items() if spec.required and not cp.has_option(section, key)]
+
+    m = 1
+
+    def build(section: str, make: Callable[..., object], report_missing: bool = False):
+        """``make`` called with the keys given in ``section``; None, with the
+        problems recorded, if a key is missing or bad or ``make`` fails."""
+        nonlocal m
+        values, complete = {}, True
+        for key, spec in _SCHEMA[section].items():
             if not cp.has_option(section, key):
-                problems.append(f"[{section}] missing required key {key!r}")
-
-    def raw(section: str, key: str) -> Optional[str]:
-        return cp.get(section, key) if cp.has_option(section, key) else None
-
-    # ---- [model] -------------------------------------------------------
-    m = _collect(problems, "model", "m", int, raw("model", "m"))
-    if m is None:
-        m = 1
-    elif m < 1:
-        problems.append("[model] m: must be a positive integer")
-        m = 1
-
-    def model_floats(key: str, per_species: bool,
-                     default: Optional[tuple[float, ...]] = None) -> Optional[tuple[float, ...]]:
-        text_value = raw("model", key)
-        if text_value is None:
-            return default
-        values = _collect(problems, "model", key, _parse_floats, text_value)
-        if values is None:
-            return None
-        if per_species and len(values) not in (1, m):
-            problems.append(
-                f"[model] {key}: expected 1 or {m} values, got {len(values)}"
-            )
-            return None
-        if not per_species and len(values) != 1:
-            problems.append(f"[model] {key}: expected a single value")
-            return None
-        return values
-
-    d0 = model_floats("d0", per_species=False)
-    du = model_floats("du", per_species=True)
-    dv = model_floats("dv", per_species=True)
-    yu = model_floats("yu", per_species=True)
-    yv = model_floats("yv", per_species=True)
-    gamma_s = model_floats("gamma_s", per_species=False)
-    gamma_u = model_floats("gamma_u", per_species=True, default=(0.0,))
-    gamma_v = model_floats("gamma_v", per_species=True, default=(0.0,))
-
-    params: Optional[ModelParams] = None
-    if None not in (d0, du, dv, yu, yv, gamma_s, gamma_u, gamma_v):
-        try:
-            params = ModelParams(
-                m=m,
-                d0=d0[0],
-                du=du if len(du) == m else du * m,
-                dv=dv if len(dv) == m else dv * m,
-                yu=yu if len(yu) == m else yu * m,
-                yv=yv if len(yv) == m else yv * m,
-                gamma_s=gamma_s[0],
-                gamma_u=gamma_u if len(gamma_u) == m else gamma_u * m,
-                gamma_v=gamma_v if len(gamma_v) == m else gamma_v * m,
-            )
-        except (ValueError, TypeError) as exc:
-            problems.append(f"[model] {exc}")
-
-    # ---- [kinetics] ------------------------------------------------------
-    def kinetics_list(key: str, laws: dict, kind: str) -> Optional[tuple]:
-        text_value = raw("kinetics", key)
-        if text_value is None:
-            return None
-        pieces = [p.strip() for p in text_value.split(";")]
-        parsed = []
-        for piece in pieces:
-            item = _collect(problems, "kinetics", key,
-                            lambda text: _parse_law(text, laws, kind), piece)
-            if item is None:
-                return None
-            parsed.append(item)
-        if len(parsed) not in (1, m):
-            problems.append(
-                f"[kinetics] {key}: expected 1 or {m} descriptors, got {len(parsed)}"
-            )
-            return None
-        return tuple(parsed) if len(parsed) == m else tuple(parsed) * m
-
-    f_laws = kinetics_list("f", _GROWTH_LAWS, "growth")
-    g_laws = kinetics_list("g", _GROWTH_LAWS, "growth")
-    alpha = kinetics_list("alpha", _RATE_LAWS, "rate")
-    beta = kinetics_list("beta", _RATE_LAWS, "rate")
-
-    kin: Optional[KineticsSpec] = None
-    if None not in (f_laws, g_laws, alpha, beta):
-        try:
-            kin = KineticsSpec(f=f_laws, g=g_laws, alpha=alpha, beta=beta)
-        except (ValueError, TypeError) as exc:
-            problems.append(f"[kinetics] {exc}")
-
-    # ---- [initial] -------------------------------------------------------
-    def initial_profiles(key: str, per_species: bool) -> Optional[tuple[Profile, ...]]:
-        text_value = raw("initial", key)
-        if text_value is None:
-            return None
-        pieces = [p.strip() for p in text_value.split(";")] if per_species else [text_value]
-        profiles = []
-        for piece in pieces:
-            values = _collect(problems, "initial", key, _parse_floats, piece)
-            if values is None:
-                return None
-            if not all(map(math.isfinite, values)):
-                problems.append(f"[initial] {key}: values must be finite")
-                return None
-            if any(val < 0 for val in values):
-                problems.append(f"[initial] {key}: values must be nonnegative")
-                return None
-            profiles.append(values)
-        if per_species and len(profiles) not in (1, m):
-            problems.append(
-                f"[initial] {key}: expected 1 or {m} profiles, got {len(profiles)}"
-            )
-            return None
-        if per_species and len(profiles) == 1:
-            profiles = profiles * m
-        return tuple(profiles)
-
-    initial_S = initial_profiles("S", per_species=False)
-    initial_u = initial_profiles("u", per_species=True)
-    initial_v = initial_profiles("v", per_species=True)
-
-    # ---- [controls] ------------------------------------------------------
-    t_end = _collect(problems, "controls", "t_end", float, raw("controls", "t_end"))
-    if t_end is not None and (problem := _horizon_problem(t_end)):
-        problems.append(f"[controls] t_end: {problem}")
-        t_end = None
-    grid_n = _collect(problems, "controls", "grid_n", int, raw("controls", "grid_n"))
-    if grid_n is not None and grid_n < MIN_GRID_N:
-        problems.append(f"[controls] grid_n: must be at least {MIN_GRID_N}")
-        grid_n = None
-
-    # ---- [sweep] ---------------------------------------------------------
-    sweep: Optional[SweepAxis] = None
-    if cp.has_section("sweep"):
-        parameter = raw("sweep", "parameter")
-        values_text = raw("sweep", "values")
-        if parameter is None:
-            problems.append("[sweep] missing required key 'parameter'")
-        elif parameter not in _SWEEPABLE:
-            problems.append(
-                f"[sweep] parameter: {parameter!r} is not sweepable "
-                f"(choose one of {', '.join(_SWEEPABLE)})"
-            )
-            parameter = None
-        if values_text is None:
-            problems.append("[sweep] missing required key 'values'")
-        values = _collect(problems, "sweep", "values", _parse_floats, values_text)
-        if parameter is not None and values is not None:
-            if m != 1:
-                problems.append("[sweep] sweeps support single-species runs only")
+                if spec.required and report_missing:
+                    problems.append(f"[{section}] missing required key {key!r}")
+                complete = complete and not spec.required
+                continue
+            try:
+                value = spec.read(cp.get(section, key), m)
+            except (ValueError, OverflowError) as exc:
+                problems.append(f"[{section}] {key}: {exc}")
+                value = None
+            if key == _SPECIES:  # a bad count is reported; the others are read for m = 1
+                m = value or 1
+            elif value is None:
+                complete = False
             else:
-                sweep = SweepAxis(parameter=parameter, values=values)
+                values[key] = value
+        if not complete:
+            return None
+        try:
+            return make(**values)
+        except (ValueError, TypeError) as exc:
+            problems.append(f"[{section}] {exc}")
+            return None
 
+    def sweep_axis(**axis) -> SweepAxis:
+        if m != 1:
+            raise ValueError("sweeps support single-species runs only")
+        return SweepAxis(**axis)
+
+    params = build("model", lambda **model: ModelParams(m=m, **model))
+    kin = build("kinetics", KineticsSpec)
+    initial = build("initial", dict)
+    controls = build("controls", Controls)
+    sweep = build("sweep", sweep_axis, report_missing=True) if cp.has_section("sweep") else None
     if problems:
         raise ConfigError(problems)
-
-    return RunConfig(
-        params=params,
-        kin=kin,
-        initial_S=initial_S,
-        initial_u=initial_u,
-        initial_v=initial_v,
-        controls=Controls(t_end) if grid_n is None else Controls(t_end, grid_n),
-        sweep=sweep,
-    )
+    return RunConfig(params=params, kin=kin, controls=controls, sweep=sweep,
+                     **{f"initial_{key}": profile for key, profile in initial.items()})
 
 
 def load_config(path: Union[str, Path]) -> RunConfig:
@@ -548,9 +505,10 @@ def run_experiment(
 
 
 def _apply_sweep_value(params: ModelParams, parameter: str, value: float) -> ModelParams:
-    if parameter in ("d0", "gamma_s"):
-        return replace(params, **{parameter: value})
-    return replace(params, **{parameter: (value,)})
+    """``params`` with ``parameter = value``: a float for a single-value key,
+    a 1-tuple for a per-species one."""
+    per_species = _SCHEMA["model"][parameter].entries is not None
+    return replace(params, **{parameter: (value,) if per_species else value})
 
 
 #: the columns of summary.csv that copy the last monitor row of a point
@@ -591,11 +549,13 @@ def _sweep_point(
 
 
 def _smallest_diffusivity(params: ModelParams, parameter: str, value: float) -> float:
-    """The smallest diffusivity of the sweep point ``parameter = value``."""
-    diffusivities = {"d0": (params.d0,), "du": params.du, "dv": params.dv}
-    if parameter in diffusivities:
-        diffusivities[parameter] = (value,)
-    return min(min(d) for d in diffusivities.values())
+    """The smallest diffusivity of the sweep point ``parameter = value``;
+    -inf for a point whose parameters are invalid (it fails at once)."""
+    try:
+        point = _apply_sweep_value(params, parameter, value)
+    except ValueError:
+        return -math.inf
+    return min(point.d0, *point.du, *point.dv)
 
 
 def _usable_cpus() -> int:
@@ -688,16 +648,17 @@ def _load_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError([str(exc.args[0])]) from exc
     else:
         raise ConfigError(["one of --config or --preset is required"])
-    controls = config.controls
-    if args.grid_n is not None:
-        if args.grid_n < MIN_GRID_N:
-            raise ConfigError([f"--grid-n must be at least {MIN_GRID_N}"])
-        controls = replace(controls, grid_n=args.grid_n)
-    if args.t_end is not None:
-        if problem := _horizon_problem(args.t_end):
-            raise ConfigError([f"--t-end {problem}"])
-        controls = replace(controls, t_end=args.t_end)
-    return replace(config, controls=controls)
+    # each [controls] key has a flag --<key> that overrides it
+    overrides, problems = {}, []
+    for key, spec in _SCHEMA["controls"].items():
+        value = getattr(args, key)
+        if value is not None:
+            if problem := spec.check(value):
+                problems.append(f"--{key.replace('_', '-')} {problem}")
+            overrides[key] = value
+    if problems:
+        raise ConfigError(problems)
+    return replace(config, controls=replace(config.controls, **overrides))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -865,8 +826,8 @@ def _add_common(parser: argparse.ArgumentParser, presets: str) -> None:
     parser.add_argument("--config", help="path to an INI run configuration")
     parser.add_argument("--preset", help="name of a shipped preset: " + presets)
     parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument("--grid-n", type=int, dest="grid_n", help="override grid size")
-    parser.add_argument("--t-end", type=float, dest="t_end", help="override end time")
+    parser.add_argument("--grid-n", type=int, help="override grid size")
+    parser.add_argument("--t-end", type=float, help="override end time")
 
 
 def build_parser() -> argparse.ArgumentParser:

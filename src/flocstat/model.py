@@ -292,8 +292,8 @@ class ModelParams:
     """Physical parameters: diffusivities, yields and feed concentrations.
 
     Scalars are accepted for the per-species fields and broadcast to all
-    ``m`` species.  All diffusivities and yields must be positive and all
-    feed concentrations nonnegative.
+    ``m`` species.  All diffusivities and yields must be finite and positive,
+    and all feed concentrations finite and nonnegative.
     """
 
     m: int
@@ -323,11 +323,11 @@ class ModelParams:
             for x in getattr(self, name):
                 if not (x > 0 and math.isfinite(x)):
                     raise ValueError(f"yield {name} entries must be positive, got {x}")
-        if self.gamma_s < 0:
+        if not (self.gamma_s >= 0 and math.isfinite(self.gamma_s)):
             raise ValueError(f"feed concentration gamma_s must be nonnegative, got {self.gamma_s}")
         for name in ("gamma_u", "gamma_v"):
             for x in getattr(self, name):
-                if x < 0:
+                if not (x >= 0 and math.isfinite(x)):
                     raise ValueError(f"feed concentration {name} entries must be nonnegative, got {x}")
 
     @property

@@ -20,9 +20,11 @@ from flocstat.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     PRESET_ALIASES,
+    _SCHEMA,
     available_presets,
     build_initial_state,
     main,
+    preset_text,
 )
 from flocstat.pde import monitor_keys
 
@@ -113,12 +115,16 @@ class TestParseConfig:
             fs.parse_config(MINIMAL.replace("yu = 0.1", "yu = -1"))
 
     def test_tabulated_initial_profile(self):
-        cfg = fs.parse_config(MINIMAL.replace("\nu = 1", "\nu = 0 1 0"))
+        cfg = fs.parse_config(MINIMAL.replace("\nu = 1", "\nu = 0 1 0")
+                              .replace("S = 0.1", "S = 0 1 0"))
+        assert cfg.initial_S == (0.0, 1.0, 0.0)
+        assert cfg.initial_u == ((0.0, 1.0, 0.0),)
         grid = fs.Grid(cfg.controls.grid_n)
         state = build_initial_state(cfg, grid)
-        assert state.u[0, 0] == 0.0
-        assert state.u[0, 50] == pytest.approx(1.0)
-        assert state.u[0, -1] == 0.0
+        for profile in (state.S, state.u[0]):
+            assert profile[0] == 0.0
+            assert profile[50] == pytest.approx(1.0)
+            assert profile[-1] == 0.0
 
     def test_negative_initial_rejected(self):
         with pytest.raises(fs.ConfigError, match="nonnegative"):
@@ -192,6 +198,91 @@ class TestParseConfig:
         assert isinstance(cfg.kin.f[1], fs.Haldane)
         assert len(cfg.kin.alpha) == 2
         assert len(cfg.initial_u) == 2
+
+    @pytest.mark.parametrize("document, line, replacement, problem", [
+        (TWO_SPECIES, "du = 1 2", "du = 1 2 3", "[model] du: expected 1 or 2 values, got 3"),
+        (TWO_SPECIES, "f = monod 4 1; haldane 3 1 1", "f = monod 4 1; zero; zero",
+         "[kinetics] f: expected 1 or 2 descriptors, got 3"),
+        (TWO_SPECIES, "\nu = 1", "\nu = 1; 0 1; 2",
+         "[initial] u: expected 1 or 2 profiles, got 3"),
+        (MINIMAL, "d0 = 1", "d0 = 1 2", "[model] d0: expected a single value"),
+        (MINIMAL, "d0 = 1", "d0 = 1\nm = 0", "[model] m: must be a positive integer"),
+        (MINIMAL, "grid_n = 101", "grid_n = 15", "[controls] grid_n: must be at least 16"),
+        (MINIMAL, "t_end = 2", "t_end = 0", "[controls] t_end: must be positive"),
+    ])
+    def test_value_messages(self, document, line, replacement, problem):
+        with pytest.raises(fs.ConfigError) as err:
+            fs.parse_config(document.replace(line, replacement))
+        assert err.value.problems == (problem,)
+
+    @pytest.mark.parametrize("sweep, problem", [
+        ("values = 1 2", "[sweep] missing required key 'parameter'"),
+        ("parameter = dv", "[sweep] missing required key 'values'"),
+    ])
+    def test_sweep_missing_key_messages(self, sweep, problem):
+        with pytest.raises(fs.ConfigError) as err:
+            fs.parse_config(MINIMAL + f"\n[sweep]\n{sweep}\n")
+        assert err.value.problems == (problem,)
+
+    def test_sweep_rejects_several_species(self):
+        with pytest.raises(fs.ConfigError) as err:
+            fs.parse_config(TWO_SPECIES + "\n[sweep]\nparameter = dv\nvalues = 1 2\n")
+        assert err.value.problems == ("[sweep] sweeps support single-species runs only",)
+
+    def test_every_section_broken_at_once(self):
+        """Unknown keys and sections first, in document order; then the
+        missing required keys; then each section's values in schema order."""
+        text = """\
+[model]
+m = 2
+d0 = 1 2
+du = 1 2 3
+dv = 10
+yu = -1
+gamma_s = 1
+gamma_u = x
+knob = 3
+
+[kinetics]
+f = monod 4 1; monod 4 1; monod 4 1
+g = monod 5 1
+alpha = power_total 1
+beta = one_plus_attached_times_total
+
+[initial]
+S = 0.1; 0.2
+u = 1; 1; 1
+v = -1
+
+[controls]
+t_end = -1
+grid_n = 8
+
+[sweep]
+values = a
+
+[extras]
+x = 1
+"""
+        with pytest.raises(fs.ConfigError) as err:
+            fs.parse_config(text)
+        assert err.value.problems == (
+            "[model] unknown key 'knob'",
+            "unknown section [extras]",
+            "[model] missing required key 'yv'",
+            "[model] d0: expected a single value",
+            "[model] du: expected 1 or 2 values, got 3",
+            "[model] gamma_u: could not convert string to float: 'x'",
+            "[kinetics] f: expected 1 or 2 descriptors, got 3",
+            "[kinetics] alpha: power_total takes 2 arguments: power_total <c> <l>",
+            "[initial] S: could not convert string to float: '0.1;'",
+            "[initial] u: expected 1 or 2 profiles, got 3",
+            "[initial] v: values must be nonnegative",
+            "[controls] t_end: must be positive",
+            "[controls] grid_n: must be at least 16",
+            "[sweep] missing required key 'parameter'",
+            "[sweep] values: could not convert string to float: 'a'",
+        )
 
 
 class TestPresets:
@@ -481,6 +572,37 @@ class TestMainEntry:
             assert code == EXIT_CONFIG
             assert len(err.strip().splitlines()) == 1 and needle in err
 
+    def test_sampled_initial_substrate_runs_on_every_verb(self, tmp_path, capsys):
+        """A sampled [initial] S reaches run, steady and every sweep point."""
+        text = preset_text("fig2a").replace("S = 0.1\n", "S = 0.1 1 0.1\n")
+        assert text != preset_text("fig2a")
+        config = tmp_path / "sampled.ini"
+        config.write_text(text)
+        sweep = tmp_path / "sweep.ini"
+        sweep.write_text(text + "\n[sweep]\nparameter = dv\nvalues = 5 10\n")
+        for verb, source in (("run", config), ("steady", config), ("sweep", sweep)):
+            code = main([verb, "--config", str(source), "--t-end", "0.1",
+                         "--out", str(tmp_path / verb)])
+            captured = capsys.readouterr()
+            assert code == EXIT_OK, (verb, captured.err)
+            assert "Traceback" not in captured.err and "ERROR" not in captured.out
+        with (tmp_path / "sweep" / "summary.csv").open(newline="") as handle:
+            assert [row["error"] for row in csv.DictReader(handle)] == ["", ""]
+
+    @pytest.mark.parametrize("key", ["gamma_s", "gamma_u", "gamma_v"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_feed_exits_2(self, tmp_path, capsys, key, value):
+        """A non-finite feed is a configuration error, not a blow-up at t=0."""
+        feeds = {"gamma_s": "1", "gamma_u": "0", "gamma_v": "0", key: value}
+        config = tmp_path / "feed.ini"
+        config.write_text(MINIMAL.replace(
+            "gamma_s = 1\n", "".join(f"{name} = {text}\n" for name, text in feeds.items())))
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err.startswith(f"configuration error:\n  - [model] feed concentration {key}")
+        assert not (tmp_path / "out").exists()
+
     def test_horizon_within_time_tolerance_exits_2(self, tmp_path, capsys):
         """A positive horizon no longer than simulate's time tolerance would
         end the run before its first step."""
@@ -521,6 +643,21 @@ class TestMainEntry:
             assert code == EXIT_CONFIG
             assert capsys.readouterr().err == f"configuration error:\n  - {problem}\n"
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, problems", [
+        (["--grid-n", "15"], ["--grid-n must be at least 16"]),
+        (["--t-end", "0"], ["--t-end must be positive"]),
+        (["--grid-n", "8", "--t-end", "-1"],
+         ["--t-end must be positive", "--grid-n must be at least 16"]),
+    ], ids=["grid-n", "t-end", "both"])
+    def test_bad_override_flags_exit_2(self, tmp_path, capsys, flags, problems):
+        """The flags are checked as their [controls] keys are; each bad one
+        is listed."""
+        code = main(["run", "--preset", "fig2a", *flags, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error:\n" + "".join(
+            f"  - {problem}\n" for problem in problems)
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit(self, tmp_path, capsys):
         missing = tmp_path / "nope.ini"
@@ -760,6 +897,16 @@ class TestPackaging:
         assert len(blocks) == 1
         config = fs.parse_config(blocks[0])
         assert config.sweep is not None and config.sweep.parameter == "dv"
+
+    def test_readme_config_format_names_every_key(self):
+        """Every section and key of the schema is shown, as an INI line or a
+        commented one, in the README's config format."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = re.search(r"### Config format\n(.*?)\n### ", readme, flags=re.S).group(1)
+        for section, keys in _SCHEMA.items():
+            assert f"\n[{section}]\n" in text, section
+            for key in keys:
+                assert re.search(rf"^(# )?{key} = ", text, flags=re.M), (section, key)
 
     def test_readme_library_example_runs(self, tmp_path, monkeypatch, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

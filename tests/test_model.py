@@ -1,5 +1,7 @@
 """Tests for growth laws, exchange-rate laws, parameters, and the reaction field."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -128,6 +130,12 @@ class TestModelParams:
     def test_rejects_negative_feed(self):
         with pytest.raises(ValueError):
             standard_params(gamma_s=-0.5)
+
+    @pytest.mark.parametrize("key", ["gamma_s", "gamma_u", "gamma_v"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_feed(self, key, value):
+        with pytest.raises(ValueError, match=f"feed concentration {key}"):
+            replace(standard_params(), **{key: value})
 
     def test_kinetics_requires_zero_growth_at_zero(self):
         class BadLaw:
