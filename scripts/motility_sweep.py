@@ -56,8 +56,10 @@ def main() -> int:
     args = parser.parse_args()
 
     # one node more than the coarsest grid with cell Peclet h/(2d) <= 1 at
-    # the smallest diffusivity, so that reproductive numbers (an eigen
-    # solve, which needs Peclet below 1) are computed for every point
+    # the smallest diffusivity, so that every point runs.  Reproductive
+    # numbers need an eigen solve, which can still fail just below Peclet
+    # 1: at dv = 0.001 (Peclet 0.998) the grid does not resolve the
+    # eigenfunction, and that point's row reports the error
     min_d = min([1.0, 0.1] + list(args.values))
     grid_n = max(201, min_grid_n(min_d) + 1)
     text = BASE_CONFIG.format(

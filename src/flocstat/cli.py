@@ -9,9 +9,10 @@ Exit codes
 2   configuration error (every violated key is listed on stderr), a run
     whose inputs the solver rejects before its first step, or an output
     directory or file that cannot be created or written
-3   solver non-convergence (steady-state iteration), or a grid too coarse
-    for the eigen solver (for the steady hypothesis reports, also one on
-    which an eigenfunction underflows to zero)
+3   solver non-convergence (steady-state iteration, or a run stalled by
+    its step budget ``flocstat.pde.MAX_STEPS``), or a grid too coarse for
+    the eigen solver (for the steady hypothesis reports, also one on which
+    an eigenfunction underflows to zero)
 4   the simulation verdict was blow-up
 
 INI schema
@@ -311,7 +312,9 @@ def parse_config(text: str) -> RunConfig:
     every required key.
     """
     problems: list[str] = []
-    cp = configparser.ConfigParser(interpolation=None)
+    # no default section: [DEFAULT] is an unknown section like any other,
+    # rather than keys merged into every section
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.optionxform = str  # keep key case (S vs s)
     try:
         cp.read_string(text)
@@ -463,7 +466,7 @@ def _write_float_table(path: Path, header: Sequence[str], columns: Sequence[np.n
             handle.write(",".join(map(repr, row)) + "\n")
 
 
-def write_outputs(out_dir: Path, config: RunConfig, result: SimulationResult) -> None:
+def write_outputs(out_dir: Path, result: SimulationResult) -> None:
     """Write monitors.csv and snapshot_<k>.csv under ``out_dir``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     write_monitors_csv(out_dir / "monitors.csv", result)
@@ -500,7 +503,7 @@ def run_experiment(
             out_path.rmdir()
         raise
     outcome = classify_outcome(result)
-    write_outputs(out_path, config, result)
+    write_outputs(out_path, result)
     return result, outcome.label
 
 
@@ -668,6 +671,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"run rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RuntimeError as exc:  # the step budget ran out
+        print(f"run stopped: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     line = f"verdict: {verdict}"
     if result.verdict.kind == "blow_up":
         line += f" (detected at t={result.verdict.t_final:.6g}, {result.verdict.reason})"

@@ -44,21 +44,17 @@ class ReproductiveNumbers:
 
     ``R_u``/``R_v`` are the indices floored at zero (a phase whose
     washout-state net growth is negative cannot invade at all);
-    ``raw_u``/``raw_v`` keep the signed values.  ``lambda_u``/``lambda_v``
-    are the principal transport eigenvalues the comparison divides by.
-    ``classification`` is ``"washout-stable"`` (both indices below 1),
-    ``"washout-unstable"`` (at least one above 1), or ``"boundary"``
-    (the larger index within ``CLASSIFICATION_TOL`` of 1).
+    ``raw_u``/``raw_v`` keep the signed values.  ``classification`` is
+    ``"washout-stable"`` (both indices below 1), ``"washout-unstable"`` (at
+    least one above 1), or ``"boundary"`` (the larger index within
+    ``CLASSIFICATION_TOL`` of 1).
     """
 
     R_u: float
     R_v: float
     raw_u: float
     raw_v: float
-    lambda_u: float
-    lambda_v: float
     classification: str
-    grid_n: int
 
 
 def reproductive_numbers(
@@ -104,10 +100,7 @@ def reproductive_numbers(
         R_v=R_v,
         raw_u=raw_u,
         raw_v=raw_v,
-        lambda_u=lam_u,
-        lambda_v=lam_v,
         classification=classification,
-        grid_n=grid_n,
     )
 
 

@@ -52,10 +52,6 @@ class EigenPair:
     iterations: int
     residual: float
 
-    @property
-    def x(self) -> Array:
-        return np.linspace(0.0, 1.0, self.n)
-
 
 def solve_principal(d: float, n: int = 401) -> EigenPair:
     """Principal eigenpair by one symmetric tridiagonal eigen-solve.

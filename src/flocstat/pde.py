@@ -273,8 +273,6 @@ class SimulationResult:
     steps_accepted/steps_rejected: macro steps (see ``simulate``).
     fallbacks: accepted steps in which the extrapolated state was negative
         at some node, which then kept the fine state.
-    clamp_total: sum over accepted steps of the largest undershoot that
-        clamping removed from an IMEX substep.
     blowup_eigenpair: the washout eigenpair at the first species' isolated-phase
         diffusivity.  Q's weight is its function reflected, ``function[::-1]``:
         the principal eigenfunction of the adjoint operator, with
@@ -290,7 +288,6 @@ class SimulationResult:
     steps_accepted: int
     steps_rejected: int
     fallbacks: int
-    clamp_total: float
     blowup_eigenpair: EigenPair
 
 
@@ -355,10 +352,11 @@ class _Stepper:
         return rhs
 
     def try_step(self, W: Array, F: Array, dt: float,
-                 out: Optional[Array] = None) -> tuple[Optional[Array], float, str]:
+                 out: Optional[Array] = None) -> tuple[Optional[Array], str]:
         """One IMEX step from W, whose ``rate(W)`` is F, into ``out`` (a new
-        array if None; never W or F).  Returns (new stack, clamp magnitude,
-        "") on acceptance, (None, 0, reason) on rejection."""
+        array if None; never W or F).  Returns (new stack, "") on acceptance,
+        (None, reason) on rejection; an accepted undershoot within CLAMP_TOL
+        is clipped to 0."""
         # the explicit stage is solved in place.  Its minimum propagates nan
         # and -inf; an entry of +inf passes into the solve, whose result it
         # makes non-finite, and is looked for only then
@@ -366,50 +364,49 @@ class _Stepper:
         low = float(_min(rhs, None))
         if not low >= -CLAMP_TOL:
             if math.isfinite(low) and math.isfinite(float(_max(rhs, None))):
-                return None, 0.0, "explicit stage undershoot"
-            return None, 0.0, "non-finite explicit stage"
+                return None, "explicit stage undershoot"
+            return None, "non-finite explicit stage"
         W_new = dgttrs(*self.factors(dt), rhs.reshape(-1), overwrite_b=1)[0].reshape(W.shape)
         low, high = float(_min(W_new, None)), float(_max(W_new, None))
         if not (math.isfinite(low) and math.isfinite(high)):
             # the solve overwrote the stage: form it again to name the cause
             if math.isfinite(float(_max(self.stage(W, F, dt, W_new), None))):
-                return None, 0.0, "non-finite solve"
-            return None, 0.0, "non-finite explicit stage"
+                return None, "non-finite solve"
+            return None, "non-finite explicit stage"
         if low < -CLAMP_TOL:
-            return None, 0.0, "implicit stage undershoot"
-        clamp = max(0.0, -low)
-        if clamp > 0.0:
+            return None, "implicit stage undershoot"
+        if low < 0.0:
             np.clip(W_new, 0.0, None, out=W_new)
-        return W_new, clamp, ""
+        return W_new, ""
 
     def macro_step(self, W: Array, F: Array,
-                   dt: float) -> tuple[Optional[Array], float, float, bool, str]:
+                   dt: float) -> tuple[Optional[Array], float, bool, str]:
         """One step of dt by step doubling with local extrapolation.
 
         A coarse step of dt and two fine steps of dt/2 (the coarse and the
         first fine step share ``F = rate(W)``) give ``2*fine - coarse``,
         which is second order.  At each node where it is negative the fine
         state is kept instead, so a decaying value stays positive rather
-        than being clipped to 0 (a fallback).  Returns (new stack, clamp
-        magnitude, error estimate, fallback, "") on acceptance, or (None,
-        0, inf, False, reason) when a substep is rejected.  The error
-        estimate is the RMS over all nodes of ``(fine - coarse)/(ATOL +
-        RTOL*max(fine, coarse))``; the step is accurate when it is at most 1.
+        than being clipped to 0 (a fallback).  Returns (new stack, error
+        estimate, fallback, "") on acceptance, or (None, inf, False, reason)
+        when a substep is rejected.  The error estimate is the RMS over all
+        nodes of ``(fine - coarse)/(ATOL + RTOL*max(fine, coarse))``; the
+        step is accurate when it is at most 1.
 
         W and F are only read, so a rejected step can be retried from them.
         The new stack is one of two stepper buffers, the one W is not: it
         stays valid through the next macro step from it.
         """
-        coarse, clamp, reason = self.try_step(W, F, dt, self._coarse)
+        coarse, reason = self.try_step(W, F, dt, self._coarse)
         if coarse is None:
-            return None, 0.0, math.inf, False, reason
-        half, clamp_half, reason = self.try_step(W, F, 0.5 * dt, self._half)
+            return None, math.inf, False, reason
+        half, reason = self.try_step(W, F, 0.5 * dt, self._half)
         if half is None:
-            return None, 0.0, math.inf, False, reason
-        fine, clamp_fine, reason = self.try_step(
+            return None, math.inf, False, reason
+        fine, reason = self.try_step(
             half, self._rate_into(half, self._rate_half), 0.5 * dt, self._fine)
         if fine is None:
-            return None, 0.0, math.inf, False, reason
+            return None, math.inf, False, reason
         W_new = self._results[np.may_share_memory(W, self._results[0])]
         np.multiply(fine, 2.0, out=W_new)
         W_new -= coarse
@@ -424,7 +421,7 @@ class _Stepper:
         if fallback:
             np.copyto(W_new, fine, where=W_new < 0.0)
         self.sup = float(_max(W_new, None))
-        return W_new, max(clamp, clamp_half, clamp_fine), err, fallback, ""
+        return W_new, err, fallback, ""
 
     def stage_min(self, W: Array, F: Array, dt: float) -> float:
         """The smallest entry of the explicit stage of a step of dt from W
@@ -577,7 +574,6 @@ def simulate(
     accepted = 0
     rejected = 0
     fallbacks = 0
-    clamp_total = 0.0
     record(W, t, dt_init)
     due = _targets_reached(targets, 0, t)  # the first target not yet reached
     snapshots = [initial] if due else []
@@ -595,7 +591,7 @@ def simulate(
             dt_eff, t_next = stop - t, stop
         else:
             dt_eff, t_next = dt, t + dt
-        W_new, clamp, err, fallback, _reason = stepper.macro_step(W, F, dt_eff)
+        W_new, err, fallback, _reason = stepper.macro_step(W, F, dt_eff)
         if W_new is None or err > 1.0:
             smaller = 0.5 * dt  # the ladder value below the step that failed
             while smaller >= dt_eff:
@@ -613,7 +609,6 @@ def simulate(
         fallbacks += fallback
         t = t_next
         W = W_new
-        clamp_total += clamp
         record(W, t, dt_eff)
         reached = _targets_reached(targets, due, t)
         if reached > due:
@@ -645,7 +640,6 @@ def simulate(
         steps_accepted=accepted,
         steps_rejected=rejected,
         fallbacks=fallbacks,
-        clamp_total=clamp_total,
         blowup_eigenpair=pair,
     )
 
@@ -716,12 +710,8 @@ class BoundReport:
 
     sup_S_max: float
     sup_S_limit: float
-    sup_S_slack: float
     sup_bound_ok: bool
     mass_growth_class: str
-    mass_initial: float
-    mass_peak: float
-    mass_final: float
 
 
 #: discretization slack by which sup S may exceed its a priori bound
@@ -733,13 +723,10 @@ def monitor_bounds(result: SimulationResult, params: ModelParams) -> BoundReport
     sup_S = result.monitors["sup_S"]
     limit = max(params.gamma_s, float(result.initial.S.max()))
     sup_max = float(sup_S.max())
-    slack = sup_max - limit
 
     t = result.monitors["t"]
     mass = result.monitors["mass"]
-    m0 = float(mass[0])
     peak = float(mass.max())
-    m_end = float(mass[-1])
     t0, t1 = float(t[0]), float(t[-1])
     if t1 <= t0:
         growth = "bounded"
@@ -756,10 +743,6 @@ def monitor_bounds(result: SimulationResult, params: ModelParams) -> BoundReport
     return BoundReport(
         sup_S_max=sup_max,
         sup_S_limit=limit,
-        sup_S_slack=slack,
-        sup_bound_ok=slack <= SUP_S_SLACK,
+        sup_bound_ok=sup_max - limit <= SUP_S_SLACK,
         mass_growth_class=growth,
-        mass_initial=m0,
-        mass_peak=peak,
-        mass_final=m_end,
     )

@@ -333,6 +333,9 @@ _FALLBACK_DEPLETION = 0.5
 # ---------------------------------------------------------------------------
 
 
+#: the weight w of the new iterate in the Picard update ``(1 - w)*x + w*G(x)``
+DAMPING = 0.5
+
 #: iterations between the two sup changes the non-contraction test compares;
 #: the largest ratio over that span on a converging shipped preset is 0.34
 #: (fig5l), while a span of 50 or 100 stops fig5l before it converges
@@ -343,9 +346,9 @@ _max = np.maximum.reduce
 
 
 def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
-                      tol: float = 1e-10, max_iter: int = 5000,
-                      damping: float = 0.5) -> SteadyState:
-    """Damped Picard iteration ``x <- (1 - w)*x + w*G(x)`` on the triple.
+                      tol: float = 1e-10, max_iter: int = 5000) -> SteadyState:
+    """Damped Picard iteration ``x <- (1 - w)*x + w*G(x)`` on the triple,
+    with ``w = DAMPING``.
 
     The iteration stops when the successive sup-norm change drops below
     ``tol``; hitting ``max_iter`` first returns the last iterate marked
@@ -358,8 +361,6 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
     returned residual is the fixed-point defect ``sup |G(x) - x|``;
     pde_residual is the differential-balance defect.
     """
-    if not (0.0 < damping <= 1.0):
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
     if tol <= 0 or max_iter < 1:
         raise ValueError(f"need positive tol and max_iter >= 1, got {tol}, {max_iter}")
     X = _as_triple(init, "init")
@@ -372,7 +373,7 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
     changes = []
     # the iterate, the next one and their difference live in three buffers
     X_new, diff = np.empty_like(X), np.empty_like(X)
-    keep, step = np.array(1.0 - damping), np.array(damping)
+    keep, step = np.array(1.0 - DAMPING), np.array(DAMPING)
     # overflow is detected below and reported as the stopping reason
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, max_iter + 1):
@@ -426,7 +427,6 @@ class ClauseMargin:
     name: str
     margin: float
     satisfied: bool
-    strict: bool = False
 
 
 @dataclass(frozen=True)
@@ -440,9 +440,7 @@ class ExtinctionReport:
     ``window_nonempty`` reports whether that window exists at all for
     this diffusivity; it is False for every positive d (the eigenvalue
     always sits below the attenuation), which the report states rather
-    than hides.  ``k_margin`` is the largest depletion the surviving
-    phase tolerates while keeping its growth above the attenuation
-    (None when even full feed fails).
+    than hides.
     """
 
     which: str
@@ -452,8 +450,6 @@ class ExtinctionReport:
     clauses: tuple[ClauseMargin, ...]
     window_nonempty: bool
     all_satisfied: bool
-    k_margin: Optional[float]
-    grid_n: int
 
 
 def check_extinction_hypotheses(params: ModelParams, kin: KineticsSpec,
@@ -486,7 +482,7 @@ def check_extinction_hypotheses(params: ModelParams, kin: KineticsSpec,
     clauses = (
         ClauseMargin("growth-beats-kernel-attenuation",
                      growth_at_feed - attenuation,
-                     growth_at_feed > attenuation, strict=True),
+                     growth_at_feed > attenuation),
         ClauseMargin("growth-capped-by-eigenvalue",
                      lam - growth_at_feed,
                      growth_at_feed <= lam),
@@ -494,7 +490,6 @@ def check_extinction_hypotheses(params: ModelParams, kin: KineticsSpec,
                      1.0 if structural_ok else -1.0,
                      structural_ok),
     )
-    k_margin = _largest_depletion_margin(growth, d_bio)
     return ExtinctionReport(
         which=which,
         growth_at_feed=growth_at_feed,
@@ -503,8 +498,6 @@ def check_extinction_hypotheses(params: ModelParams, kin: KineticsSpec,
         clauses=clauses,
         window_nonempty=lam > attenuation,
         all_satisfied=all(cl.satisfied for cl in clauses),
-        k_margin=k_margin,
-        grid_n=grid_n,
     )
 
 
@@ -532,16 +525,6 @@ class CoexistenceReport:
     feasible: bool
     feasible_count: int
     binding_clause: str
-    normalization_ok: bool
-    k_margin: Optional[float]
-    k_prime_margin: Optional[float]
-    theta_cap: float
-    alpha_floor: float
-    beta_floor: float
-    eigenvalue_substrate: float
-    eigenvalue_u: float
-    eigenvalue_v: float
-    grid_n: int
 
 
 def check_coexistence_hypotheses(params: ModelParams, kin: KineticsSpec, *,
@@ -615,8 +598,8 @@ def check_coexistence_hypotheses(params: ModelParams, kin: KineticsSpec, *,
     feasible_count = int(np.count_nonzero(feasible_mask))
 
     clauses = (
-        ClauseMargin("isolated-growth-beats-washout", growth_u, growth_u > 0.0, strict=True),
-        ClauseMargin("attached-growth-beats-washout", growth_v, growth_v > 0.0, strict=True),
+        ClauseMargin("isolated-growth-beats-washout", growth_u, growth_u > 0.0),
+        ClauseMargin("attached-growth-beats-washout", growth_v, growth_v > 0.0),
         ClauseMargin("isolated-yield-balance", float(m3[it]), float(m3[it]) >= 0.0),
         ClauseMargin("attached-yield-balance", float(m4[it, ir]), float(m4[it, ir]) >= 0.0),
         ClauseMargin("exchange-floor-selection", float(m5[it, ir]), float(m5[it, ir]) >= 0.0),
@@ -629,14 +612,4 @@ def check_coexistence_hypotheses(params: ModelParams, kin: KineticsSpec, *,
         feasible=feasible_count > 0,
         feasible_count=feasible_count,
         binding_clause=binding,
-        normalization_ok=k is not None and k_prime is not None,
-        k_margin=k,
-        k_prime_margin=k_prime,
-        theta_cap=theta_cap,
-        alpha_floor=alpha_floor,
-        beta_floor=beta_floor,
-        eigenvalue_substrate=pair0.value,
-        eigenvalue_u=lam1,
-        eigenvalue_v=lam2,
-        grid_n=grid_n,
     )

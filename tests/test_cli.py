@@ -284,6 +284,13 @@ x = 1
             "[sweep] values: could not convert string to float: 'a'",
         )
 
+    def test_default_section_is_an_unknown_section(self):
+        """A [DEFAULT] section is reported once, and none of its keys
+        reaches another section."""
+        with pytest.raises(fs.ConfigError) as err:
+            fs.parse_config("[DEFAULT]\nt_end = 3\n\n" + preset_text("fig2a"))
+        assert err.value.problems == ("unknown section [DEFAULT]",)
+
 
 class TestPresets:
     def test_all_presets_round_trip(self):
@@ -559,6 +566,19 @@ class TestMainEntry:
         assert code == EXIT_BLOW_UP
         assert "blow-up" in out
         assert "t=" in out
+
+    def test_run_stalled_by_step_budget_exits_3_with_one_line(self, tmp_path, capsys,
+                                                              monkeypatch):
+        """fig2a takes 586 steps, accepted and rejected, to its horizon; a
+        budget of 100 stalls it."""
+        monkeypatch.setattr(fs.pde, "MAX_STEPS", 100)
+        code = main(["run", "--preset", "fig2a", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == EXIT_NO_CONVERGENCE
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("run stopped: step budget 100 exhausted at t=")
+        assert not (tmp_path / "out").exists()
 
     def test_run_rejected_before_first_step_exits_2(self, tmp_path, capsys):
         """Inputs that simulate rejects up front: a grid too coarse for
@@ -865,15 +885,21 @@ NONZERO_EXITS = {
 
 class TestExitCodeMatrix:
     def test_every_verb_on_every_preset_exits_with_its_pinned_code(self, tmp_path, capsys):
-        """A call that raises out of main fails the test with its traceback."""
-        got = {}
+        """A call that raises out of main fails the test with its traceback.
+        No call writes a traceback, and a call that exits 3 or 4 writes at
+        most one line to stderr."""
+        got, errs = {}, {}
         for preset in available_presets():
             for verb in ("run", "sweep", "eigen", "steady", "check"):
                 short = ["--t-end", "1"] if verb in ("run", "sweep") else []
                 out = tmp_path / verb / preset
                 got[verb, preset] = main([verb, "--preset", preset, "--out", str(out), *short])
-        capsys.readouterr()
+                errs[verb, preset] = capsys.readouterr().err
         assert got == {key: NONZERO_EXITS.get(key, EXIT_OK) for key in got}
+        assert [key for key, err in errs.items() if "Traceback" in err] == []
+        assert [key for key, code in got.items()
+                if code in (EXIT_NO_CONVERGENCE, EXIT_BLOW_UP)
+                and len(errs[key].splitlines()) > 1] == []
 
 
 class TestPackaging:

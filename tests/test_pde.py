@@ -20,7 +20,7 @@ def imex_step(state, params, kin, dt):
     """One accepted fixed-dt IMEX step from ``state``, as a new state."""
     stepper = _Stepper(params, kin, state.grid)
     W = state.stack()
-    W_new, _clamp, reason = stepper.try_step(W, stepper.rate(W), dt)
+    W_new, reason = stepper.try_step(W, stepper.rate(W), dt)
     assert reason == ""
     return fs.StateField.from_stack(state.grid, W_new, state.t + dt)
 
@@ -144,7 +144,7 @@ class TestBatchedSolve:
         stepper = _Stepper(params, kin, state.grid)
         W = state.stack()
         for dt in (1e-2, 5e-3, 5e-3, 1e-2, 2.5e-3, 1e-2, 3e-3):
-            W_new, _clamp, reason = stepper.try_step(W, stepper.rate(W), dt)
+            W_new, reason = stepper.try_step(W, stepper.rate(W), dt)
             assert reason == ""
             np.testing.assert_array_equal(W_new, imex_step_banded(params, kin, W, dt))
             W = W_new
@@ -367,7 +367,7 @@ def euler_run(params, kin, W, dt, t_end):
     """Fixed-dt IMEX steps from W to t_end."""
     stepper = _Stepper(params, kin, fs.Grid(W.shape[1]))
     for _ in range(round(t_end / dt)):
-        W, _clamp, reason = stepper.try_step(W, stepper.rate(W), dt)
+        W, reason = stepper.try_step(W, stepper.rate(W), dt)
         assert reason == ""
     return W
 
@@ -428,7 +428,7 @@ class TestErrorControl:
                               v=np.zeros((1, grid.n)))
         stepper = _Stepper(params, kin, grid)
         W = state.stack()
-        W_new, _clamp, _err, fallback, reason = stepper.macro_step(W, stepper.rate(W), 1e-3)
+        W_new, _err, fallback, reason = stepper.macro_step(W, stepper.rate(W), 1e-3)
         assert fallback and reason == ""
         coarse = imex_step(state, params, kin, 1e-3).stack()
         fine = imex_step(imex_step(state, params, kin, 5e-4), params, kin, 5e-4).stack()
