@@ -797,17 +797,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for i, (branch, K, r) in enumerate(report.balance_branches)
     )
     print(f"one_sided_balance: {report.one_sided_balance} ({branches})")
-    print(
-        f"exchange_floor: {report.exchange_floor} "
-        f"(delta={report.exchange_delta:g}, yield products: {report.yuyv_class})"
-    )
-    for name, verdict, witness in (
-        ("mass_control", report.mass_control, report.mass_witness),
-        ("exchange_floor", report.exchange_floor, report.exchange_witness),
-    ):
-        if verdict == "violated" and witness is not None:
-            point = ", ".join(f"{float(w):g}" for w in witness)
-            print(f"  witness[{name}]: ({point})")
+    print(f"exchange_floor: {report.exchange_floor} (yield products: {report.yuyv_class})")
+    for name, ray in (("mass_control", report.mass_ray), ("exchange_floor", report.exchange_ray)):
+        if ray is not None:
+            # a ray holds state indices (S, u_1, v_1, ...); it never holds S
+            along = " = ".join(f"{'vu'[k % 2]}_{(k + 1) // 2}" for k in ray)
+            print(f"  ray[{name}]: {along} = s -> inf, every other component 0")
     if params.m == 1:
         try:
             repro = reproductive_numbers(params, kin, grid_n=config.controls.grid_n)

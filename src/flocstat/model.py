@@ -13,8 +13,8 @@ This module holds the law classes, the only definition of each law; the
 parameter and kinetics containers; the reaction kernel, the only code
 that assembles the reaction terms (for the time stepper, the steady
 operator and :func:`reaction_field`); and the structural-condition checks,
-of which quasipositivity is decided from the law classes and the others
-on a sampled box.
+each decided exactly, on the whole nonnegative orthant, from the rate laws'
+term tables, the yields and the growth laws' ``sup``.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ import numpy as np
 
 Array = np.ndarray
 
-#: Verdict of an inequality check.  "satisfied" means the check was not
-#: refuted at any sampled point (sampling cannot prove an inequality on an
-#: unbounded set); "violated" comes with a concrete witness point when a
-#: sampled point refutes the check (see ConditionReport).
+#: Verdict of a structural condition, decided on the whole nonnegative
+#: orthant: "satisfied" means the inequality holds everywhere, "violated"
+#: that it fails along a ray (see ConditionReport).
 CheckVerdict = Literal["satisfied", "violated", "not_applicable"]
 
 
@@ -157,14 +156,17 @@ def _require_nonneg_substrate(S) -> None:
 # ---------------------------------------------------------------------------
 #
 # Each law maps the full density vectors (u, v) -- shape (m,) pointwise or
-# (m, n) on a grid -- to a scalar rate field (shape () or (n,)).  All laws
-# are built from the species totals ``U = sum_j u_j`` and ``V = sum_j v_j``
-# (total biomass ``U + V``, attached biomass ``V``), are continuous,
-# nonnegative on the nonnegative orthant and monotone in every density.
+# (m, n) on a grid -- to a scalar rate field (shape () or (n,)).  Every law is
+# a polynomial in the species totals ``T = sum_j (u_j + v_j)`` (total
+# biomass) and ``V = sum_j v_j`` (attached biomass) with nonnegative
+# coefficients, so it is nonnegative on the nonnegative orthant and
+# nondecreasing in every density.
 #
-# A law's formula is its ``_plan(row)``, as for the growth laws; its
-# evaluation takes ``(U + V, V)``, which the reaction kernel forms once per
-# state for all laws.
+# A law is declared twice, in two forms of the same formula: its ``terms``,
+# the table ``{(j, k): c}`` of its terms ``c * T**j * V**k`` without the zero
+# coefficients, from which the structural checks decide the conditions;
+# and its ``_plan(row)``, as for the growth laws, whose evaluation takes
+# ``(T, V)``, which the reaction kernel forms once per state for all laws.
 
 
 class _TotalsRate:
@@ -178,20 +180,33 @@ class _TotalsRate:
             evaluate(U + V, V)
         return row if row.ndim else row[()]
 
+    @property
+    def degree(self) -> int:
+        """Polynomial degree in the densities; 0 for the zero law."""
+        return max((j + k for j, k in self.terms), default=0)
+
+    @property
+    def vanishes_without_attached(self) -> bool:
+        """The law is 0 wherever V = 0: every term carries a power of V."""
+        return all(k >= 1 for _, k in self.terms)
+
+    @property
+    def vanishes_without_isolated(self) -> bool:
+        """The law is 0 wherever every u_i = 0.  There T = V, so every term
+        is positive once V > 0: only the zero law is."""
+        return not self.terms
+
 
 class _ScaledRate(_TotalsRate):
-    """A law with a nonnegative coefficient ``c``: it vanishes identically,
-    and so without either phase, exactly when ``c = 0``."""
+    """A law ``c * T**_power`` with a nonnegative coefficient ``c``."""
 
     def __post_init__(self) -> None:
         if not (self.c >= 0 and math.isfinite(self.c)):
             raise ValueError(f"{type(self).__name__} coefficient must be nonnegative, got {self.c}")
 
     @property
-    def vanishes_without_attached(self) -> bool:
-        return self.c == 0.0
-
-    vanishes_without_isolated = vanishes_without_attached
+    def terms(self) -> dict[tuple[int, int], float]:
+        return {(self._power, 0): self.c} if self.c else {}
 
 
 @dataclass(frozen=True)
@@ -199,8 +214,7 @@ class ConstantRate(_ScaledRate):
     """Density-independent rate ``c``."""
 
     c: float
-    #: polynomial degree in the densities
-    degree = 0
+    _power = 0
 
     def _plan(self, row):
         row[...] = self.c
@@ -211,7 +225,7 @@ class LinearTotalRate(_ScaledRate):
     """Rate proportional to total biomass: ``c * sum_j(u_j + v_j)``."""
 
     c: float
-    degree = 1
+    _power = 1
 
     def _plan(self, row):
         c = np.array(self.c)
@@ -226,9 +240,7 @@ class AttachedTimesTotalRate(_TotalsRate):
     the all-isolated state invariant under attachment.
     """
 
-    degree = 2
-    vanishes_without_attached = True
-    vanishes_without_isolated = False
+    terms = {(1, 1): 1.0}
 
     def _plan(self, row):
         return lambda total, V: np.multiply(total, V, out=row)
@@ -238,8 +250,7 @@ class AttachedTimesTotalRate(_TotalsRate):
 class OnePlusAttachedTimesTotalRate(_TotalsRate):
     """Rate ``(1 + sum_j v_j) * (sum_j(u_j + v_j))``."""
 
-    degree = 2
-    vanishes_without_attached = vanishes_without_isolated = False
+    terms = {(1, 0): 1.0, (1, 1): 1.0}
 
     def _plan(self, row):
         one = np.array(1.0)
@@ -273,8 +284,8 @@ class PowerTotalRate(_ScaledRate):
         return evaluate
 
     @property
-    def degree(self) -> int:
-        return self.l if self.c > 0 else 0
+    def _power(self) -> int:
+        return self.l
 
 
 FlocRate = Union[
@@ -520,45 +531,52 @@ class _ReactionKernel:
 
 
 # ---------------------------------------------------------------------------
-# Structural-condition checks (sampled)
+# Structural-condition checks (decided from the term tables)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Verdicts for the structural conditions of the reaction field.
+    """Verdicts for the structural conditions of the reaction field, each
+    decided on the whole nonnegative orthant from the rate laws' term
+    tables, the yields and the growth laws' ``sup``.
+
+    A ray is a tuple of state indices, in :func:`reaction_field`'s row order
+    ``(S, u_1, v_1, ..., u_m, v_m)``: the components that go to infinity
+    together, all others being 0.  A violated ``mass_control`` or
+    ``exchange_floor`` carries the ray along which its inequality fails by
+    an unbounded amount.
 
     - ``quasipositive``: every component's reaction term is nonnegative on
       the part of the boundary where that component vanishes (so the
-      nonnegative orthant is forward-invariant for the reaction part).
-      Decided from the law classes, not sampled: on ``u_i = 0`` the
-      isolated row is ``beta_i v_i``, on ``v_i = 0`` the attached row is
-      ``alpha_i u_i``, and on ``S = 0`` the substrate row is 0, because
-      every rate law is nonnegative and every growth law vanishes at
-      ``S = 0`` (:class:`KineticsSpec` checks it).  It is always
-      "satisfied" and has no witness.
+      nonnegative orthant is forward-invariant for the reaction part).  On
+      ``u_i = 0`` the isolated row is ``beta_i v_i``, on ``v_i = 0`` the
+      attached row is ``alpha_i u_i``, and on ``S = 0`` the substrate row is
+      0, because every rate law is nonnegative and every growth law
+      vanishes at ``S = 0`` (:class:`KineticsSpec` checks it).  It is always
+      "satisfied".
     - ``mass_control``: the weighted reaction sum with weights
-      ``(y_max, 1+yu_1, 1+yv_1, ...)`` is bounded by ``K1 * sum(w) + K2``.
-    - ``rate_growth_l``, ``rate_growth_h``: the declared degree ``l`` of
-      the attachment/detachment rates and the smallest ``h`` with rates at
-      most ``h * (sum_i (u_i+v_i)**l + 1)`` on the sampled box.  This is a
-      measured constant, not a verdict: on a bounded box a finite ``h``
-      always exists, so no sample could refute the bound.
+      ``(y_max, 1+yu_1, 1+yv_1, ...)`` is at most ``K1 * (S + sum_i (u_i +
+      v_i)) + K2``.  It is violated exactly when some species has ``yu_i *
+      yv_i > 1`` and an exchange law of degree at least 1 (ray ``u_i = v_i``).
+      ``K2`` is 0, and ``K1`` the largest bound on the coefficient of one
+      biomass component.
+    - ``rate_growth_l``, ``rate_growth_h``: ``l`` is the largest degree of
+      the exchange laws (at least 1), and ``h`` the least constant with
+      every rate at most ``h * (sum_i (u_i+v_i)**l + 1)``.  A constant, not
+      a verdict: such an ``h`` always exists.
     - ``one_sided_balance``: per species, one of the two signed exchange
-      combinations grows at most like ``K * (sum_i (u_i+v_i)**r + 1)`` with
+      combinations is at most ``K * (sum_i (u_i+v_i)**r + 1)`` with
       ``r < 3``.  The exponent r of a combination is one more than the
-      declared degree of the rate law it carries; a species whose two
-      exponents are both at least 3 violates the condition by degree, and
-      its ``balance_branches`` entry is ``(None, None, smaller exponent)``.
+      degree of the rate law it carries, and K is that law's least bound.
+      A species whose two exponents are both at least 3 violates the
+      condition by degree, and its ``balance_branches`` entry is
+      ``(None, None, smaller exponent)``.
     - ``exchange_floor``: ``delta * sum(u_i+v_i) <= sum_i (alpha_i u_i +
       beta_i v_i) + 1`` for some ``delta > 0``, together with strict
-      ``yu_i * yv_i < 1``.
-
-    Sampled verdicts cannot prove an inequality on an unbounded set; a
-    "satisfied" verdict means "not refuted on the sampled box"
-    ``[0, SAMPLE_BOX]^(2m+1)``.  A "violated" verdict of ``mass_control``
-    or ``exchange_floor`` carries the sampled point that refutes it;
-    ``one_sided_balance`` is decided by declared degrees and carries none.
+      ``yu_i * yv_i < 1``; "not_applicable" otherwise.  It is violated
+      exactly when some ``alpha_i`` vanishes without attached biomass (ray
+      ``u_i``) or some ``beta_i`` is the zero law (ray ``v_i``).
     """
 
     quasipositive: CheckVerdict
@@ -566,14 +584,13 @@ class ConditionReport:
     mass_weights: tuple[float, ...]
     mass_K1: float
     mass_K2: float
-    mass_witness: Optional[tuple[float, ...]]
+    mass_ray: Optional[tuple[int, ...]]
     rate_growth_l: int
     rate_growth_h: float
     one_sided_balance: CheckVerdict
     balance_branches: tuple[tuple[Optional[str], Optional[float], float], ...]
     exchange_floor: CheckVerdict
-    exchange_delta: float
-    exchange_witness: Optional[tuple[float, ...]]
+    exchange_ray: Optional[tuple[int, ...]]
     yuyv_class: str
 
 
@@ -588,37 +605,52 @@ def weight_vector(params: ModelParams) -> tuple[float, ...]:
     return tuple(weights)
 
 
-#: edge of the box [0, SAMPLE_BOX]^(2m+1) the structural checks sample
-SAMPLE_BOX = 10.0
-#: samples per axis of that box (m = 1); m > 1 draws as many points in all
-SAMPLES_PER_AXIS = 64
+def _growth_constant(law: FlocRate, m: int, l: int) -> float:
+    """The least h with ``law <= h * (sum_i (u_i+v_i)**l + 1)``.
+
+    The law is nondecreasing in V <= T, and ``sum_i (u_i+v_i)**l`` is
+    smallest, ``m**(1-l) * T**l``, at an equal split, so the least h is the
+    sup over T >= 0 of ``p(T) / q(T)``, with p the law at V = T and ``q(T) =
+    m**(1-l) * T**l + 1``.  It is taken over T = 0, T -> inf and the
+    positive roots of ``p'q - pq'``.
+    """
+    p = np.zeros(l + 1)  # coefficients, highest power first
+    for (j, k), c in law.terms.items():
+        p[l - j - k] += c
+    q = np.zeros(l + 1)
+    q[0], q[-1] = m ** (1 - l), 1.0
+    stationary = np.polysub(np.polymul(np.polyder(p), q), np.polymul(p, np.polyder(q)))
+    # every candidate is a value of p/q or its limit, so none exceeds the sup
+    candidates = [p[-1], p[0] / q[0]]
+    candidates += [np.polyval(p, T) / np.polyval(q, T) for T in np.roots(stationary).real if T > 0]
+    return float(max(candidates))
 
 
-def _sample_points(m: int) -> Array:
-    """Sample the box: full tensor grid for m = 1, seeded uniform draws of
-    the same cardinality for m > 1."""
-    axis = np.linspace(0.0, SAMPLE_BOX, SAMPLES_PER_AXIS)
-    if m == 1:
-        Sg, ug, vg = np.meshgrid(axis, axis, axis, indexing="ij")
-        return np.stack([Sg.ravel(), ug.ravel(), vg.ravel()], axis=0)
-    rng = np.random.default_rng(20240)
-    return rng.uniform(0.0, SAMPLE_BOX, size=(2 * m + 1, SAMPLES_PER_AXIS**3))
+def _balance_constant(law: FlocRate, m: int) -> float:
+    """The least K with ``law * w_i <= K * (sum_j (u_j+v_j)**r + 1)``, r =
+    degree + 1 <= 2, where w_i is the density the law multiplies.
+
+    With c the law at T = V = 1: c for degree 0, approached as w_i -> inf;
+    ``c * (1 + sqrt(m)) / 2`` for degree 1, approached as w_i -> inf with
+    the other species holding ``(sqrt(m) - 1) * w_i`` in equal parts.
+    """
+    c = sum(law.terms.values())
+    return c if law.degree == 0 else c * (1.0 + math.sqrt(m)) / 2.0
 
 
 def check_structural_conditions(params: ModelParams, kin: KineticsSpec) -> ConditionReport:
-    """Run the structural checks and collect them in one report."""
+    """Decide the structural conditions and collect them in one report."""
     if kin.m != params.m:
         raise ValueError(f"kinetics have m={kin.m} species but params have m={params.m}")
     m = params.m
-    tol = 1e-9
-
-    pts = _sample_points(m)
-    u_pts, v_pts = pts[1::2], pts[2::2]
-    # alpha_i and beta_i on the box, evaluated once for the three checks
-    # that read them
-    rates = [(kin.alpha[i](u_pts, v_pts), kin.beta[i](u_pts, v_pts)) for i in range(m)]
 
     # --- weighted mass control ---------------------------------------------
+    # The weighted sum is, over species, (1+yu_i-y_max) f_i u_i + (1+yv_i-
+    # y_max) g_i v_i + kappa_u alpha_i u_i + kappa_v beta_i v_i, with kappa_u
+    # = (yu_i yv_i - 1)/yu_i and kappa_v = (yu_i yv_i - 1)/yv_i.  Unless some
+    # kappa > 0 meets a law of degree >= 1, each term is at most its
+    # component times max(0, 1+y-y_max) sup(growth) + max(0, kappa) c0, c0
+    # the law's constant term.
     weights = weight_vector(params)
     y_max = weights[0]
     products = params.yield_products
@@ -628,98 +660,56 @@ def check_structural_conditions(params: ModelParams, kin: KineticsSpec) -> Condi
         yuyv_class = "all_products_at_most_one"
     else:
         yuyv_class = "some_product_exceeds_one"
-
-    # With all yield products <= 1 the exchange terms carry nonpositive
-    # weighted coefficients, so only bounded growth-law terms remain:
-    #   K1 = max_i max(0, (1+yu_i-y_max)) * sup f_i   (and the g_i analogue).
     K1 = 0.0
     for i in range(m):
-        K1 = max(K1, max(0.0, 1.0 + params.yu[i] - y_max) * kin.f[i].sup)
-        K1 = max(K1, max(0.0, 1.0 + params.yv[i] - y_max) * kin.g[i].sup)
-    K2 = 0.0
-
-    F = reaction_field(params, kin, pts[0], u_pts, v_pts)
-    weighted = np.tensordot(np.asarray(weights), F, axes=(0, 0))
-    budget = K1 * pts.sum(axis=0) + K2
-    excess = weighted - budget
-    worst = int(np.argmax(excess))
-    if excess[worst] > tol * max(1.0, abs(budget[worst])):
-        mass_verdict: CheckVerdict = "violated"
-        mass_witness = tuple(pts[:, worst])
-    else:
-        mass_verdict = "satisfied"
-        mass_witness = None
+        for y, growth, law in ((params.yu[i], kin.f[i], kin.alpha[i]),
+                               (params.yv[i], kin.g[i], kin.beta[i])):
+            kappa = (products[i] - 1.0) / y
+            K1 = max(K1, max(0.0, 1.0 + y - y_max) * growth.sup
+                     + max(0.0, kappa) * law.terms.get((0, 0), 0.0))
+    mass_rays = [(2 * i + 1, 2 * i + 2) for i in range(m)
+                 if products[i] > 1.0 and max(kin.alpha[i].degree, kin.beta[i].degree) >= 1]
 
     # --- polynomial growth bound on the exchange rates ---------------------
-    l_declared = max(1, max(max(r.degree for r in kin.alpha), max(r.degree for r in kin.beta)))
-    power_sum = ((u_pts + v_pts) ** l_declared).sum(axis=0) + 1.0
-    h_needed = 0.0
-    for ai, bi in rates:
-        h_needed = max(h_needed, float(np.max(ai / power_sum)))
-        h_needed = max(h_needed, float(np.max(bi / power_sum)))
+    laws = kin.alpha + kin.beta
+    l = max(1, max(law.degree for law in laws))
+    h = max(_growth_constant(law, m, l) for law in laws)
 
     # --- one-sided balance: sub-cubic growth of one signed combination -----
+    # the isolated combination -alpha_i u_i/yu_i + beta_i v_i is largest at
+    # u_i = 0, the attached one alpha_i u_i - beta_i v_i/yv_i at v_i = 0
     branches: list[tuple[Optional[str], Optional[float], float]] = []
-    balance_verdict: CheckVerdict = "satisfied"
-    for i, (ai, bi) in enumerate(rates):
-        expr_u = -ai * u_pts[i] / params.yu[i] + bi * v_pts[i]
-        expr_v = ai * u_pts[i] - bi * v_pts[i] / params.yv[i]
-        r_u = kin.beta[i].degree + 1
-        r_v = kin.alpha[i].degree + 1
-        chosen: Optional[tuple[str, float, float]] = None
-        for label, expr, r in (("isolated", expr_u, r_u), ("attached", expr_v, r_v)):
-            if r >= 3:
-                continue
-            denom = ((u_pts + v_pts) ** r).sum(axis=0) + 1.0
-            K = max(0.0, float(np.max(expr / denom)))
-            if chosen is None or K < chosen[1]:
-                chosen = (label, K, float(r))
-        if chosen is None:
-            # neither signed combination has declared sub-cubic degree
-            balance_verdict = "violated"
-            branches.append((None, None, float(min(r_u, r_v))))
-        else:
-            branches.append(chosen)
+    for i in range(m):
+        carried = (("isolated", kin.beta[i]), ("attached", kin.alpha[i]))
+        eligible = [(label, _balance_constant(law, m), float(law.degree + 1))
+                    for label, law in carried if law.degree + 1 < 3]
+        # the first of the smallest K
+        branches.append(min(eligible, key=lambda branch: branch[1]) if eligible
+                        else (None, None, float(min(law.degree for _, law in carried) + 1)))
 
     # --- exchange floor -----------------------------------------------------
-    strict_products = max(products) < 1.0
-    exchange_witness = None
-    if not strict_products:
+    # on the u_i axis only alpha_i u_i supplies, on the v_i axis beta_i v_i
+    floor_rays = [ray for i in range(m) for ray, vanishes in (
+        ((2 * i + 1,), kin.alpha[i].vanishes_without_attached),
+        ((2 * i + 2,), kin.beta[i].vanishes_without_isolated)) if vanishes]
+    if max(products) >= 1.0:
         exchange_verdict: CheckVerdict = "not_applicable"
-        exchange_delta = 0.0
+        floor_rays = []
     else:
-        total = (u_pts + v_pts).sum(axis=0)
-        supplied = np.zeros_like(total)
-        for i, (ai, bi) in enumerate(rates):
-            supplied += ai * u_pts[i] + bi * v_pts[i]
-        ratio = (supplied + 1.0) / np.maximum(total, 1e-300)
-        ratio[total == 0.0] = np.inf
-        # a genuine floor must not decay as the box grows: compare the
-        # sampled minimum on the full box against the half box
-        delta_full = float(np.min(ratio))
-        half = total <= 0.5 * float(np.max(total))
-        delta_half = float(np.min(ratio[half])) if half.any() else delta_full
-        if delta_full < 0.5 * delta_half:
-            exchange_verdict = "violated"
-            exchange_witness = tuple(pts[:, int(np.argmin(ratio))])
-            exchange_delta = delta_full
-        else:
-            exchange_verdict = "satisfied"
-            exchange_delta = delta_full
+        exchange_verdict = "violated" if floor_rays else "satisfied"
 
     return ConditionReport(
         quasipositive="satisfied",  # decided from the law classes
-        mass_control=mass_verdict,
+        mass_control="violated" if mass_rays else "satisfied",
         mass_weights=weights,
         mass_K1=K1,
-        mass_K2=K2,
-        mass_witness=mass_witness,
-        rate_growth_l=l_declared,
-        rate_growth_h=h_needed,
-        one_sided_balance=balance_verdict,
+        mass_K2=0.0,
+        mass_ray=mass_rays[0] if mass_rays else None,
+        rate_growth_l=l,
+        rate_growth_h=h,
+        one_sided_balance="violated" if any(b is None for b, _, _ in branches) else "satisfied",
         balance_branches=tuple(branches),
         exchange_floor=exchange_verdict,
-        exchange_delta=exchange_delta,
-        exchange_witness=exchange_witness,
+        exchange_ray=floor_rays[0] if floor_rays else None,
         yuyv_class=yuyv_class,
     )

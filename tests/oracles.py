@@ -95,7 +95,7 @@ def _growth_reference(law, S):
     raise NotImplementedError(name)
 
 
-def _rate_reference(law, total, attached):
+def rate_reference(law, total, attached):
     """An exchange-rate law's formula on total and attached biomass."""
     name = type(law).__name__
     if name == "ConstantRate":
@@ -109,6 +109,13 @@ def _rate_reference(law, total, attached):
     if name == "PowerTotalRate":
         return law.c * total**law.l
     raise NotImplementedError(name)
+
+
+def sample_box() -> np.ndarray:
+    """The tensor grid of 64 points per axis on [0, 10]^3, as the rows
+    ``(S, u, v)`` of a (3, 64**3) array: a single-species state box."""
+    axis = np.linspace(0.0, 10.0, 64)
+    return np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")])
 
 
 def reaction_reference(params, kin, S, u, v):
@@ -125,8 +132,8 @@ def reaction_reference(params, kin, S, u, v):
     for i in range(params.m):
         growth_u = _growth_reference(kin.f[i], S) * u[i]
         growth_v = _growth_reference(kin.g[i], S) * v[i]
-        attach = _rate_reference(kin.alpha[i], total, attached) * u[i]
-        detach = _rate_reference(kin.beta[i], total, attached) * v[i]
+        attach = rate_reference(kin.alpha[i], total, attached) * u[i]
+        detach = rate_reference(kin.beta[i], total, attached) * v[i]
         substrate = substrate - (growth_u + growth_v)
         out[1 + 2 * i] = growth_u - attach / params.yu[i] + detach
         out[2 + 2 * i] = growth_v + attach - detach / params.yv[i]

@@ -714,10 +714,43 @@ class TestMainEntry:
         assert code == EXIT_OK
         assert "quasipositive: satisfied" in out
         assert "reproductive numbers" in out
-        # violated by the declared degrees of the exchange laws: no sampled
-        # constant or witness point goes with it
+        # h = (1 + sqrt 2)/2, the sup of (1 + V) T / (T^2 + 1) at T = V
+        assert "rate_growth_bound: degree=2, h=1.20711\n" in out
+        # violated by the degrees of the exchange laws: no constant or ray
+        # goes with it
         assert "one_sided_balance: violated (species 1: none (declared r=3))\n" in out
-        assert "witness" not in out
+        # attachment T*V vanishes on v = 0, so no delta > 0 bounds u alone
+        assert out.count("ray[") == 1
+        assert ("exchange_floor: violated (yield products: all_products_below_one)\n"
+                "  ray[exchange_floor]: u_1 = s -> inf, every other component 0\n") in out
+
+    @pytest.mark.parametrize("line, replacement, pinned", [
+        ("beta = one_plus_attached_times_total", "beta = linear_total 0",
+         "one_sided_balance: satisfied (species 1: isolated (K=0, r=1))\n"),
+        ("beta = one_plus_attached_times_total", "beta = power_total 0 1",
+         "one_sided_balance: satisfied (species 1: isolated (K=0, r=1))\n"),
+        ("alpha = attached_times_total\nbeta = one_plus_attached_times_total",
+         "alpha = constant 0\nbeta = constant 1",
+         "exchange_floor: violated (yield products: all_products_below_one)\n"
+         "  ray[exchange_floor]: u_1 = s -> inf, every other component 0\n"),
+    ])
+    def test_check_zero_laws_have_degree_0(self, tmp_path, capsys, line, replacement, pinned):
+        """An identically zero law has no terms: degree 0 whatever its
+        class, and it vanishes without attached biomass."""
+        config = tmp_path / "zero.ini"
+        config.write_text(MINIMAL.replace(line, replacement))
+        assert main(["check", "--config", str(config)]) == EXIT_OK
+        assert pinned in capsys.readouterr().out
+
+    def test_check_mass_control_ray(self, capsys):
+        """blowup_demo: yu*yv = 4 > 1 with linear rates; the weighted sum
+        grows like s^2 along u_1 = v_1 = s."""
+        assert main(["check", "--preset", "blowup_demo"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert ("mass_control: violated (weights=(2.0, 3.0, 3.0), K1=0, K2=0)\n" in out)
+        assert "  ray[mass_control]: u_1 = v_1 = s -> inf, every other component 0\n" in out
+        assert "one_sided_balance: satisfied (species 1: isolated (K=1, r=2))\n" in out
+        assert "exchange_floor: not_applicable (yield products: some_product_exceeds_one)\n" in out
 
     def test_check_verb_two_species_says_why_no_reproductive_numbers(self, tmp_path, capsys):
         config = tmp_path / "two.ini"
@@ -725,6 +758,7 @@ class TestMainEntry:
         code = main(["check", "--config", str(config)])
         captured = capsys.readouterr()
         assert code == EXIT_OK
+        assert "rate_growth_bound: degree=2, h=2.22474\n" in captured.out
         assert captured.out.endswith(
             "reproductive numbers: defined for single-species models only (m=2)\n")
         assert "R_u" not in captured.out

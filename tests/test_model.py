@@ -1,5 +1,7 @@
 """Tests for growth laws, exchange-rate laws, parameters, and the reaction field."""
 
+import functools
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +11,8 @@ from hypothesis import strategies as st
 
 import flocstat as fs
 from conftest import floc_kinetics, standard_params
-from flocstat.model import _sample_points
 from flocstat.operators import trapezoid
-from oracles import reaction_reference
+from oracles import rate_reference, reaction_reference, sample_box
 
 GROWTH_LAWS = (fs.Monod(4.0, 1.0), fs.Haldane(3.0, 1.0, 1.0), fs.ZeroGrowth())
 RATE_LAWS = (
@@ -97,6 +98,28 @@ class TestRateLaws:
         r = fs.PowerTotalRate(2.0, 3)
         assert r(1.0, 1.0) == pytest.approx(16.0)
         assert r.degree == 3
+
+    @pytest.mark.parametrize("law, terms", [
+        (fs.ConstantRate(0.7), {(0, 0): 0.7}),
+        (fs.LinearTotalRate(1.3), {(1, 0): 1.3}),
+        (fs.AttachedTimesTotalRate(), {(1, 1): 1.0}),
+        (fs.OnePlusAttachedTimesTotalRate(), {(1, 0): 1.0, (1, 1): 1.0}),
+        (fs.PowerTotalRate(0.5, 3), {(3, 0): 0.5}),
+        (fs.ConstantRate(0.0), {}),
+        (fs.LinearTotalRate(0.0), {}),
+        (fs.PowerTotalRate(0.0, 3), {}),
+    ])
+    def test_term_table_is_the_formula(self, law, terms):
+        """The table {(j, k): c} of terms c*T**j*V**k evaluates to the law,
+        and a zero law has no terms, degree 0 and vanishes on both faces."""
+        assert law.terms == terms
+        u, v = np.array([[0.0, 2.0, 0.5, 3.0]]), np.array([[0.0, 0.0, 1.5, 4.0]])
+        T, V = u[0] + v[0], v[0]
+        expected = sum(c * T**j * V**k for (j, k), c in terms.items()) + 0.0 * T
+        np.testing.assert_allclose(law(u, v), expected, rtol=1e-15)
+        if not terms:
+            assert law.degree == 0
+            assert law.vanishes_without_attached and law.vanishes_without_isolated
 
     def test_rate_laws_accept_profiles(self):
         u = np.array([[0.0, 1.0, 2.0]])
@@ -283,13 +306,13 @@ class TestWeightVectorAndConditions:
     def test_one_sided_balance_decided_by_degree(self):
         """fig2a's exchange laws both have degree 2, so both signed
         combinations have exponent 3: the condition is violated by degree,
-        with no constant and no witness.  No sampled point could serve as
-        one: the attached combination is at most 0 on the whole box."""
+        with no constant and no ray.  On a 64^3 box over [0, 10]^3 the
+        attached combination is at most 0."""
         config = fs.load_preset("fig2a")
         report = fs.check_structural_conditions(config.params, config.kin)
         assert report.one_sided_balance == "violated"
         assert report.balance_branches == ((None, None, 3.0),)
-        pts = _sample_points(1)
+        pts = sample_box()
         u, v = pts[1:2], pts[2:3]
         kin, params = config.kin, config.params
         attached = kin.alpha[0](u, v) * u[0] - kin.beta[0](u, v) * v[0] / params.yv[0]
@@ -302,7 +325,137 @@ class TestWeightVectorAndConditions:
         assert report.yuyv_class == "some_product_exceeds_one"
         assert report.exchange_floor != "satisfied"
 
+    def test_mass_K1_bounds_constant_rates_above_unit_yield_product(self):
+        """fig2a with yu = yv = 2 and both rates constant 0.1: the exchange
+        terms add 1.5 * 0.1 per unit of u or v to the weighted sum, so K1 =
+        5 + 0.15.  At S = 40, u = 0, v = 1e4 the weighted sum is
+        5 * (40/41) * 1e4 + 1500 = 50 280.49, above 5 * (S + u + v) = 50 200."""
+        config = fs.load_preset("fig2a")
+        params = replace(config.params, yu=(2.0,), yv=(2.0,))
+        rate = fs.ConstantRate(0.1)
+        kin = replace(config.kin, alpha=(rate,), beta=(rate,))
+        report = fs.check_structural_conditions(params, kin)
+        assert report.mass_control == "satisfied"
+        assert report.mass_K1 == pytest.approx(5.15, rel=1e-12)
+        weighted = np.dot(fs.weight_vector(params), fs.reaction_field(params, kin, 40.0, [0.0], [1e4]))
+        assert weighted == pytest.approx(5.0 * 40.0 / 41.0 * 1e4 + 1500.0, rel=1e-12)
+        assert 5.0 * (40.0 + 1e4) < weighted <= report.mass_K1 * (40.0 + 1e4)
+
     def test_single_species_helper(self):
         p = fs.single_species(d0=2.0, du=3.0, dv=4.0, yu=0.2, yv=0.3, gamma_s=1.5)
         assert (p.m, p.d0, p.du, p.dv) == (1, 2.0, (3.0,), (4.0,))
         assert (p.yu, p.yv, p.gamma_s) == ((0.2,), (0.3,), 1.5)
+
+
+# the five rate laws and a zero-coefficient variant, as attachment and as
+# detachment
+EXCHANGE_LAWS = {**{type(law).__name__: law for law in RATE_LAWS}, "zero": fs.LinearTotalRate(0.0)}
+# (yu, yv) with yu * yv below, at and above 1
+YIELDS = {"product<1": (0.5, 0.8), "product=1": (2.0, 0.5), "product>1": (2.0, 1.5)}
+# T = sum_i (u_i + v_i) from 0 to 1e6, log-spaced
+T_SAMPLE = np.concatenate(([0.0], np.logspace(-3.0, 6.0, 401)))
+
+
+@functools.lru_cache(maxsize=None)
+def orthant_sample(m):
+    """States (u, v), each (m, N): every T of T_SAMPLE along directions of
+    the orthant given by each species' share of T and its attached fraction."""
+    if m == 1:
+        shares, fractions = np.ones((1, 1)), np.linspace(0.0, 1.0, 9)
+    else:
+        a = np.linspace(0.0, 1.0, 33)
+        shares, fractions = np.stack([a, 1.0 - a], axis=1), np.array([0.0, 0.5, 1.0])
+    directions = [(share * (1.0 - b), share * b) for share in shares
+                  for b in map(np.array, itertools.product(fractions, repeat=m))]
+    u, v = (np.array(side).T[:, :, None] * T_SAMPLE for side in zip(*directions))
+    return u.reshape(m, -1), v.reshape(m, -1)
+
+
+def ray_state(m, ray, s):
+    """The state (S, u_1, v_1, ...) with the components of ``ray`` at s and
+    all others 0, as one-node rows."""
+    W = np.zeros((2 * m + 1, 1))
+    W[list(ray)] = s
+    return W
+
+
+def assert_least_bound(bound, ratios):
+    """``bound`` is at least every sampled ratio and within 1e-3 relative of
+    their maximum."""
+    top = float(ratios.max())
+    assert top <= bound * (1.0 + 1e-12)
+    assert bound - top <= 1e-3 * top
+
+
+class TestStructuralConditionsAgainstDenseSample:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("yields", YIELDS)
+    @pytest.mark.parametrize("beta", EXCHANGE_LAWS)
+    @pytest.mark.parametrize("alpha", EXCHANGE_LAWS)
+    def test_law_pair(self, alpha, beta, yields, m):
+        yu, yv = YIELDS[yields]
+        params = fs.ModelParams(m=m, d0=1.0, du=1.0, dv=1.0, yu=yu, yv=yv, gamma_s=1.0)
+        A, B = EXCHANGE_LAWS[alpha], EXCHANGE_LAWS[beta]
+        kin = fs.KineticsSpec(f=(fs.Monod(4.0, 1.0),) * m, g=(fs.Haldane(3.0, 1.0, 1.0),) * m,
+                              alpha=(A,) * m, beta=(B,) * m)
+        report = fs.check_structural_conditions(params, kin)
+        u, v = orthant_sample(m)
+        per_species = u + v
+        T, V = per_species.sum(axis=0), v.sum(axis=0)
+        a, b = rate_reference(A, T, V), rate_reference(B, T, V)
+
+        # h: the least constant with both rates at most h*(sum (u_i+v_i)^l + 1)
+        l = report.rate_growth_l
+        assert_least_bound(report.rate_growth_h,
+                           np.maximum(a, b) / ((per_species**l).sum(axis=0) + 1.0))
+
+        # K: the least constant of the chosen signed combination
+        assert len(report.balance_branches) == m
+        for i, (branch, K, r) in enumerate(report.balance_branches):
+            if branch is None:
+                assert report.one_sided_balance == "violated" and r >= 3.0
+                continue
+            combination = (-a * u[i] / yu + b * v[i] if branch == "isolated"
+                           else a * u[i] - b * v[i] / yv)
+            assert_least_bound(K, combination / ((per_species**r).sum(axis=0) + 1.0))
+
+        weights = np.array(fs.weight_vector(params))
+        K1 = report.mass_K1
+        if report.mass_control == "satisfied":
+            assert report.mass_ray is None and report.mass_K2 == 0.0
+            # every fourth sampled state, at three substrate levels (the
+            # Haldane g peaks at S = 1)
+            u4, v4, T4 = u[:, ::4], v[:, ::4], T[::4]
+            # the exchange terms cancel exactly at a unit yield product
+            rounding = 1e-12 * (a[::4] * u4 + b[::4] * v4).sum(axis=0)
+            for S in (0.0, 1.0, 1e3):
+                weighted = weights @ reaction_reference(params, kin, np.full(T4.shape, S), u4, v4)
+                assert np.all(weighted <= K1 * (S + T4) * (1.0 + 1e-12) + rounding)
+        else:
+            # along the ray the weighted sum outgrows every K1 * (S + sum)
+            ratios, excess = [], []
+            for s in (1e2, 1e4, 1e6):
+                W = ray_state(m, report.mass_ray, s)
+                weighted = float(weights @ reaction_reference(params, kin, W[0], W[1::2], W[2::2])[:, 0])
+                ratios.append(weighted / (W.sum() + 1.0))
+                excess.append(weighted - K1 * W.sum())
+            assert 0.0 < excess[0] < excess[1] < excess[2]
+            assert ratios[1] >= 10.0 * ratios[0] and ratios[2] >= 10.0 * ratios[1]
+
+        if yields != "product<1":
+            assert report.exchange_floor == "not_applicable" and report.exchange_ray is None
+            return
+        if report.exchange_floor == "satisfied":
+            assert report.exchange_ray is None
+            supplied = (a * u + b * v).sum(axis=0) + 1.0
+            assert np.min(supplied[T >= 1.0] / T[T >= 1.0]) >= 1e-2
+        else:
+            # along the ray the supplied exchange stays 1 while the total grows
+            floors = []
+            for s in (1e2, 1e4, 1e6):
+                W = ray_state(m, report.exchange_ray, s)
+                rate_a, rate_b = (rate_reference(law, W[1:].sum(axis=0), W[2::2].sum(axis=0))
+                                  for law in (A, B))
+                supplied = float((rate_a * W[1::2] + rate_b * W[2::2]).sum()) + 1.0
+                floors.append(supplied / W[1:].sum())
+            assert floors[1] <= floors[0] / 10.0 and floors[2] <= floors[1] / 10.0
