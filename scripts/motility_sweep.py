@@ -51,7 +51,7 @@ def main() -> int:
         type=float,
         nargs="*",
         default=[0.001, 0.1, 1.0, 100.0],
-        help="isolated-phase diffusivities to scan",
+        help="attached-phase diffusivities dv to scan",
     )
     args = parser.parse_args()
 

@@ -23,12 +23,7 @@ from .cli import (
     run_experiment,
     sweep,
 )
-from .diagnostics import (
-    EnergyConfig,
-    ReproductiveNumbers,
-    hp_energy,
-    reproductive_numbers,
-)
+from .diagnostics import ReproductiveNumbers, reproductive_numbers
 from .eigen import EigenPair, lambda_bracket, solve_principal
 from .model import (
     AttachedTimesTotalRate,
@@ -65,7 +60,6 @@ from .steady import (
     CoexistenceReport,
     ExtinctionReport,
     SteadyState,
-    apply_steady_operator,
     check_coexistence_hypotheses,
     check_extinction_hypotheses,
     fixed_point_solve,
@@ -85,7 +79,6 @@ __all__ = [
     "ConstantRate",
     "Controls",
     "EigenPair",
-    "EnergyConfig",
     "ExtinctionReport",
     "FlocRate",
     "Grid",
@@ -107,14 +100,12 @@ __all__ = [
     "Verdict",
     "ZeroGrowth",
     "__version__",
-    "apply_steady_operator",
     "available_presets",
     "check_coexistence_hypotheses",
     "check_extinction_hypotheses",
     "check_structural_conditions",
     "classify_outcome",
     "fixed_point_solve",
-    "hp_energy",
     "kernel_eval",
     "kernel_matrix",
     "lambda_bracket",

@@ -788,7 +788,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     print(f"quasipositive: {report.quasipositive}")
     print(
         f"mass_control: {report.mass_control} "
-        f"(weights={report.mass_weights}, K1={report.mass_K1:g}, K2={report.mass_K2:g})"
+        f"(weights={report.mass_weights}, K1={report.mass_K1:g})"
     )
     print(f"rate_growth_bound: degree={report.rate_growth_l}, h={report.rate_growth_h:g}")
     branches = ", ".join(

@@ -70,9 +70,9 @@ def solve_principal(d: float, n: int = 401) -> EigenPair:
     if d <= 0:
         raise ValueError(f"diffusivity must be positive, got {d}")
     pe = peclet_number(d, n)
-    if not peclet_admissible(d, n, strict=True):
+    if not peclet_admissible(d, n):
         raise ValueError(
-            f"grid too coarse for d={d}: cell Peclet h/(2d) = {pe:.3f} >= 1; "
+            f"grid too coarse for d={d}: cell Peclet h/(2d) = {pe:.3f} > 1; "
             f"use n > {min_grid_n(d)}"
         )
     ab = operator_bands(d, n)

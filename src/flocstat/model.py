@@ -557,10 +557,10 @@ class ConditionReport:
       "satisfied".
     - ``mass_control``: the weighted reaction sum with weights
       ``(y_max, 1+yu_1, 1+yv_1, ...)`` is at most ``K1 * (S + sum_i (u_i +
-      v_i)) + K2``.  It is violated exactly when some species has ``yu_i *
-      yv_i > 1`` and an exchange law of degree at least 1 (ray ``u_i = v_i``).
-      ``K2`` is 0, and ``K1`` the largest bound on the coefficient of one
-      biomass component.
+      v_i))``.  It is violated exactly when some species has ``yu_i * yv_i >
+      1`` and an exchange law of degree at least 1 (ray ``u_i = v_i``).
+      ``K1`` is the largest bound on the coefficient of one biomass
+      component.
     - ``rate_growth_l``, ``rate_growth_h``: ``l`` is the largest degree of
       the exchange laws (at least 1), and ``h`` the least constant with
       every rate at most ``h * (sum_i (u_i+v_i)**l + 1)``.  A constant, not
@@ -583,7 +583,6 @@ class ConditionReport:
     mass_control: CheckVerdict
     mass_weights: tuple[float, ...]
     mass_K1: float
-    mass_K2: float
     mass_ray: Optional[tuple[int, ...]]
     rate_growth_l: int
     rate_growth_h: float
@@ -703,7 +702,6 @@ def check_structural_conditions(params: ModelParams, kin: KineticsSpec) -> Condi
         mass_control="violated" if mass_rays else "satisfied",
         mass_weights=weights,
         mass_K1=K1,
-        mass_K2=0.0,
         mass_ray=mass_rays[0] if mass_rays else None,
         rate_growth_l=l,
         rate_growth_h=h,

@@ -111,16 +111,15 @@ def peclet_number(d: float, n: int) -> float:
     return grid_spacing(n) / (2.0 * d)
 
 
-def peclet_admissible(d: float, n: int, *, strict: bool = False) -> bool:
-    """Whether the n-node grid resolves diffusivity d.
+def peclet_admissible(d: float, n: int) -> bool:
+    """Whether the n-node grid resolves diffusivity d: cell Peclet number
+    up to 1 (up to rounding).
 
-    The time stepper admits cell Peclet number up to 1 (up to rounding):
-    there the upper band of A vanishes and ``I + dt*A`` stays an M-matrix.
-    The eigen solver needs it below 1 (``strict``): at Pe = 1, A is
-    reducible and has no positive eigenvector.
+    At Pe = 1 the upper band of A vanishes and ``I + dt*A`` stays an
+    M-matrix, so the time stepper runs there.  A is then reducible and has
+    no positive eigenvector, which the eigen solver detects and reports.
     """
-    pe = peclet_number(d, n)
-    return pe < 1.0 if strict else pe <= 1.0 + 1e-12
+    return peclet_number(d, n) <= 1.0 + 1e-12
 
 
 def min_grid_n(d: float) -> int:

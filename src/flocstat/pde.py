@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -127,21 +127,6 @@ class Grid:
         return np.linspace(0.0, 1.0, self.n)
 
 
-_Profile = Union[float, Sequence[float], Array, Callable[[Array], Array]]
-
-
-def _as_profile(grid: Grid, value: _Profile, name: str) -> Array:
-    if callable(value):
-        out = np.asarray(value(grid.x), dtype=float)
-    elif np.ndim(value) == 0:
-        out = np.full(grid.n, float(value))
-    else:
-        out = np.asarray(value, dtype=float)
-    if out.shape != (grid.n,):
-        raise ValueError(f"{name} profile has shape {out.shape}, expected ({grid.n},)")
-    return out
-
-
 @dataclass(frozen=True)
 class StateField:
     """All fields of the model at one instant: substrate S (n,), isolated
@@ -184,8 +169,9 @@ class StateField:
         return self.u.shape[0]
 
     @classmethod
-    def constant(cls, grid: Grid, *, S: float, u: _Profile, v: _Profile,
-                 m: int = 1, t: float = 0.0) -> "StateField":
+    def constant(cls, grid: Grid, *, S: float, u: Union[float, Sequence[float]],
+                 v: Union[float, Sequence[float]], m: int = 1,
+                 t: float = 0.0) -> "StateField":
         """State with constant (or per-species constant) profiles."""
         u_arr = np.asarray(u, dtype=float)
         v_arr = np.asarray(v, dtype=float)
@@ -202,15 +188,6 @@ class StateField:
             v=np.repeat(v_arr[:, None], grid.n, axis=1),
             t=t,
         )
-
-    @classmethod
-    def from_profiles(cls, grid: Grid, *, S: _Profile, u: Sequence[_Profile],
-                      v: Sequence[_Profile], t: float = 0.0) -> "StateField":
-        """State from per-component profiles (scalar, array, or callable of x)."""
-        u_rows = [_as_profile(grid, p, f"u{i + 1}") for i, p in enumerate(u)]
-        v_rows = [_as_profile(grid, p, f"v{i + 1}") for i, p in enumerate(v)]
-        return cls(grid=grid, S=_as_profile(grid, S, "S"),
-                   u=np.stack(u_rows), v=np.stack(v_rows), t=t)
 
     def stack(self) -> Array:
         """(2m+1, n) array ordered (S, u_1, v_1, ..., u_m, v_m)."""

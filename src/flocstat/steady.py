@@ -54,7 +54,6 @@ from .pde import Grid
 __all__ = [
     "kernel_eval",
     "kernel_matrix",
-    "apply_steady_operator",
     "SteadyState",
     "fixed_point_solve",
     "ClauseMargin",
@@ -122,26 +121,20 @@ def _require_theory_regime(params: ModelParams, kin: KineticsSpec) -> None:
         )
 
 
-_Triple = tuple[Array, Array, Array]
-
-
-def _as_triple(value, name: str = "triple") -> Array:
-    """Coerce a (Stilde, u, v) triple (or SteadyState) to a (3, n) array."""
-    if hasattr(value, "Stilde"):
-        parts = (value.Stilde, value.u, value.v)
-    else:
-        parts = tuple(value)
-        if len(parts) != 3:
-            raise ValueError(f"{name} must have exactly three components, got {len(parts)}")
+def _as_triple(init) -> Array:
+    """Coerce the (Stilde, u, v) initial triple to a (3, n) array."""
+    parts = tuple(init)
+    if len(parts) != 3:
+        raise ValueError(f"init must have exactly three components, got {len(parts)}")
     arrays = [np.asarray(p, dtype=float) for p in parts]
     n = arrays[0].shape[0] if arrays[0].ndim == 1 else -1
     for label, arr in zip(("Stilde", "u", "v"), arrays):
         if arr.ndim != 1 or arr.shape[0] != n or n < 3:
-            raise ValueError(f"{name}.{label} must be a 1-D array matching the others")
+            raise ValueError(f"init.{label} must be a 1-D array matching the others")
         if not np.isfinite(arr).all():
-            raise ValueError(f"{name}.{label} contains non-finite values")
+            raise ValueError(f"init.{label} contains non-finite values")
         if arr.size and float(arr.min()) < 0.0:
-            raise ValueError(f"{name}.{label} contains negative values")
+            raise ValueError(f"init.{label} contains negative values")
     return np.stack(arrays)
 
 
@@ -214,25 +207,6 @@ class _SteadyOperator:
         return max(
             transport_defect(X[c], diffs[c], src[c], gamma=0.0).max_abs for c in range(3)
         )
-
-
-def apply_steady_operator(state, params: ModelParams, kin: KineticsSpec) -> _Triple:
-    """One application of the steady integral operator to a triple.
-
-    ``state`` is ``(Stilde, u, v)`` (arrays on a shared uniform grid) or
-    a SteadyState.  Kinetics are evaluated at the available substrate
-    ``(1 - Stilde)`` clamped to its positive part; the returned triple is
-    clamped componentwise nonnegative (the kernel is positive, so only
-    exchange-loss overshoots can undershoot zero mid-iteration).
-
-    When a biomass component is identically zero and the exchange rate
-    feeding the other phase vanishes with it, the operator reduces
-    exactly to the corresponding two-component extinction system.
-    """
-    X = _as_triple(state)
-    op = _SteadyOperator(params, kin, X.shape[1])
-    out = op.apply(X)
-    return out[0], out[1], out[2]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +337,7 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError(f"need positive tol and max_iter >= 1, got {tol}, {max_iter}")
-    X = _as_triple(init, "init")
+    X = _as_triple(init)
     n = X.shape[1]
     grid = Grid(n)
     op = _SteadyOperator(params, kin, n)

@@ -1,10 +1,10 @@
 """Independent reference computations used to validate the package.
 
 Everything here is derived from first principles with generic tools
-(root-finding on closed forms, shooting with an adaptive ODE integrator,
-direct binomial sums) and deliberately shares no code with the package
-implementations it checks.  The one exception is the reference IMEX step,
-which reuses the package's stencil and kinetics to check only its solve.
+(root-finding on closed forms, shooting with an adaptive ODE integrator)
+and deliberately shares no code with the package implementations it
+checks.  The one exception is the reference IMEX step, which reuses the
+package's stencil and kinetics to check only its solve.
 """
 
 from __future__ import annotations
@@ -71,16 +71,6 @@ def kernel_closed_form(d: float, x: float, s: float) -> float:
     """Green's function of -d w'' + w' on (0,1) with the chemostat boundary
     conditions, evaluated directly from its piecewise-exponential form."""
     return math.exp((min(x, s) - s) / d)
-
-
-def binomial_phase_energy(u, v, p: int, a: float):
-    """Direct binomial-sum evaluation of the two-phase energy density."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    total = np.zeros(np.broadcast(u, v).shape)
-    for k in range(p + 1):
-        total = total + math.comb(p, k) * a ** (k * k) * u**k * v ** (p - k)
-    return total
 
 
 def _growth_reference(law, S):

@@ -747,7 +747,7 @@ class TestMainEntry:
         grows like s^2 along u_1 = v_1 = s."""
         assert main(["check", "--preset", "blowup_demo"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert ("mass_control: violated (weights=(2.0, 3.0, 3.0), K1=0, K2=0)\n" in out)
+        assert ("mass_control: violated (weights=(2.0, 3.0, 3.0), K1=0)\n" in out)
         assert "  ray[mass_control]: u_1 = v_1 = s -> inf, every other component 0\n" in out
         assert "one_sided_balance: satisfied (species 1: isolated (K=1, r=2))\n" in out
         assert "exchange_floor: not_applicable (yield products: some_product_exceeds_one)\n" in out

@@ -1,16 +1,11 @@
-"""Tests for reproductive numbers, the run functionals Q and mass, and energies."""
+"""Tests for reproductive numbers and the run functionals Q and mass."""
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import flocstat as fs
 from flocstat.operators import trapezoid
 from conftest import floc_kinetics, standard_params
-
-from oracles import binomial_phase_energy
 
 
 class TestReproductiveNumbers:
@@ -83,57 +78,6 @@ class TestBlowupFunctional:
 
         order = np.log(defect(201) / defect(801)) / np.log(4.0)
         assert order > 1.9
-
-
-class TestEnergy:
-    def test_fixture_value(self):
-        """p = 2, a = 2, u = v = 1: binomial sum is 1 + 4 + 16 = 21."""
-        cfg = fs.EnergyConfig(p=2, a=2.0)
-        density, integral = fs.hp_energy(1.0, 1.0, cfg)
-        assert np.asarray(density).flat[0] == pytest.approx(21.0, rel=1e-15)
-        assert integral == pytest.approx(21.0, rel=1e-12)
-
-    @pytest.mark.parametrize("p", [2, 3, 4])
-    def test_collapses_to_power_sum_when_a_is_one(self, p):
-        rng = np.random.default_rng(42 + p)
-        u = rng.random(101) * 3.0
-        v = rng.random(101) * 3.0
-        cfg = fs.EnergyConfig(p=p, a=1.0)
-        density, _ = fs.hp_energy(u, v, cfg)
-        np.testing.assert_allclose(density, (u + v) ** p, rtol=1e-12)
-
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_matches_binomial_reference(self, p):
-        rng = np.random.default_rng(5)
-        u = rng.random(64) * 2.0
-        v = rng.random(64) * 2.0
-        a = 1.7
-        cfg = fs.EnergyConfig(p=p, a=a)
-        density, _ = fs.hp_energy(u, v, cfg)
-        np.testing.assert_allclose(density, binomial_phase_energy(u, v, p, a), rtol=1e-12)
-
-    def test_minimal_weight_for_params(self):
-        params = standard_params(du=4.0, dv=1.0, yu=0.5, yv=0.5)
-        cfg = fs.EnergyConfig.for_params(params, p=2)
-        # (du + dv) / (2 sqrt(du dv)) = 5/4 dominates the yields and the floor 1
-        assert cfg.a == pytest.approx(1.25)
-        assert cfg.p == 2
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            fs.EnergyConfig(p=1, a=2.0)
-        with pytest.raises(ValueError):
-            fs.EnergyConfig(p=2, a=0.5)
-
-    @given(
-        arrays(np.float64, 33, elements=st.floats(min_value=0.0, max_value=5.0)),
-        arrays(np.float64, 33, elements=st.floats(min_value=0.0, max_value=5.0)),
-    )
-    def test_energy_nonnegative_and_monotone_in_a(self, u, v):
-        lo, _ = fs.hp_energy(u, v, fs.EnergyConfig(p=2, a=1.0))
-        hi, _ = fs.hp_energy(u, v, fs.EnergyConfig(p=2, a=2.0))
-        assert np.all(np.asarray(lo) >= 0.0)
-        assert np.all(np.asarray(hi) >= np.asarray(lo) - 1e-14)
 
 
 class TestWeightedMass:

@@ -60,6 +60,12 @@ class TestSolvePrincipal:
         with pytest.raises(ValueError, match="grid too coarse"):
             fs.solve_principal(0.001, n=502)
 
+    def test_unit_peclet_pair_rejected(self):
+        """Cell Peclet 1 passes the Peclet rule, but A is then reducible and
+        has no positive eigenvector: the resolution check rejects it."""
+        with pytest.raises(ValueError, match="grid too coarse.*not resolved at cell Peclet 1.000"):
+            fs.solve_principal(0.001, n=501)
+
     def test_rejects_grid_too_coarse_for_diffusivity(self):
         with pytest.raises(ValueError, match="n >"):
             fs.solve_principal(0.001, n=101)

@@ -422,7 +422,7 @@ class TestStructuralConditionsAgainstDenseSample:
         weights = np.array(fs.weight_vector(params))
         K1 = report.mass_K1
         if report.mass_control == "satisfied":
-            assert report.mass_ray is None and report.mass_K2 == 0.0
+            assert report.mass_ray is None
             # every fourth sampled state, at three substrate levels (the
             # Haldane g peaks at S = 1)
             u4, v4, T4 = u[:, ::4], v[:, ::4], T[::4]

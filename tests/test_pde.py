@@ -53,22 +53,13 @@ class TestGridAndState:
         assert state.component_labels() == ("S", "u", "v")
         assert np.all(state.v == 2.0)
 
-    def test_state_from_profiles_callable(self, grid_201):
-        state = fs.StateField.from_profiles(
-            grid_201, S=lambda x: x, u=[lambda x: 1.0 + x], v=[0.5]
-        )
-        np.testing.assert_allclose(state.S, grid_201.x)
-        np.testing.assert_allclose(state.u[0], 1.0 + grid_201.x)
-        assert np.all(state.v == 0.5)
-
     def test_state_rejects_negative(self, grid_201):
         with pytest.raises(ValueError):
             fs.StateField.constant(grid_201, S=-0.1, u=1.0, v=1.0)
 
     def test_stack_round_trip(self, grid_201):
-        state = fs.StateField.from_profiles(
-            grid_201, S=lambda x: x, u=[lambda x: x**2], v=[lambda x: 1 - x]
-        )
+        x = grid_201.x
+        state = fs.StateField(grid=grid_201, S=x, u=x[None, :] ** 2, v=1 - x[None, :])
         stacked = state.stack()
         assert stacked.shape == (3, 201)
         rebuilt = fs.StateField.from_stack(grid_201, stacked, t=state.t)
@@ -107,20 +98,22 @@ def two_species_setup():
         alpha=(fs.AttachedTimesTotalRate(), fs.LinearTotalRate(0.5)),
         beta=(fs.OnePlusAttachedTimesTotalRate(), fs.PowerTotalRate(0.2, 2)),
     )
-    state = fs.StateField.from_profiles(
-        fs.Grid(101), S=lambda x: 0.2 + 0.5 * x,
-        u=[lambda x: 1.0 + x, lambda x: 0.5 * (1.0 - x) ** 2],
-        v=[lambda x: 0.8 - 0.3 * x, 0.3],
+    grid = fs.Grid(101)
+    x = grid.x
+    state = fs.StateField(
+        grid=grid, S=0.2 + 0.5 * x,
+        u=np.stack([1.0 + x, 0.5 * (1.0 - x) ** 2]),
+        v=np.stack([0.8 - 0.3 * x, np.full(grid.n, 0.3)]),
     )
     return params, kin, state
 
 
 def one_species_setup():
     params, kin = standard_params(du=0.1, dv=10.0), floc_kinetics()
-    state = fs.StateField.from_profiles(
-        fs.Grid(201), S=lambda x: 0.1 + 0.9 * x**2, u=[lambda x: 1.0 + np.sin(3 * x)],
-        v=[lambda x: 1.0 - 0.5 * x],
-    )
+    grid = fs.Grid(201)
+    x = grid.x
+    state = fs.StateField(grid=grid, S=0.1 + 0.9 * x**2, u=(1.0 + np.sin(3 * x))[None, :],
+                          v=(1.0 - 0.5 * x)[None, :])
     return params, kin, state
 
 
@@ -382,9 +375,10 @@ class TestErrorControl:
         """From a smooth state, the macro step's error at t = 0.5 falls about
         4x per halving of dt, where the IMEX step's falls about 2x."""
         params, kin = standard_params(du=0.1, dv=10.0), floc_kinetics()
-        state = fs.StateField.from_profiles(
-            fs.Grid(41), S=lambda x: 0.1 + 0.9 * x**2, u=[lambda x: 1.0 + np.sin(3 * x)],
-            v=[lambda x: 1.0 - 0.5 * x])
+        grid = fs.Grid(41)
+        x = grid.x
+        state = fs.StateField(grid=grid, S=0.1 + 0.9 * x**2, u=(1.0 + np.sin(3 * x))[None, :],
+                              v=(1.0 - 0.5 * x)[None, :])
         W0 = fs.simulate(state, params, kin, t_end=1.0).final.stack()
         dts = (0.02, 0.01, 0.005)
         ref = richardson_reference(params, kin, W0, dts[-1] / 16, 0.5)

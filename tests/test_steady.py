@@ -94,8 +94,8 @@ class TestSteadyOperator:
         params, kin = theory_params(), floc_kinetics()
         grid = fs.Grid(201)
         zeros = np.zeros(grid.n)
-        out = fs.apply_steady_operator((zeros, zeros, zeros), params, kin)
-        np.testing.assert_allclose(np.asarray(out), 0.0, atol=1e-15)
+        out = fs.steady._SteadyOperator(params, kin, grid.n).apply(np.stack((zeros, zeros, zeros)))
+        np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_attached_free_subspace_invariant(self):
         """With attachment vanishing on v = 0, the v = 0 face is invariant."""
@@ -104,15 +104,15 @@ class TestSteadyOperator:
         dep = np.full(grid.n, 0.3)
         u = np.full(grid.n, 0.5)
         v = np.zeros(grid.n)
-        out = fs.apply_steady_operator((dep, u, v), params, kin)
-        np.testing.assert_allclose(np.asarray(out)[2], 0.0, atol=1e-15)
+        out = fs.steady._SteadyOperator(params, kin, grid.n).apply(np.stack((dep, u, v)))
+        np.testing.assert_allclose(out[2], 0.0, atol=1e-15)
 
     def test_output_nonnegative(self):
         params, kin = theory_params(), floc_kinetics()
         grid = fs.Grid(101)
         rng = np.random.default_rng(3)
         trip = (rng.random(101) * 0.5, rng.random(101), rng.random(101))
-        out = np.asarray(fs.apply_steady_operator(trip, params, kin))
+        out = fs.steady._SteadyOperator(params, kin, grid.n).apply(np.stack(trip))
         assert np.min(out) >= 0.0
 
     @pytest.mark.parametrize("alpha, beta", [
@@ -151,7 +151,7 @@ class TestSteadyOperator:
         fS, gS = kin.f[0](S), kin.g[0](S)
         sources = np.stack([fS * u + gS * v, fS * u, gS * v])
         want = np.clip(fs.kernel_matrix(d, n) @ sources.T, 0.0, None).T
-        got = np.asarray(fs.apply_steady_operator((dep, u, v), params, kin))
+        got = fs.steady._SteadyOperator(params, kin, n).apply(np.stack((dep, u, v)))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_fine_grid_needs_no_dense_matrix(self):
@@ -164,7 +164,7 @@ class TestSteadyOperator:
         params = theory_params()
         kin = floc_kinetics(alpha=fs.ConstantRate(0.0), beta=fs.ConstantRate(0.0))
         dep, u, v = np.full(n, 0.2), np.full(n, 0.5), np.zeros(n)
-        out = fs.apply_steady_operator((dep, u, v), params, kin)
+        out = fs.steady._SteadyOperator(params, kin, n).apply(np.stack((dep, u, v)))
         c = float(kin.f[0](0.8)) * 0.5
         x = np.linspace(0.0, 1.0, n)
         for row, d in zip(out[:2], (params.d0, params.du[0])):
