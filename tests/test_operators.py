@@ -13,7 +13,9 @@ from flocstat.operators import (
     band_matvec,
     feed_vector,
     grid_spacing,
+    min_grid_n,
     operator_bands,
+    peclet_admissible,
     peclet_number,
     transport_defect,
     trapezoid,
@@ -82,6 +84,14 @@ class TestBands:
 
     def test_peclet_number(self):
         assert peclet_number(0.01, 201) == pytest.approx(grid_spacing(201) / 0.02)
+
+    @pytest.mark.parametrize("d", [0.001, 0.0011, 0.0025, 0.004, 0.01])
+    def test_min_grid_n_is_least_admissible_grid(self, d):
+        """The grid ``min_grid_n`` names passes the Peclet rule and the next
+        coarser one does not, so "use n > min_grid_n" is a sound hint."""
+        n = min_grid_n(d)
+        assert peclet_admissible(d, n)
+        assert not peclet_admissible(d, n - 1)
 
     @given(st.floats(min_value=0.02, max_value=50.0))
     def test_row_sums_nonnegative_inflow(self, d):

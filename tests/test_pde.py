@@ -57,6 +57,31 @@ class TestGridAndState:
         with pytest.raises(ValueError):
             fs.StateField.constant(grid_201, S=-0.1, u=1.0, v=1.0)
 
+    def test_state_from_one_species_rows(self, grid_201):
+        """A 1-D u or v is one species' row: the state has m = 1."""
+        x = grid_201.x
+        state = fs.StateField(grid=grid_201, S=1 - x, u=x, v=x**2)
+        assert state.m == 1
+        assert state.u.shape == state.v.shape == (1, 201)
+        np.testing.assert_array_equal(state.v[0], x**2)
+
+    @pytest.mark.parametrize(
+        "S, u, v, message",
+        [
+            (np.ones(200), np.ones((1, 201)), np.ones((1, 201)), r"S has shape \(200,\)"),
+            (np.ones(201), np.ones((1, 201)), np.ones((2, 201)), "expected matching"),
+            (np.ones(201), np.ones((1, 200)), np.ones((1, 200)), "expected matching"),
+            (np.full(201, np.nan), np.ones((1, 201)), np.ones((1, 201)), "S contains non-finite"),
+            (np.ones(201), np.full((1, 201), np.inf), np.ones((1, 201)), "u contains non-finite"),
+            (np.ones(201), -np.ones((1, 201)), np.ones((1, 201)), "u contains negative"),
+            (np.ones(201), np.ones((1, 201)), -np.ones((1, 201)), "v contains negative"),
+        ],
+        ids=["S-length", "u-v-species", "u-v-nodes", "S-nan", "u-inf", "u-negative", "v-negative"],
+    )
+    def test_state_rejects_bad_arrays(self, grid_201, S, u, v, message):
+        with pytest.raises(ValueError, match=message):
+            fs.StateField(grid=grid_201, S=S, u=u, v=v)
+
     def test_stack_round_trip(self, grid_201):
         x = grid_201.x
         state = fs.StateField(grid=grid_201, S=x, u=x[None, :] ** 2, v=1 - x[None, :])
