@@ -14,7 +14,7 @@ import numpy as np
 
 
 def run_at(magnitude: float, *, yu: float, t_end: float, grid_n: int):
-    params = fs.single_species(d0=1.0, du=1.0, dv=1.0, yu=yu, yv=yu, gamma_s=1.0)
+    params = fs.ModelParams(m=1, d0=1.0, du=1.0, dv=1.0, yu=yu, yv=yu, gamma_s=1.0)
     kin = fs.KineticsSpec(
         f=(fs.ZeroGrowth(),),
         g=(fs.ZeroGrowth(),),

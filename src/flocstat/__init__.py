@@ -41,18 +41,14 @@ from .model import (
     ZeroGrowth,
     check_structural_conditions,
     reaction_field,
-    single_species,
     weight_vector,
 )
 from .pde import (
-    BoundReport,
     Grid,
-    OutcomeReport,
     SimulationResult,
     StateField,
     Verdict,
     classify_outcome,
-    monitor_bounds,
     simulate,
 )
 from .steady import (
@@ -71,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttachedTimesTotalRate",
-    "BoundReport",
     "ClauseMargin",
     "CoexistenceReport",
     "ConditionReport",
@@ -89,7 +84,6 @@ __all__ = [
     "ModelParams",
     "Monod",
     "OnePlusAttachedTimesTotalRate",
-    "OutcomeReport",
     "PowerTotalRate",
     "ReproductiveNumbers",
     "RunConfig",
@@ -111,13 +105,11 @@ __all__ = [
     "lambda_bracket",
     "load_config",
     "load_preset",
-    "monitor_bounds",
     "parse_config",
     "reaction_field",
     "reproductive_numbers",
     "run_experiment",
     "simulate",
-    "single_species",
     "solve_principal",
     "sweep",
     "weight_vector",

@@ -382,7 +382,7 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path: Union[str, Path]) -> RunConfig:
     """Read and parse an INI run configuration from ``path``."""
-    return parse_config(Path(path).read_text())
+    return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
 # --------------------------------------------------------------------------
@@ -407,7 +407,7 @@ def preset_text(name: str) -> str:
         raise KeyError(
             f"unknown preset {name!r}; available: {', '.join(available_presets())}"
         )
-    return path.read_text()
+    return path.read_text(encoding="utf-8")
 
 
 def load_preset(name: str) -> RunConfig:
@@ -502,9 +502,8 @@ def run_experiment(
         if created:
             out_path.rmdir()
         raise
-    outcome = classify_outcome(result)
     write_outputs(out_path, result)
-    return result, outcome.label
+    return result, classify_outcome(result)
 
 
 def _apply_sweep_value(params: ModelParams, parameter: str, value: float) -> ModelParams:
@@ -644,6 +643,8 @@ def _load_from_args(args: argparse.Namespace) -> RunConfig:
             config = load_config(path)
         except OSError as exc:  # main reads any other OSError as an output failure
             raise ConfigError([f"cannot read config file: {exc}"]) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc
     elif args.preset is not None:
         try:
             config = load_preset(args.preset)

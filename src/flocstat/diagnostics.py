@@ -32,17 +32,14 @@ class ReproductiveNumbers:
     """Washout-stability indices of a single-species model.
 
     ``R_u``/``R_v`` are the indices floored at zero (a phase whose
-    washout-state net growth is negative cannot invade at all);
-    ``raw_u``/``raw_v`` keep the signed values.  ``classification`` is
-    ``"washout-stable"`` (both indices below 1), ``"washout-unstable"`` (at
-    least one above 1), or ``"boundary"`` (the larger index within
-    ``CLASSIFICATION_TOL`` of 1).
+    washout-state net growth is negative cannot invade at all).
+    ``classification`` is ``"washout-stable"`` (both indices below 1),
+    ``"washout-unstable"`` (at least one above 1), or ``"boundary"`` (the
+    larger index within ``CLASSIFICATION_TOL`` of 1).
     """
 
     R_u: float
     R_v: float
-    raw_u: float
-    raw_v: float
     classification: str
 
 
@@ -72,10 +69,8 @@ def reproductive_numbers(
     S_in = params.gamma_s
     loss_u = float(kin.alpha[0](0.0, 0.0)) / params.yu[0]
     loss_v = float(kin.beta[0](0.0, 0.0)) / params.yv[0]
-    raw_u = (float(kin.f[0](S_in)) - loss_u) / lam_u
-    raw_v = (float(kin.g[0](S_in)) - loss_v) / lam_v
-    R_u = max(0.0, raw_u)
-    R_v = max(0.0, raw_v)
+    R_u = max(0.0, (float(kin.f[0](S_in)) - loss_u) / lam_u)
+    R_v = max(0.0, (float(kin.g[0](S_in)) - loss_v) / lam_v)
 
     top = max(R_u, R_v)
     if abs(top - 1.0) <= CLASSIFICATION_TOL:
@@ -84,10 +79,4 @@ def reproductive_numbers(
         classification = "washout-stable"
     else:
         classification = "washout-unstable"
-    return ReproductiveNumbers(
-        R_u=R_u,
-        R_v=R_v,
-        raw_u=raw_u,
-        raw_v=raw_v,
-        classification=classification,
-    )
+    return ReproductiveNumbers(R_u=R_u, R_v=R_v, classification=classification)

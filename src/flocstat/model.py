@@ -380,24 +380,6 @@ class KineticsSpec:
         return len(self.f)
 
 
-def single_species(
-    *,
-    d0: float = 1.0,
-    du: float = 1.0,
-    dv: float = 1.0,
-    yu: float = 0.1,
-    yv: float = 0.1,
-    gamma_s: float = 1.0,
-    gamma_u: float = 0.0,
-    gamma_v: float = 0.0,
-) -> ModelParams:
-    """Convenience constructor for the single-species (m = 1) model."""
-    return ModelParams(
-        m=1, d0=d0, du=(du,), dv=(dv,), yu=(yu,), yv=(yv,),
-        gamma_s=gamma_s, gamma_u=(gamma_u,), gamma_v=(gamma_v,),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Reaction field
 # ---------------------------------------------------------------------------

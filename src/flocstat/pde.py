@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -69,12 +69,9 @@ __all__ = [
     "StateField",
     "Verdict",
     "SimulationResult",
-    "OutcomeReport",
-    "BoundReport",
     "simulate",
     "monitor_keys",
     "classify_outcome",
-    "monitor_bounds",
 ]
 
 #: accepted steps must not undershoot below this before clamping
@@ -169,25 +166,11 @@ class StateField:
         return self.u.shape[0]
 
     @classmethod
-    def constant(cls, grid: Grid, *, S: float, u: Union[float, Sequence[float]],
-                 v: Union[float, Sequence[float]], m: int = 1,
+    def constant(cls, grid: Grid, *, S: float, u: float, v: float,
                  t: float = 0.0) -> "StateField":
-        """State with constant (or per-species constant) profiles."""
-        u_arr = np.asarray(u, dtype=float)
-        v_arr = np.asarray(v, dtype=float)
-        if u_arr.ndim == 0:
-            u_arr = np.full(m, float(u_arr))
-        if v_arr.ndim == 0:
-            v_arr = np.full(m, float(v_arr))
-        if u_arr.shape != (m,) or v_arr.shape != (m,):
-            raise ValueError(f"u/v must be scalars or length-{m} sequences")
-        return cls(
-            grid=grid,
-            S=np.full(grid.n, float(S)),
-            u=np.repeat(u_arr[:, None], grid.n, axis=1),
-            v=np.repeat(v_arr[:, None], grid.n, axis=1),
-            t=t,
-        )
+        """Single-species state with constant profiles."""
+        return cls(grid=grid, S=np.full(grid.n, float(S)), u=np.full((1, grid.n), float(u)),
+                   v=np.full((1, grid.n), float(v)), t=t)
 
     def stack(self) -> Array:
         """(2m+1, n) array ordered (S, u_1, v_1, ..., u_m, v_m)."""
@@ -622,26 +605,8 @@ def simulate(
 
 
 # ---------------------------------------------------------------------------
-# Outcome classification and bound reports
+# Outcome classification
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OutcomeReport:
-    """Ecological reading of a finished run.
-
-    label: ``blow-up`` | ``washout`` | ``coexistence`` |
-        ``extinction-u`` / ``extinction-v`` (single species) or
-        ``extinction-<comma list>`` (multiple species).
-    extinct/surviving: biomass component labels, empty for blow-up.
-    A component counts as extinct when its final sup norm is below
-    ``EXTINCT_SUP`` and below ``EXTINCT_FRACTION`` times its initial sup
-    norm.
-    """
-
-    label: str
-    extinct: tuple[str, ...]
-    surviving: tuple[str, ...]
 
 
 #: sup norm below which a biomass component may count as extinct
@@ -650,76 +615,31 @@ EXTINCT_SUP = 1e-2
 EXTINCT_FRACTION = 0.1
 
 
-def classify_outcome(result: SimulationResult) -> OutcomeReport:
-    """Classify a run per the documented sup-norm thresholds."""
+def classify_outcome(result: SimulationResult) -> str:
+    """Ecological reading of a finished run, as a label.
+
+    ``blow-up`` for a blow-up verdict; otherwise ``coexistence`` (no biomass
+    component extinct), ``washout`` (every one extinct), or
+    ``extinction-<components>``: ``extinction-u`` / ``extinction-v`` for a
+    single species, a comma list of ``u<i>``/``v<i>`` such as
+    ``extinction-u1,v2`` for several.  A component counts as extinct when its
+    final sup norm is below ``EXTINCT_SUP`` and below ``EXTINCT_FRACTION``
+    times its initial sup norm.
+    """
     if result.verdict.kind == "blow_up":
-        return OutcomeReport("blow-up", (), ())
+        return "blow-up"
     labels = result.final.component_labels()[1:]
     # rows u_1, v_1, u_2, v_2, ...: the order of the labels
     init = result.initial.stack()[1:]
     fin = result.final.stack()[1:]
     extinct: list[str] = []
-    surviving: list[str] = []
     for j, label in enumerate(labels):
         s0 = float(init[j].max())
         s1 = float(fin[j].max())
-        gone = s1 < EXTINCT_SUP and (s0 == 0.0 or s1 < EXTINCT_FRACTION * s0)
-        (extinct if gone else surviving).append(label)
+        if s1 < EXTINCT_SUP and (s0 == 0.0 or s1 < EXTINCT_FRACTION * s0):
+            extinct.append(label)
     if not extinct:
-        label = "coexistence"
-    elif not surviving:
-        label = "washout"
-    else:
-        label = "extinction-" + ",".join(extinct)
-    return OutcomeReport(label, tuple(extinct), tuple(surviving))
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """A-posteriori check of the run against the model's a priori bounds.
-
-    sup_S_limit is ``max(feed, initial sup of S)``; the substrate may
-    exceed it only by discretization slack, at most ``SUP_S_SLACK``.  The weighted-mass growth
-    class is a heuristic three-way fit on the monitor series: bounded
-    (no sustained late growth), linear (steady late increments), or
-    exponential (late increments outpacing earlier ones).
-    """
-
-    sup_S_max: float
-    sup_S_limit: float
-    sup_bound_ok: bool
-    mass_growth_class: str
-
-
-#: discretization slack by which sup S may exceed its a priori bound
-SUP_S_SLACK = 1e-3
-
-
-def monitor_bounds(result: SimulationResult, params: ModelParams) -> BoundReport:
-    """Evaluate the substrate sup bound and classify weighted-mass growth."""
-    sup_S = result.monitors["sup_S"]
-    limit = max(params.gamma_s, float(result.initial.S.max()))
-    sup_max = float(sup_S.max())
-
-    t = result.monitors["t"]
-    mass = result.monitors["mass"]
-    peak = float(mass.max())
-    t0, t1 = float(t[0]), float(t[-1])
-    if t1 <= t0:
-        growth = "bounded"
-    else:
-        quart = [np.interp(t0 + q * (t1 - t0), t, mass) for q in (0.5, 0.75, 1.0)]
-        late_growth = quart[2] - quart[0]
-        scale = max(abs(peak), 1.0)
-        if late_growth <= 0.05 * scale:
-            growth = "bounded"
-        else:
-            inc1 = quart[1] - quart[0]
-            inc2 = quart[2] - quart[1]
-            growth = "exponential" if inc2 > 1.5 * max(inc1, 0.0) else "linear"
-    return BoundReport(
-        sup_S_max=sup_max,
-        sup_S_limit=limit,
-        sup_bound_ok=sup_max - limit <= SUP_S_SLACK,
-        mass_growth_class=growth,
-    )
+        return "coexistence"
+    if len(extinct) == len(labels):
+        return "washout"
+    return "extinction-" + ",".join(extinct)

@@ -3,6 +3,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -31,7 +32,27 @@ def floc_kinetics(f=None, g=None, alpha=None, beta=None) -> fs.KineticsSpec:
 
 
 def standard_params(d0=1.0, du=1.0, dv=10.0, yu=0.1, yv=0.1, gamma_s=1.0) -> fs.ModelParams:
-    return fs.single_species(d0=d0, du=du, dv=dv, yu=yu, yv=yv, gamma_s=gamma_s)
+    return fs.ModelParams(m=1, d0=d0, du=du, dv=dv, yu=yu, yv=yv, gamma_s=gamma_s)
+
+
+def mass_growth_class(result: fs.SimulationResult) -> str:
+    """Heuristic three-way fit of a run's weighted-mass monitor series:
+    bounded (no sustained late growth), linear (steady late increments), or
+    exponential (late increments outpacing earlier ones)."""
+    t = result.monitors["t"]
+    mass = result.monitors["mass"]
+    peak = float(mass.max())
+    t0, t1 = float(t[0]), float(t[-1])
+    if t1 <= t0:
+        return "bounded"
+    quart = [np.interp(t0 + q * (t1 - t0), t, mass) for q in (0.5, 0.75, 1.0)]
+    late_growth = quart[2] - quart[0]
+    scale = max(abs(peak), 1.0)
+    if late_growth <= 0.05 * scale:
+        return "bounded"
+    inc1 = quart[1] - quart[0]
+    inc2 = quart[2] - quart[1]
+    return "exponential" if inc2 > 1.5 * max(inc1, 0.0) else "linear"
 
 
 @pytest.fixture

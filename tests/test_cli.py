@@ -560,6 +560,22 @@ class TestMainEntry:
         assert code == EXIT_OK
         assert out.startswith("verdict: ")
 
+    def test_run_two_species_verdict_names_each_extinct_phase(self, tmp_path, capsys):
+        """With no exchange the four phases compete for S alone: species 2
+        cannot grow and v1 outgrows u1, so u1, u2 and v2 die out."""
+        config = tmp_path / "two.ini"
+        config.write_text(
+            MINIMAL.replace("d0 = 1", "d0 = 1\nm = 2").replace("dv = 10", "dv = 1")
+            .replace("f = monod 4 1", "f = monod 4 1; zero")
+            .replace("g = monod 5 1", "g = monod 5 1; zero")
+            .replace("alpha = attached_times_total", "alpha = constant 0")
+            .replace("beta = one_plus_attached_times_total", "beta = constant 0")
+            .replace("t_end = 2\ngrid_n = 101", "t_end = 100\ngrid_n = 201")
+        )
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("verdict: extinction-u1,u2,v2\n")
+
     def test_run_exit_blow_up(self, tmp_path, capsys):
         code = main(["run", "--preset", "blowup_demo", "--out", str(tmp_path)])
         out = capsys.readouterr().out
@@ -742,6 +758,17 @@ class TestMainEntry:
         assert main(["check", "--config", str(config)]) == EXIT_OK
         assert pinned in capsys.readouterr().out
 
+    def test_check_boundary_reproductive_numbers(self, tmp_path, capsys):
+        """f = Monod(2*lambda(du), 1) at feed 1 grows at exactly lambda(du),
+        and both exchange rates vanish at the origin: R_u is exactly 1."""
+        lam = fs.solve_principal(1.0, 101).value
+        config = tmp_path / "boundary.ini"
+        config.write_text(MINIMAL.replace("f = monod 4 1", f"f = monod {2.0 * lam!r} 1")
+                          .replace("g = monod 5 1", "g = zero"))
+        assert main(["check", "--config", str(config)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith(
+            "reproductive numbers: R_u=1.000000 R_v=0.000000 (boundary)\n")
+
     def test_check_mass_control_ray(self, capsys):
         """blowup_demo: yu*yv = 4 > 1 with linear rates; the weighted sum
         grows like s^2 along u_1 = v_1 = s."""
@@ -893,6 +920,18 @@ class TestMainEntry:
             "configuration error:\n  - cannot read config file: "
             f"[Errno 13] Permission denied: '{cfg_path}'\n"
         )
+
+    @pytest.mark.parametrize("verb", ["run", "sweep", "eigen", "steady", "check"])
+    def test_config_that_is_not_utf8_is_a_configuration_error(self, tmp_path, capsys, verb):
+        cfg_path = tmp_path / "latin.ini"
+        cfg_path.write_bytes(b"\xff" + MINIMAL.encode())
+        code = main([verb, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error:\n  - cannot read config file {cfg_path}: 'utf-8' codec "
+            "can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_preset_without_sweep_section_exits_2(self, tmp_path, capsys):
         code = main(["sweep", "--preset", "fig2a", "--out", str(tmp_path / "out")])

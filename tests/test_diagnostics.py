@@ -32,6 +32,15 @@ class TestReproductiveNumbers:
         expected = (fs.Monod(4.0, 1.0)(1.0) - 0.0) / lam_u
         assert repro.R_u == pytest.approx(expected, rel=1e-12)
 
+    def test_boundary_when_larger_index_is_one(self):
+        """f = Monod(2*lambda(du), 1) at feed 1 grows at exactly lambda(du),
+        and both exchange rates vanish at the origin: R_u is exactly 1."""
+        params = standard_params(du=1.0, dv=1.0)
+        lam = fs.solve_principal(1.0, 201).value
+        kin = floc_kinetics(f=fs.Monod(2.0 * lam, 1.0), g=fs.ZeroGrowth())
+        repro = fs.reproductive_numbers(params, kin, grid_n=201)
+        assert (repro.R_u, repro.R_v, repro.classification) == (1.0, 0.0, "boundary")
+
     def test_negative_raw_floors_to_zero(self):
         params = standard_params(yu=0.1, yv=0.1)
         kin = floc_kinetics(
@@ -40,7 +49,6 @@ class TestReproductiveNumbers:
         )
         repro = fs.reproductive_numbers(params, kin, grid_n=201)
         assert repro.R_u == 0.0 and repro.R_v == 0.0
-        assert repro.raw_u < 0.0 and repro.raw_v < 0.0
 
 
 def first_monitor_row(state, params):

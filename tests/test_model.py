@@ -341,11 +341,6 @@ class TestWeightVectorAndConditions:
         assert weighted == pytest.approx(5.0 * 40.0 / 41.0 * 1e4 + 1500.0, rel=1e-12)
         assert 5.0 * (40.0 + 1e4) < weighted <= report.mass_K1 * (40.0 + 1e4)
 
-    def test_single_species_helper(self):
-        p = fs.single_species(d0=2.0, du=3.0, dv=4.0, yu=0.2, yv=0.3, gamma_s=1.5)
-        assert (p.m, p.d0, p.du, p.dv) == (1, 2.0, (3.0,), (4.0,))
-        assert (p.yu, p.yv, p.gamma_s) == ((0.2,), (0.3,), 1.5)
-
 
 # the five rate laws and a zero-coefficient variant, as attachment and as
 # detachment
