@@ -491,16 +491,17 @@ def run_experiment(
 
     ``out_dir`` is created before the simulation starts, so that an output
     path that cannot be created fails before any stepping; a simulation
-    that raises removes it again if this call created it.
+    that raises removes again every directory this call created.
     """
     out_path = Path(out_dir)
-    created = not out_path.exists()
+    # the directories mkdir creates, deepest first
+    created = [path for path in (out_path, *out_path.parents) if not path.exists()]
     out_path.mkdir(parents=True, exist_ok=True)
     try:
         result = _simulate_config(config)
     except Exception:
-        if created:
-            out_path.rmdir()
+        for path in created:
+            path.rmdir()
         raise
     write_outputs(out_path, result)
     return result, classify_outcome(result)

@@ -43,12 +43,8 @@ class ReproductiveNumbers:
     classification: str
 
 
-def reproductive_numbers(
-    params: ModelParams,
-    kin: KineticsSpec,
-    *,
-    grid_n: int = 401,
-) -> ReproductiveNumbers:
+def reproductive_numbers(params: ModelParams, kin: KineticsSpec, *,
+                         grid_n: int) -> ReproductiveNumbers:
     """Washout-stability indices for a single-species model.
 
     The isolated-phase index is

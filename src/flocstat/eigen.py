@@ -53,8 +53,9 @@ class EigenPair:
     residual: float
 
 
-def solve_principal(d: float, n: int = 401) -> EigenPair:
-    """Principal eigenpair by one symmetric tridiagonal eigen-solve.
+def solve_principal(d: float, n: int) -> EigenPair:
+    """Principal eigenpair at diffusivity d on the n-node grid, by one
+    symmetric tridiagonal eigen-solve.
 
     With cell Peclet number below 1 (``h < 2d``) every off-diagonal entry
     of A is negative, so a diagonal D whose entries grow by
@@ -65,10 +66,11 @@ def solve_principal(d: float, n: int = 401) -> EigenPair:
     Perron-Frobenius on its positive inverse the principal eigenvector is
     the only positive one; a result that is not positive, or whose
     residual is above the rounding floor, means the grid does not resolve
-    the eigenfunction and raises ValueError.
+    the eigenfunction and raises ValueError, as do a d that is not
+    positive and finite, and a grid that breaks the Peclet rule.
     """
-    if d <= 0:
-        raise ValueError(f"diffusivity must be positive, got {d}")
+    if not (d > 0 and math.isfinite(d)):
+        raise ValueError(f"diffusivity must be positive and finite, got {d}")
     pe = peclet_number(d, n)
     if not peclet_admissible(d, n):
         raise ValueError(
@@ -114,9 +116,10 @@ class LambdaBracket(NamedTuple):
 
 
 def lambda_bracket(d: float) -> LambdaBracket:
-    """Closed-form enclosure of the principal eigenvalue (see LambdaBracket)."""
-    if d <= 0:
-        raise ValueError(f"diffusivity must be positive, got {d}")
+    """Closed-form enclosure of the principal eigenvalue (see LambdaBracket);
+    a d that is not positive and finite raises ValueError."""
+    if not (d > 0 and math.isfinite(d)):
+        raise ValueError(f"diffusivity must be positive and finite, got {d}")
     if d < 1.0 / (2.0 * math.pi):
         lo = 1.0 / (4.0 * d) + math.pi**2 * d / 4.0
         hi = 1.0 / (4.0 * d) + math.pi**2 * d

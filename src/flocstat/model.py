@@ -20,6 +20,7 @@ term tables, the yields and the growth laws' ``sup``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence, Union
 
@@ -35,7 +36,7 @@ CheckVerdict = Literal["satisfied", "violated", "not_applicable"]
 
 def _as_float_tuple(value: Union[float, Sequence[float]], m: int, name: str) -> tuple[float, ...]:
     """Normalise a scalar-or-sequence parameter to an m-tuple of floats."""
-    if isinstance(value, (int, float)):
+    if isinstance(value, numbers.Real):
         return (float(value),) * m
     out = tuple(float(x) for x in value)
     if len(out) != m:
@@ -318,8 +319,9 @@ class ModelParams:
     gamma_v: tuple[float, ...] = 0.0  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.m, int) and self.m >= 1):
+        if not (isinstance(self.m, numbers.Integral) and self.m >= 1):
             raise ValueError(f"species count m must be an integer >= 1, got {self.m}")
+        object.__setattr__(self, "m", int(self.m))
         for name in ("du", "dv", "yu", "yv", "gamma_u", "gamma_v"):
             object.__setattr__(self, name, _as_float_tuple(getattr(self, name), self.m, name))
         object.__setattr__(self, "d0", float(self.d0))

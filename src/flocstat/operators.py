@@ -8,6 +8,9 @@ conditions folded into the first and last rows by second-order ghost-node
 elimination.  It also holds the composite trapezoid rule that integrates
 sampled profiles, and its weights.
 
+Diffusivities, feeds and arrays arrive as ``ModelParams``, ``StateField``
+and ``Grid`` checked them and are not checked again here.
+
 Matrices are returned in scipy's banded layout: ``ab[0, 1:]`` upper
 diagonal, ``ab[1, :]`` main diagonal, ``ab[2, :-1]`` lower diagonal.
 """
@@ -42,8 +45,6 @@ def operator_bands(d: float, n: int) -> Array:
     with ``w'(0) = 0`` and ``d*w'(1) + w(1) = 0`` is, on this grid, exactly
     ``A`` under index reversal (x -> 1 - x).
     """
-    if not (d > 0 and np.isfinite(d)):
-        raise ValueError(f"diffusivity must be positive, got {d}")
     h = grid_spacing(n)
     ab = np.zeros((3, n))
     diff = d / h**2
@@ -66,8 +67,6 @@ def feed_vector(d: float, n: int, gamma: float) -> Array:
     The full transport right-hand side for a field with feed gamma is
     ``-(A w) + feed_vector`` where ``A = operator_bands(d, n)``.
     """
-    if gamma < 0:
-        raise ValueError(f"feed concentration must be nonnegative, got {gamma}")
     h = grid_spacing(n)
     b = np.zeros(n)
     b[0] = (2.0 / h + 1.0 / d) * gamma
@@ -75,10 +74,7 @@ def feed_vector(d: float, n: int, gamma: float) -> Array:
 
 
 def band_matvec(ab: Array, x: Array) -> Array:
-    """Multiply a banded (3, n) matrix by a vector."""
-    n = ab.shape[1]
-    if x.shape != (n,):
-        raise ValueError(f"vector has shape {x.shape}, expected ({n},)")
+    """Multiply a banded (3, n) matrix by a vector of length n."""
     y = ab[1] * x
     y[:-1] += ab[0, 1:] * x[1:]
     y[1:] += ab[2, :-1] * x[:-1]
@@ -148,18 +144,11 @@ def transport_defect(w: Array, d: float, source: Array, *, gamma: float = 0.0) -
     inlet feed/outlet no-flux conditions (second-order differences, the
     boundary derivatives one-sided).  All three residuals shrink as O(h^2)
     for a profile that solves the problem exactly in the continuum.
+    ``w`` and ``source`` are 1-D arrays of the same length, at least 3.
     """
     w = np.asarray(w, dtype=float)
     source = np.asarray(source, dtype=float)
-    n = w.shape[0]
-    if w.shape != (n,) or source.shape != (n,) or n < 3:
-        raise ValueError(
-            f"profile and source must be matching 1-D arrays of length >= 3, "
-            f"got {w.shape} and {source.shape}"
-        )
-    if not (d > 0 and np.isfinite(d)):
-        raise ValueError(f"diffusivity must be positive, got {d}")
-    h = 1.0 / (n - 1)
+    h = 1.0 / (w.shape[0] - 1)
     interior = (
         -d * (w[2:] - 2.0 * w[1:-1] + w[:-2]) / h**2
         + (w[2:] - w[:-2]) / (2.0 * h)

@@ -23,7 +23,7 @@ module leans on:
 extrapolation: each step of size dt takes one IMEX step of dt and two of
 dt/2 and keeps ``2*fine - coarse``, which is second order.  The difference
 of the two first-order results estimates the error against RTOL and ATOL.
-dt stays on the ladder ``dt_init * 2**k``: it halves after a rejected step
+dt stays on the ladder ``DT_INIT * 2**k``: it halves after a rejected step
 and doubles after a step whose estimate is well inside the tolerance,
 unless the explicit stage of the doubled step would undershoot.  Steps are
 shortened only to land on snapshot times and on the horizon.  A step
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -101,6 +101,13 @@ DT_MIN = 1e-8
 
 #: a sup norm above this ends the run with a sup-threshold verdict
 SUP_THRESHOLD = 1e8
+
+#: the step size a run starts with; its steps stay on the ladder DT_INIT * 2**k
+DT_INIT = 1e-2
+
+#: a run keeps snapshots at this many evenly spaced target times, from the
+#: initial time to the horizon
+SNAPSHOTS = 11
 
 # the reductions behind ndarray.min and ndarray.max, without their wrappers
 _min, _max = np.minimum.reduce, np.maximum.reduce
@@ -284,7 +291,7 @@ class _Stepper:
 
     def factors(self, dt: float) -> list[Array]:
         """LU factors of ``I + dt*A``, in dgttrs argument order.  A run's
-        step sizes are the ladder ``dt_init * 2**k`` and their halves, plus
+        step sizes are the ladder ``DT_INIT * 2**k`` and their halves, plus
         two for each step shortened onto a snapshot time or the horizon, so
         the cache stays small."""
         got = self._factors.get(dt)
@@ -473,24 +480,17 @@ def _targets_reached(targets: list[float], k: int, t: float) -> int:
     return k
 
 
-def simulate(
-    initial: StateField,
-    params: ModelParams,
-    kin: KineticsSpec,
-    *,
-    t_end: float,
-    dt_init: float = 1e-2,
-    snapshot_times: Optional[Sequence[float]] = None,
-) -> SimulationResult:
+def simulate(initial: StateField, params: ModelParams, kin: KineticsSpec, *,
+             t_end: float) -> SimulationResult:
     """Run the error-controlled IMEX scheme from ``initial`` to ``t_end``
-    (or to blow-up), starting with steps of ``dt_init``.
+    (or to blow-up), starting with steps of ``DT_INIT``.
 
     Monitors are recorded at every accepted step; the ``dt`` column varies.
-    Snapshots are taken at ``snapshot_times`` (default: 11 evenly spaced
-    times from the initial time to ``t_end``), in sorted order: steps are
-    shortened to land on each target, a target counts as reached 1e-9
-    early, each state is kept at most once, and the final state is appended
-    unless it was kept already.
+    Snapshots are taken at ``SNAPSHOTS`` evenly spaced target times from the
+    initial time to ``t_end``: steps are shortened to land on each target,
+    a target counts as reached 1e-9 early, so targets closer than that
+    coalesce, each state is kept at most once, and the final state is
+    appended unless it was kept already.
     The blow-up functional Q weights biomass with the washout eigenfunction
     at the first species' isolated-phase diffusivity, reflected x -> 1 - x.
 
@@ -509,8 +509,6 @@ def simulate(
             f"t_end={t_end} does not exceed the initial time {initial.t} by more than "
             f"the time tolerance {time_tol:.3g}"
         )
-    if dt_init <= 0:
-        raise ValueError(f"dt_init must be positive, got {dt_init}")
     if SUP_THRESHOLD <= initial.sup():
         raise ValueError(
             f"sup_threshold {SUP_THRESHOLD} does not exceed the initial sup {initial.sup()}"
@@ -522,19 +520,16 @@ def simulate(
     # Q's weight: the adjoint eigenfunction, phi reflected, copied contiguous once
     recorder = _MonitorRecorder(params, grid, pair.function[::-1].copy())
     record = recorder.record
-    if snapshot_times is None:
-        targets = np.linspace(initial.t, t_end, 11).tolist()
-    else:
-        targets = sorted(float(s) for s in snapshot_times)
+    targets = np.linspace(initial.t, t_end, SNAPSHOTS).tolist()
 
     W = initial.stack()
     F = stepper.rate(W)
     t = initial.t
-    dt = dt_init
+    dt = DT_INIT
     accepted = 0
     rejected = 0
     fallbacks = 0
-    record(W, t, dt_init)
+    record(W, t, DT_INIT)
     due = _targets_reached(targets, 0, t)  # the first target not yet reached
     snapshots = [initial] if due else []
     verdict: Optional[Verdict] = None

@@ -227,7 +227,8 @@ class SteadyState:
     solver.  reason says why an unconverged solve stopped; it is empty
     for a converged state.  A solve that stops at a non-finite iterate
     returns that iterate, with both residuals nan; every other state is
-    finite.
+    finite.  ``fixed_point_solve`` builds every state, from nonnegative
+    profiles of the grid's length; the constructor does not check them.
     """
 
     grid: Grid
@@ -239,19 +240,6 @@ class SteadyState:
     converged: bool
     iterations: int
     reason: str = ""
-
-    def __post_init__(self) -> None:
-        n = self.grid.n
-        for label in ("Stilde", "u", "v"):
-            arr = np.asarray(getattr(self, label), dtype=float)
-            if arr.shape != (n,):
-                raise ValueError(f"{label} has shape {arr.shape}, expected ({n},)")
-            if (self.converged and not np.isfinite(arr).all()) or np.any(arr < 0.0):
-                raise ValueError(f"{label} must be finite and nonnegative")
-            object.__setattr__(self, label, arr)
-        for label in ("residual", "pde_residual"):
-            if self.converged and not math.isfinite(getattr(self, label)):
-                raise ValueError(f"{label} must be finite")
 
     @property
     def substrate(self) -> Array:
@@ -310,6 +298,12 @@ _FALLBACK_DEPLETION = 0.5
 #: the weight w of the new iterate in the Picard update ``(1 - w)*x + w*G(x)``
 DAMPING = 0.5
 
+#: the solve converges once the sup change of an iteration is below TOL
+TOL = 1e-10
+
+#: the solve stops unconverged after this many iterations
+MAX_ITER = 5000
+
 #: iterations between the two sup changes the non-contraction test compares;
 #: the largest ratio over that span on a converging shipped preset is 0.34
 #: (fig5l), while a span of 50 or 100 stops fig5l before it converges
@@ -319,14 +313,13 @@ _CONTRACTION_WINDOW = 200
 _max = np.maximum.reduce
 
 
-def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
-                      tol: float = 1e-10, max_iter: int = 5000) -> SteadyState:
+def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadyState:
     """Damped Picard iteration ``x <- (1 - w)*x + w*G(x)`` on the triple,
     with ``w = DAMPING``.
 
     The iteration stops when the successive sup-norm change drops below
-    ``tol``; hitting ``max_iter`` first returns the last iterate marked
-    unconverged — the operator is not proven contractive, so
+    ``TOL``; hitting ``MAX_ITER`` iterations first returns the last iterate
+    marked unconverged — the operator is not proven contractive, so
     non-convergence is a result, not an error.  So does an iteration that
     stops contracting: once the sup change at iteration k is at least the
     change at iteration k - 200, the solve stops with the reason "not
@@ -335,14 +328,12 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
     returned residual is the fixed-point defect ``sup |G(x) - x|``;
     pde_residual is the differential-balance defect.
     """
-    if tol <= 0 or max_iter < 1:
-        raise ValueError(f"need positive tol and max_iter >= 1, got {tol}, {max_iter}")
     X = _as_triple(init)
     n = X.shape[1]
     grid = Grid(n)
     op = _SteadyOperator(params, kin, n)
     converged = False
-    reason = f"iteration limit {max_iter} reached"
+    reason = f"iteration limit {MAX_ITER} reached"
     iterations = 0
     changes = []
     # the iterate, the next one and their difference live in three buffers
@@ -350,7 +341,7 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
     keep, step = np.array(1.0 - DAMPING), np.array(DAMPING)
     # overflow is detected below and reported as the stopping reason
     with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, MAX_ITER + 1):
             GX = op.apply(X)
             # X_new = (1 - w)*X + w*G(X)
             np.multiply(keep, X, out=X_new)
@@ -362,7 +353,7 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec, *,
             if not math.isfinite(change):
                 reason = f"non-finite iterate at iteration {iterations}"
                 break
-            if change < tol:
+            if change < TOL:
                 converged, reason = True, ""
                 break
             changes.append(change)
@@ -427,7 +418,7 @@ class ExtinctionReport:
 
 
 def check_extinction_hypotheses(params: ModelParams, kin: KineticsSpec,
-                                which: str, *, grid_n: int = 401) -> ExtinctionReport:
+                                which: str, *, grid_n: int) -> ExtinctionReport:
     """Audit the hypotheses of the extinction existence construction.
 
     ``which`` names the phase that goes extinct: ``"attached"`` keeps
@@ -502,7 +493,7 @@ class CoexistenceReport:
 
 
 def check_coexistence_hypotheses(params: ModelParams, kin: KineticsSpec, *,
-                                 grid_n: int = 401) -> CoexistenceReport:
+                                 grid_n: int) -> CoexistenceReport:
     """Audit the coexistence construction over a (theta, rho) grid.
 
     theta and rho are searched on a 64-point logarithmic grid over

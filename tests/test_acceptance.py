@@ -213,7 +213,7 @@ def test_criterion_08_steady_state_is_dynamic_equilibrium():
     params, kin = standard_params(), floc_kinetics()
     grid = fs.Grid(801)
     init = (np.full(grid.n, 0.2), np.full(grid.n, 0.5), np.zeros(grid.n))
-    steady = fs.fixed_point_solve(init, params, kin, tol=1e-12)
+    steady = fs.fixed_point_solve(init, params, kin)
     residual_ok = steady.converged and steady.residual < 1e-6 and steady.pde_residual < 1e-6
     state = fs.StateField(
         grid=grid,

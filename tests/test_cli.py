@@ -639,15 +639,17 @@ class TestMainEntry:
         assert captured.err.startswith(f"configuration error:\n  - [model] feed concentration {key}")
         assert not (tmp_path / "out").exists()
 
-    def test_horizon_within_time_tolerance_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("out", ["out", "nest/a/b"])
+    def test_horizon_within_time_tolerance_exits_2(self, tmp_path, capsys, out):
         """A positive horizon no longer than simulate's time tolerance would
-        end the run before its first step."""
+        end the run before its first step; the run removes every directory
+        of the output path it created."""
         code = main(["run", "--preset", "fig2a", "--t-end", "1e-13",
-                     "--out", str(tmp_path / "out")])
+                     "--out", str(tmp_path / out)])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("run rejected: ") and "time tolerance" in err
-        assert not (tmp_path / "out").exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key", [
         "dt_init", "dt_min", "sup_threshold", "snapshots", "steady_tol",

@@ -74,6 +74,11 @@ class TestSolvePrincipal:
         with pytest.raises(ValueError):
             fs.solve_principal(1.0, n=8)
 
+    @pytest.mark.parametrize("d", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_diffusivity_not_positive_and_finite(self, d):
+        with pytest.raises(ValueError, match="diffusivity must be positive and finite"):
+            fs.solve_principal(d, n=201)
+
 
 class TestLambdaBracket:
     @pytest.mark.parametrize("d", [0.02, 0.05, 0.1, 0.15])
@@ -90,6 +95,11 @@ class TestLambdaBracket:
         assert not bracket.enclosure
         assert bracket.lower == 1.0
         assert bracket.upper == np.inf
+
+    @pytest.mark.parametrize("d", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_diffusivity_not_positive_and_finite(self, d):
+        with pytest.raises(ValueError, match="diffusivity must be positive and finite"):
+            fs.lambda_bracket(d)
 
     def test_eigenvalue_decreasing_in_diffusivity(self):
         values = [

@@ -135,6 +135,12 @@ class TestModelParams:
         assert p.du == (1.0,)
         assert p.yv == (0.1,)
         assert p.gamma_u == (0.0,)
+        # numpy scalars count as scalars, a numpy integer as the species count
+        p = fs.ModelParams(m=np.int64(1), d0=1.0, du=np.float32(0.5), dv=np.int64(1),
+                           yu=0.1, yv=0.1, gamma_s=1.0)
+        assert p.m == 1 and type(p.m) is int
+        assert p.du == (0.5,)
+        assert p.dv == (1.0,)
 
     def test_yield_products(self):
         p = standard_params(yu=0.5, yv=0.4)

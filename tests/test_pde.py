@@ -277,15 +277,14 @@ class TestSimulate:
         assert result.snapshots[0].t == 0.0
         assert result.snapshots[-1].t == pytest.approx(2.0, abs=1e-9)
 
-    def test_snapshot_selection(self):
-        """Unsorted targets, two within 1e-9 of each other and one past
-        t_end: steps land on each target, a target counts as reached 1e-9
-        early, a state is kept once, and the final state closes the list."""
+    def test_targets_within_the_reach_tolerance_coalesce(self):
+        """On a horizon of 1e-10 every target lies within 1e-9 of the initial
+        time, so all count as reached at once: the initial state is kept
+        once, and the final state closes the list."""
         params, kin, state = one_species_setup()
-        targets = [0.3, 0.0, 0.1234, 5.0, 0.123, 0.2 + 5e-10, 0.2]
-        result = fs.simulate(state, params, kin, t_end=0.5, snapshot_times=targets)
+        result = fs.simulate(state, params, kin, t_end=1e-10)
         ts = result.monitors["t"].tolist()
-        assert [snap.t for snap in result.snapshots] == [0.0, 0.123, 0.1234, 0.2, 0.3, 0.5]
+        assert [snap.t for snap in result.snapshots] == [0.0, 1e-10]
         states = replayed_states(result, params, kin)
         for snap in result.snapshots:
             np.testing.assert_array_equal(snap.stack(), states[ts.index(snap.t)].stack())
@@ -295,9 +294,8 @@ class TestSimulate:
         targets; steps are shortened to land on each target time exactly."""
         params, kin = standard_params(du=1.0, dv=1.0), zero_growth_kinetics(0.0)
         state = fs.StateField.constant(fs.Grid(101), S=1.0, u=1.0, v=1.0)
-        targets = [0.7, 33.3, 50.0, 99.9]
-        result = fs.simulate(state, params, kin, t_end=100.0, snapshot_times=targets)
-        assert [snap.t for snap in result.snapshots] == targets + [100.0]
+        result = fs.simulate(state, params, kin, t_end=1000.0)
+        assert [snap.t for snap in result.snapshots] == [100.0 * k for k in range(11)]
         assert result.monitors["dt"].max() >= 10.0
         assert result.steps_accepted < 1000
 
@@ -354,14 +352,13 @@ class TestSimulate:
         assert mass_growth_class(result) == "bounded"
 
     def test_refinement_stability(self, saturating_setup):
-        """Halving h and dt moves the final state by a small amount."""
+        """Halving h moves the final state by a small amount."""
         params, kin = saturating_setup
         finals = []
         for n in (101, 201):
             grid = fs.Grid(n)
             state = fs.StateField.constant(grid, S=0.1, u=1.0, v=1.0)
-            result = fs.simulate(state, params, kin, t_end=5.0,
-                                 dt_init=0.01 if n == 101 else 0.005)
+            result = fs.simulate(state, params, kin, t_end=5.0)
             finals.append(result.final)
         coarse = finals[0].u[0][::1]
         fine = finals[1].u[0][::2]
@@ -422,7 +419,7 @@ class TestErrorControl:
     def test_controlled_run_matches_richardson_reference(self):
         """fig6n's kinetics from constant data: the controlled run's final
         state is within RTOL-scale error of a fixed-dt reference, in fewer
-        macro steps than the 500 steps of a fixed dt_init."""
+        macro steps than the 500 steps of a fixed DT_INIT."""
         config = fs.load_preset("fig6n")
         state = fs.StateField.constant(fs.Grid(51), S=0.1, u=1.0, v=1.0)
         result = fs.simulate(state, config.params, config.kin, t_end=5.0)
@@ -472,7 +469,7 @@ class TestErrorControl:
         so dt doubles after every step."""
         params, kin = standard_params(), floc_kinetics()
         state = fs.StateField.constant(fs.Grid(101), S=1.0, u=0.0, v=0.0)
-        result = fs.simulate(state, params, kin, t_end=10.0, snapshot_times=())
+        result = fs.simulate(state, params, kin, t_end=10.0)
         assert result.monitors["dt"][1:].tolist()[:6] == [0.01 * 2**k for k in range(6)]
         assert result.steps_rejected == 0 and result.fallbacks == 0
 
@@ -498,7 +495,7 @@ class TestStepBuffers:
         params = standard_params(du=0.1, dv=0.1)
         kin = floc_kinetics(f=fs.Monod(10.0, 1.0), g=fs.Monod(10.0, 1.0))
         state = fs.StateField.constant(fs.Grid(41), S=1.0, u=1e-12, v=1e-12)
-        result = fs.simulate(state, params, kin, t_end=10.0, snapshot_times=())
+        result = fs.simulate(state, params, kin, t_end=10.0)
         assert result.steps_rejected >= 2
         # a step is retried from the same state only after a rejection
         attempts = [len(list(group)) for _, group in itertools.groupby(starts)]
