@@ -8,6 +8,12 @@ directly, under its real name, and registers it in ``sys.modules``: a later
 ``import scipy.linalg`` reuses the same module, and the names below are the
 very objects ``scipy.linalg.lapack`` exports.  This is the only module of
 the package that imports scipy.
+
+The plain ``import scipy`` below runs only the package's light
+``__init__``, which locates the extension, and it must stay:
+``perfbench/worker.py`` reads ``sys.modules["scipy"].__version__``, and a
+copy of this module that finds ``_flapack`` by path without importing
+scipy fails every benchmark pass with ``KeyError: 'scipy'``.
 """
 
 from __future__ import annotations

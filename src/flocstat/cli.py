@@ -787,7 +787,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     config = _load_from_args(args)
     params, kin = config.params, config.kin
     report = check_structural_conditions(params, kin)
-    print(f"quasipositive: {report.quasipositive}")
     print(
         f"mass_control: {report.mass_control} "
         f"(weights={report.mass_weights}, K1={report.mass_K1:g})"

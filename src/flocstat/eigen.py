@@ -66,7 +66,8 @@ def solve_principal(d: float, n: int) -> EigenPair:
     Perron-Frobenius on its positive inverse the principal eigenvector is
     the only positive one; a result that is not positive, or whose
     residual is above the rounding floor, means the grid does not resolve
-    the eigenfunction and raises ValueError, as do a d that is not
+    the eigenfunction and raises ValueError, as do an upper band that is
+    not negative (at cell Peclet 1, where A is reducible), a d that is not
     positive and finite, and a grid that breaks the Peclet rule.
     """
     if not (d > 0 and math.isfinite(d)):
@@ -77,16 +78,16 @@ def solve_principal(d: float, n: int) -> EigenPair:
             f"grid too coarse for d={d}: cell Peclet h/(2d) = {pe:.3f} > 1; "
             f"use n > {min_grid_n(d)}"
         )
+    unresolved = f"grid too coarse for d={d}: eigenfunction not resolved at cell Peclet {pe:.3f}"
     ab = operator_bands(d, n)
     upper, lower = ab[0, 1:], ab[2, :-1]
+    if not np.all(upper < 0):  # rounding leaves it zero or of either sign at cell Peclet 1
+        raise ValueError(f"{unresolved} (upper band not negative); use a finer grid")
     lam, y = smallest_eigenpair(ab[1], -np.sqrt(upper * lower))
     if y[int(np.argmax(np.abs(y)))] < 0:
         y = -y
     # phi = D y, its magnitude formed in log space node by node
-    with np.errstate(divide="ignore"):
-        log_phi = np.log(np.abs(y)) + np.concatenate(
-            ([0.0], np.cumsum(0.5 * np.log(lower / upper)))
-        )
+    log_phi = np.log(np.abs(y)) + np.concatenate(([0.0], np.cumsum(0.5 * np.log(lower / upper))))
     phi = np.copysign(np.exp(log_phi - np.max(log_phi)), y)
     resid = float(np.max(np.abs(band_matvec(ab, phi) - lam * phi)))
     # the backward error of a computed tridiagonal eigenpair grows like
@@ -94,10 +95,9 @@ def solve_principal(d: float, n: int) -> EigenPair:
     floor = 8.0 * n * np.finfo(float).eps * float(np.max(np.abs(ab)))
     if not (np.all(y > 0) and resid <= floor):
         raise ValueError(
-            f"grid too coarse for d={d}: eigenfunction not resolved at cell Peclet "
-            f"{pe:.3f} (min {float(np.min(phi)):.3e}, residual {resid:.3e}); use a finer grid"
+            f"{unresolved} (min {float(np.min(phi)):.3e}, residual {resid:.3e}); use a finer grid"
         )
-    return EigenPair(d=float(d), n=n, value=lam, function=phi, iterations=1, residual=resid)
+    return EigenPair(d=float(d), n=int(n), value=lam, function=phi, iterations=1, residual=resid)
 
 
 class LambdaBracket(NamedTuple):

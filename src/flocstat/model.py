@@ -36,7 +36,9 @@ CheckVerdict = Literal["satisfied", "violated", "not_applicable"]
 
 def _as_float_tuple(value: Union[float, Sequence[float]], m: int, name: str) -> tuple[float, ...]:
     """Normalise a scalar-or-sequence parameter to an m-tuple of floats."""
-    if isinstance(value, numbers.Real):
+    if isinstance(value, (str, bytes)):
+        raise ValueError(f"{name} must be a number or a sequence of numbers, got {value!r}")
+    if isinstance(value, numbers.Real) or np.ndim(value) == 0:
         return (float(value),) * m
     out = tuple(float(x) for x in value)
     if len(out) != m:
@@ -371,11 +373,6 @@ class KineticsSpec:
                 raise ValueError(
                     f"KineticsSpec field {name} has {len(getattr(self, name))} entries, expected {m}"
                 )
-        # all growth laws vanish at S = 0 by construction; verify to guard
-        # against future descriptor additions breaking the washout state
-        for law in self.f + self.g:
-            if abs(float(law(0.0))) > 0.0:
-                raise ValueError(f"growth law {law!r} does not vanish at S = 0")
 
     @property
     def m(self) -> int:
@@ -531,14 +528,12 @@ class ConditionReport:
     ``exchange_floor`` carries the ray along which its inequality fails by
     an unbounded amount.
 
-    - ``quasipositive``: every component's reaction term is nonnegative on
-      the part of the boundary where that component vanishes (so the
-      nonnegative orthant is forward-invariant for the reaction part).  On
-      ``u_i = 0`` the isolated row is ``beta_i v_i``, on ``v_i = 0`` the
-      attached row is ``alpha_i u_i``, and on ``S = 0`` the substrate row is
-      0, because every rate law is nonnegative and every growth law
-      vanishes at ``S = 0`` (:class:`KineticsSpec` checks it).  It is always
-      "satisfied".
+    Quasipositivity is not reported: every rate law is nonnegative, so it
+    holds for every configuration.  On ``u_i = 0`` the isolated row is
+    ``beta_i v_i``, on ``v_i = 0`` the attached row is ``alpha_i u_i``, and
+    on ``S = 0`` the substrate row is 0, since every growth law vanishes
+    there by its formula.
+
     - ``mass_control``: the weighted reaction sum with weights
       ``(y_max, 1+yu_1, 1+yv_1, ...)`` is at most ``K1 * (S + sum_i (u_i +
       v_i))``.  It is violated exactly when some species has ``yu_i * yv_i >
@@ -563,7 +558,6 @@ class ConditionReport:
       ``u_i``) or some ``beta_i`` is the zero law (ray ``v_i``).
     """
 
-    quasipositive: CheckVerdict
     mass_control: CheckVerdict
     mass_weights: tuple[float, ...]
     mass_K1: float
@@ -682,7 +676,6 @@ def check_structural_conditions(params: ModelParams, kin: KineticsSpec) -> Condi
         exchange_verdict = "violated" if floor_rays else "satisfied"
 
     return ConditionReport(
-        quasipositive="satisfied",  # decided from the law classes
         mass_control="violated" if mass_rays else "satisfied",
         mass_weights=weights,
         mass_K1=K1,

@@ -18,6 +18,7 @@ diagonal, ``ab[1, :]`` main diagonal, ``ab[2, :-1]`` lower diagonal.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -30,9 +31,11 @@ MIN_GRID_N = 16
 
 
 def grid_spacing(n: int) -> float:
-    if not (isinstance(n, int) and n >= MIN_GRID_N):
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"grid size must be an integer, got {n!r}")
+    if n < MIN_GRID_N:
         raise ValueError(f"grid needs at least {MIN_GRID_N} nodes, got {n}")
-    return 1.0 / (n - 1)
+    return 1.0 / (int(n) - 1)
 
 
 def operator_bands(d: float, n: int) -> Array:
@@ -86,12 +89,17 @@ def trapezoid(y: Array, dx: float) -> Array:
 
     The operations are the ones ``scipy.integrate.trapezoid`` evaluates, so
     the results agree with it bit for bit, without importing
-    ``scipy.integrate``; they run in place on one temporary.
+    ``scipy.integrate``; they run in place on one temporary.  The pair sums
+    of every row come from one add over the flattened samples, and the sum
+    over each row skips the pair that straddles it and the next row.
     """
-    s = y[..., 1:] + y[..., :-1]
-    s *= dx
-    s /= 2.0
-    return s.sum(axis=-1)
+    s = np.empty(y.shape)
+    pairs = s.reshape(-1)[:-1]
+    flat = y.reshape(-1)  # a copy only where y is not contiguous
+    np.add(flat[1:], flat[:-1], out=pairs)
+    pairs *= dx
+    pairs /= 2.0
+    return s[..., :-1].sum(axis=-1)
 
 
 def trapezoid_weights(n: int) -> Array:

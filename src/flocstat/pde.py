@@ -120,7 +120,8 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        grid_spacing(self.n)  # raises below MIN_GRID_N nodes
+        grid_spacing(self.n)  # raises unless an integer of at least MIN_GRID_N
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def h(self) -> float:

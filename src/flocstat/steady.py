@@ -129,7 +129,7 @@ def _as_triple(init) -> Array:
     arrays = [np.asarray(p, dtype=float) for p in parts]
     n = arrays[0].shape[0] if arrays[0].ndim == 1 else -1
     for label, arr in zip(("Stilde", "u", "v"), arrays):
-        if arr.ndim != 1 or arr.shape[0] != n or n < 3:
+        if arr.ndim != 1 or arr.shape[0] != n:
             raise ValueError(f"init.{label} must be a 1-D array matching the others")
         if not np.isfinite(arr).all():
             raise ValueError(f"init.{label} contains non-finite values")

@@ -730,7 +730,8 @@ class TestMainEntry:
         code = main(["check", "--preset", "fig2a"])
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        assert "quasipositive: satisfied" in out
+        assert out.startswith("mass_control: satisfied ")
+        assert "quasipositive" not in out
         assert "reproductive numbers" in out
         # h = (1 + sqrt 2)/2, the sup of (1 + V) T / (T^2 + 1) at T = V
         assert "rate_growth_bound: degree=2, h=1.20711\n" in out
@@ -869,7 +870,7 @@ class TestMainEntry:
         code = main(["check", "--preset", "fig4e"])
         captured = capsys.readouterr()
         assert code == EXIT_NO_CONVERGENCE
-        assert "quasipositive:" in captured.out
+        assert "mass_control:" in captured.out
         assert len(captured.err.strip().splitlines()) == 1
         assert "grid too coarse" in captured.err
 
@@ -977,6 +978,36 @@ class TestExitCodeMatrix:
                 and len(errs[key].splitlines()) > 1] == []
 
 
+# grids at cell Peclet 1 whose eigen solves rounding leaves with a positive
+# upper band (fig2a's du = 0.025 on 21 nodes) and a zero one (fig4e's
+# dv = 0.0001 on 5001 nodes)
+UNIT_PECLET_CASES = [
+    *((verb, "fig2a", "du = 1", "du = 0.025", 21) for verb in ("run", "eigen", "check")),
+    *((verb, "fig4e", "dv = 0.001", "dv = 0.0001", 5001) for verb in ("eigen", "check", "steady")),
+]
+
+
+class TestUnitPeclet:
+    @pytest.mark.parametrize("verb, preset, old, new, grid_n", UNIT_PECLET_CASES)
+    def test_unresolved_eigen_grid_is_one_line(self, tmp_path, verb, preset, old, new, grid_n):
+        """The eigen solve refuses the grid before numpy can warn: `run`
+        exits 2, the other verbs 3, each with one line on stderr."""
+        text = preset_text(preset).replace(f"\n{old}\n", f"\n{new}\n")
+        assert text != preset_text(preset)
+        (tmp_path / "pe1.ini").write_text(text)
+        src = Path(fs.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "flocstat", verb, "--config", "pe1.ini",
+             "--grid-n", str(grid_n), "--out", "out"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert done.returncode == (EXIT_CONFIG if verb == "run" else EXIT_NO_CONVERGENCE)
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert "not resolved at cell Peclet 1.000" in done.stderr
+        assert "RuntimeWarning" not in done.stderr and "infs or NaNs" not in done.stderr
+
+
 class TestPackaging:
     def test_readme_cli_flags_exist(self, capsys):
         """Every --flag on a verb's line of the README's CLI usage block is a
@@ -1081,7 +1112,9 @@ class TestPackaging:
 
     def test_no_verb_imports_the_scipy_linalg_package(self, tmp_path):
         """The LAPACK routines load without scipy/linalg/__init__.py, whose
-        set-up is most of a CLI process's start-up; no verb defers it."""
+        set-up is most of a CLI process's start-up; no verb defers it.  The
+        scipy package itself is imported, and must be: perfbench's worker
+        reads ``sys.modules["scipy"].__version__``."""
         src = Path(fs.__file__).resolve().parents[1]
         code = (
             "import contextlib, io, sys\n"

@@ -17,6 +17,11 @@ class TestReproductiveNumbers:
         assert repro.R_v == pytest.approx(2.458882, abs=2e-6)
         assert repro.classification == "washout-unstable"
 
+    def test_numpy_integer_grid_size(self):
+        params, kin = standard_params(), floc_kinetics()
+        assert (fs.reproductive_numbers(params, kin, grid_n=np.int64(201))
+                == fs.reproductive_numbers(params, kin, grid_n=201))
+
     def test_slow_dispersal_is_washout_stable(self):
         params = standard_params(du=0.05, dv=0.05)
         kin = floc_kinetics(f=fs.Monod(1.0, 1.0), g=fs.Monod(1.0, 1.0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flocstat as fs
+from flocstat.operators import operator_bands
 
 from oracles import EIGENVALUE_BY_DIFFUSIVITY, shooting_eigenvalue
 
@@ -60,11 +61,22 @@ class TestSolvePrincipal:
         with pytest.raises(ValueError, match="grid too coarse"):
             fs.solve_principal(0.001, n=502)
 
-    def test_unit_peclet_pair_rejected(self):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d, n, band", [(1 / 30, 16, "zero"), (0.025, 21, "positive"),
+                                            (1 / 38, 20, "negative"), (0.001, 501, "negative")])
+    def test_unit_peclet_pair_rejected(self, d, n, band):
         """Cell Peclet 1 passes the Peclet rule, but A is then reducible and
-        has no positive eigenvector: the resolution check rejects it."""
+        has no positive eigenvector.  Rounding leaves its upper band zero,
+        positive or negative; each grid ends in the same error, unwarned."""
+        upper = operator_bands(d, n)[0, 2]
+        assert {"zero": upper == 0, "positive": upper > 0, "negative": upper < 0}[band]
         with pytest.raises(ValueError, match="grid too coarse.*not resolved at cell Peclet 1.000"):
-            fs.solve_principal(0.001, n=501)
+            fs.solve_principal(d, n)
+
+    def test_numpy_integer_grid_size(self):
+        pair = fs.solve_principal(0.1, np.int64(401))
+        assert type(pair.n) is int
+        np.testing.assert_array_equal(pair.function, fs.solve_principal(0.1, 401).function)
 
     def test_rejects_grid_too_coarse_for_diffusivity(self):
         with pytest.raises(ValueError, match="n >"):

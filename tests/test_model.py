@@ -2,7 +2,7 @@
 
 import functools
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import flocstat as fs
 from conftest import floc_kinetics, standard_params
+from flocstat.cli import _GROWTH_LAWS
 from flocstat.operators import trapezoid
 from oracles import rate_reference, reaction_reference, sample_box
 
@@ -49,6 +50,16 @@ class TestGrowthLaws:
         S = np.linspace(0.0, 2.0, 7)
         f = fs.Monod(4.0, 1.0)
         np.testing.assert_allclose(f(S), 4.0 * S / (1.0 + S), rtol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(_GROWTH_LAWS))
+    @given(st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=3, max_size=3))
+    def test_every_config_law_vanishes_at_zero(self, name, coefficients):
+        """Every growth law a config can name vanishes at S = 0 by its
+        formula, which the washout state and quasipositivity rest on."""
+        law_class = _GROWTH_LAWS[name]
+        law = law_class(*coefficients[:len(fields(law_class))])
+        assert law(0.0) == 0.0
+        np.testing.assert_array_equal(law(np.zeros(3)), 0.0)
 
     @pytest.mark.parametrize("law", [fs.Monod(4.0, 1.0), fs.Haldane(3.0, 1.0, 1.0), fs.ZeroGrowth()])
     def test_rejects_negative_substrate(self, law):
@@ -166,20 +177,15 @@ class TestModelParams:
         with pytest.raises(ValueError, match=f"feed concentration {key}"):
             replace(standard_params(), **{key: value})
 
-    def test_kinetics_requires_zero_growth_at_zero(self):
-        class BadLaw:
-            sup = 1.0
+    def test_zero_d_array_is_a_scalar(self):
+        p = replace(standard_params(), du=np.array(0.5), yv=np.array(2))
+        assert p.du == (0.5,)
+        assert p.yv == (2.0,)
 
-            def __call__(self, S):
-                return np.asarray(S) * 0.0 + 1.0
-
-        with pytest.raises(ValueError):
-            fs.KineticsSpec(
-                f=(BadLaw(),),
-                g=(fs.Monod(5.0, 1.0),),
-                alpha=(fs.ConstantRate(1.0),),
-                beta=(fs.ConstantRate(1.0),),
-            )
+    @pytest.mark.parametrize("value", ["5", "12", b"5"], ids=["str", "str-of-two", "bytes"])
+    def test_rejects_strings(self, value):
+        with pytest.raises(ValueError, match="du must be a number or a sequence of numbers"):
+            replace(standard_params(), du=value)
 
 
 class TestReactionField:
@@ -300,7 +306,6 @@ class TestWeightVectorAndConditions:
         p = standard_params(yu=0.5, yv=0.5)
         kin = floc_kinetics(alpha=fs.LinearTotalRate(1.0), beta=fs.LinearTotalRate(1.0))
         report = fs.check_structural_conditions(p, kin)
-        assert report.quasipositive == "satisfied"
         assert report.mass_control == "satisfied"
         assert report.rate_growth_l == 1
         assert report.one_sided_balance == "satisfied"

@@ -44,8 +44,18 @@ class TestGridAndState:
         assert package_trapezoid(grid_201.x, grid_201.h) == pytest.approx(0.5, rel=1e-12)
 
     def test_grid_rejects_tiny(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid needs at least 16 nodes, got 8"):
             fs.Grid(8)
+
+    @pytest.mark.parametrize("n", [np.int64(201), np.int32(201), np.uint16(201)])
+    def test_grid_accepts_numpy_integers(self, n):
+        grid = fs.Grid(n)
+        assert grid == fs.Grid(201) and type(grid.n) is int
+
+    @pytest.mark.parametrize("n", [201.0, np.float64(201.0), "201"])
+    def test_grid_rejects_non_integral_size(self, n):
+        with pytest.raises(ValueError, match="grid size must be an integer"):
+            fs.Grid(n)
 
     def test_state_constant_and_labels(self, grid_201):
         state = fs.StateField.constant(grid_201, S=0.1, u=1.0, v=2.0)

@@ -268,6 +268,12 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             fs.fixed_point_solve(bad, params, kin)
 
+    @pytest.mark.parametrize("n", [0, 2, 15])
+    def test_rejects_init_on_a_tiny_grid(self, n):
+        init = (np.zeros(n), np.zeros(n), np.zeros(n))
+        with pytest.raises(ValueError, match=f"grid needs at least 16 nodes, got {n}"):
+            fs.fixed_point_solve(init, theory_params(), floc_kinetics())
+
     def test_requires_unit_feed_regime(self):
         params = standard_params(gamma_s=2.0)
         kin = floc_kinetics()
@@ -287,6 +293,15 @@ class TestHypothesisReports:
         params = theory_params(**{which: 7.1e-4})
         with pytest.raises(ValueError, match=f"{which}=0.00071 underflows"):
             fs.check_coexistence_hypotheses(params, floc_kinetics(), grid_n=1001)
+
+    def test_numpy_integer_grid_size(self):
+        params, kin = theory_params(du=0.1), floc_kinetics()
+        assert (fs.check_coexistence_hypotheses(params, kin, grid_n=np.int64(201))
+                == fs.check_coexistence_hypotheses(params, kin, grid_n=201))
+        assert (fs.check_extinction_hypotheses(params, kin, "isolated", grid_n=np.int64(201))
+                == fs.check_extinction_hypotheses(params, kin, "isolated", grid_n=201))
+        np.testing.assert_array_equal(fs.kernel_matrix(0.5, np.int64(101)),
+                                      fs.kernel_matrix(0.5, 101))
 
     def test_extinction_report_saturating_growth(self):
         """Frozen margins for the fast-attached-dispersal configuration."""
