@@ -28,7 +28,7 @@ import scipy
 
 from .operators import Array
 
-__all__ = ["dgttrf", "dgttrs", "dtbtrs", "smallest_eigenpair"]
+__all__ = ["dgttrf", "dgttrs", "smallest_eigenpair"]
 
 _NAME = "scipy.linalg._flapack"
 
@@ -56,7 +56,6 @@ def _load_flapack():
 _flapack = _load_flapack()
 dgttrf = _flapack.dgttrf
 dgttrs = _flapack.dgttrs
-dtbtrs = _flapack.dtbtrs
 
 
 def smallest_eigenpair(d: Array, e: Array) -> tuple[float, Array]:

@@ -34,13 +34,20 @@ Array = np.ndarray
 CheckVerdict = Literal["satisfied", "violated", "not_applicable"]
 
 
+def _as_float(value: float, name: str) -> float:
+    """``float(value)``, or a ValueError naming the parameter if value is not one number."""
+    if np.ndim(value) != 0 or np.iscomplexobj(value) or not hasattr(value, "__float__"):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _as_float_tuple(value: Union[float, Sequence[float]], m: int, name: str) -> tuple[float, ...]:
     """Normalise a scalar-or-sequence parameter to an m-tuple of floats."""
     if isinstance(value, (str, bytes)):
         raise ValueError(f"{name} must be a number or a sequence of numbers, got {value!r}")
     if isinstance(value, numbers.Real) or np.ndim(value) == 0:
-        return (float(value),) * m
-    out = tuple(float(x) for x in value)
+        return (_as_float(value, name),) * m
+    out = tuple(_as_float(x, f"each entry of {name}") for x in value)
     if len(out) != m:
         raise ValueError(f"{name} must have {m} entries, got {len(out)}")
     return out
@@ -326,8 +333,8 @@ class ModelParams:
         object.__setattr__(self, "m", int(self.m))
         for name in ("du", "dv", "yu", "yv", "gamma_u", "gamma_v"):
             object.__setattr__(self, name, _as_float_tuple(getattr(self, name), self.m, name))
-        object.__setattr__(self, "d0", float(self.d0))
-        object.__setattr__(self, "gamma_s", float(self.gamma_s))
+        object.__setattr__(self, "d0", _as_float(self.d0, "d0"))
+        object.__setattr__(self, "gamma_s", _as_float(self.gamma_s, "gamma_s"))
         if not (self.d0 > 0 and math.isfinite(self.d0)):
             raise ValueError(f"substrate diffusivity d0 must be positive, got {self.d0}")
         for name in ("du", "dv"):

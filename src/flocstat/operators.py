@@ -5,14 +5,16 @@ with a feed condition ``-d*w'(0) + w(0) = gamma`` at the inlet and a
 no-flux condition ``w'(1) = 0`` at the outlet.  This module builds the
 tridiagonal matrix for that operator on a uniform grid, with the boundary
 conditions folded into the first and last rows by second-order ghost-node
-elimination.  It also holds the composite trapezoid rule that integrates
-sampled profiles, and its weights.
+elimination, and the tridiagonal inverse of the steady solver's quadrature.
+It also holds the composite trapezoid rule and its weights.
 
 Diffusivities, feeds and arrays arrive as ``ModelParams``, ``StateField``
 and ``Grid`` checked them and are not checked again here.
 
 Matrices are returned in scipy's banded layout: ``ab[0, 1:]`` upper
-diagonal, ``ab[1, :]`` main diagonal, ``ab[2, :-1]`` lower diagonal.
+diagonal, ``ab[1, :]`` main diagonal, ``ab[2, :-1]`` lower diagonal.  The
+unused corners ``ab[0, 0]`` and ``ab[2, -1]`` are zero, so blocks laid end
+to end by ``np.hstack`` form one block-diagonal matrix.
 """
 
 from __future__ import annotations
@@ -61,6 +63,28 @@ def operator_bands(d: float, n: int) -> Array:
     # no-flux row at x=1 (ghost value w_n = w_{n-2})
     ab[1, -1] = 2.0 * diff
     ab[2, -2] = -2.0 * diff
+    return ab
+
+
+def quadrature_inverse_bands(d: float, n: int) -> Array:
+    """Banded inverse T of the steady quadrature ``kernel_matrix(d, n)``; its
+    kernel is semiseparable, so T is tridiagonal.
+
+    With ``D = (h/2)*coth(h/(2d))``, ``a = D/h**2 + 1/(2h)`` and
+    ``b = D/h**2 - 1/(2h)``, the interior rows are the exponentially fitted
+    (Il'in-Allen-Southwell) stencil ``-a, 2D/h**2, -b``, the inlet row is
+    ``2a, -2b`` and the outlet row ``-2a, 2a``.  Formed from ``exp(-h/d)``
+    as below, a and b lose no digits as h/d goes to 0 or to infinity.
+    """
+    h = grid_spacing(n)
+    a = -1.0 / (h * math.expm1(-h / d))
+    b = a * math.exp(-h / d)
+    ab = np.zeros((3, n))
+    ab[0, 2:] = -b               # upper diagonal, interior columns
+    ab[1, 1:-1] = a + b          # main diagonal, interior
+    ab[2, :-2] = -a              # lower diagonal, interior columns
+    ab[1, 0], ab[0, 1] = 2.0 * a, -2.0 * b     # inlet row
+    ab[1, -1], ab[2, -2] = 2.0 * a, -2.0 * a   # outlet row
     return ab
 
 

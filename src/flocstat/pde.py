@@ -274,12 +274,7 @@ class _Stepper:
             diffs += [params.du[i], params.dv[i]]
             feeds += [params.gamma_u[i], params.gamma_v[i]]
         n = grid.n
-        ab = np.hstack([operator_bands(d, n) for d in diffs])
-        # side by side, each block's unused band corners ab[0, 0] and
-        # ab[2, -1] are the couplings between blocks: they must stay zero
-        ab[0, ::n] = 0.0
-        ab[2, n - 1::n] = 0.0
-        self.A = ab
+        self.A = np.hstack([operator_bands(d, n) for d in diffs])
         self.B = np.stack([feed_vector(d, n, g) for d, g in zip(diffs, feeds)])
         self._factors: dict[float, list[Array]] = {}
         self._kernel = _ReactionKernel(params, kin, n)

@@ -21,8 +21,7 @@ def test_routines_are_scipys_own_after_a_later_scipy_linalg_import():
         "import numpy as np, flocstat._lapack as F, scipy.linalg, scipy.linalg.lapack as L\n"
         "from scipy.linalg import _flapack\n"
         "assert _flapack is F._flapack\n"
-        "assert all(a is b for a, b in zip((F.dgttrf, F.dgttrs, F.dtbtrs),\n"
-        "                                  (L.dgttrf, L.dgttrs, L.dtbtrs)))\n"
+        "assert F.dgttrf is L.dgttrf and F.dgttrs is L.dgttrs\n"
         "w = scipy.linalg.eigh_tridiagonal(np.full(4, 2.0), np.full(3, -1.0), eigvals_only=True)\n"
         "print(np.round(w, 12).tolist())\n"
     )
@@ -33,7 +32,8 @@ def test_routines_are_scipys_own_after_a_later_scipy_linalg_import():
     assert done.stdout.strip() == str(expected)
 
 
-EIGEN_CASES = [(d, n) for d in (1.0, 0.1, 0.01, 0.0011) for n in (201, 501, 4001)]
+EIGEN_CASES = [(d, n) for d in (1.0, 0.1, 0.01, 0.0011) for n in (201, 501, 4001)
+               if peclet_admissible(d, n)]
 
 
 # the ids name the stencil: its Robin row sits at the inflow
@@ -41,8 +41,6 @@ EIGEN_CASES = [(d, n) for d in (1.0, 0.1, 0.01, 0.0011) for n in (201, 501, 4001
 def test_smallest_eigenpair_is_bit_identical_to_eigh_tridiagonal(d, n):
     from scipy.linalg import eigh_tridiagonal
 
-    if not peclet_admissible(d, n):
-        pytest.skip(f"the Peclet rule rejects d={d} at n={n}")
     # the symmetrized matrix solve_principal hands to LAPACK
     ab = operator_bands(d, n)
     diag, off = ab[1], -np.sqrt(ab[0, 1:] * ab[2, :-1])

@@ -187,6 +187,23 @@ class TestModelParams:
         with pytest.raises(ValueError, match="du must be a number or a sequence of numbers"):
             replace(standard_params(), du=value)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("du", None, "du must be a real number, got None"),
+        ("du", [None], "each entry of du must be a real number, got None"),
+        ("yv", [object()], "each entry of yv must be a real number, got <object"),
+        ("yu", np.complex128(1 + 1j), r"yu must be a real number, got np.complex128\(1\+1j\)"),
+        ("gamma_u", ["5"], "each entry of gamma_u must be a real number, got '5'"),
+        ("d0", None, "d0 must be a real number, got None"),
+        ("d0", "5", "d0 must be a real number, got '5'"),
+        ("d0", np.array([1.0]), r"d0 must be a real number, got array\(\[1.\]\)"),
+        ("gamma_s", None, "gamma_s must be a real number, got None"),
+        ("gamma_s", [1.0], r"gamma_s must be a real number, got \[1.0\]"),
+    ], ids=["du-None", "du-[None]", "yv-[object]", "yu-complex", "gamma_u-[str]", "d0-None",
+            "d0-str", "d0-array", "gamma_s-None", "gamma_s-list"])
+    def test_rejects_values_that_are_not_real_numbers(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            replace(standard_params(), **{key: value})
+
 
 class TestReactionField:
     def test_shapes_and_ordering(self):

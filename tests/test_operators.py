@@ -17,9 +17,11 @@ from flocstat.operators import (
     operator_bands,
     peclet_admissible,
     peclet_number,
+    quadrature_inverse_bands,
     transport_defect,
     trapezoid,
 )
+from flocstat.steady import kernel_matrix
 
 
 def dense_from_bands(ab: np.ndarray) -> np.ndarray:
@@ -34,6 +36,18 @@ def dense_from_bands(ab: np.ndarray) -> np.ndarray:
 
 
 class TestBands:
+    @pytest.mark.parametrize("d, n", [(1.0, 21), (0.05, 201), (0.001, 501), (10.0, 201)])
+    def test_quadrature_inverse_bands_invert_kernel_matrix(self, d, n):
+        T = dense_from_bands(quadrature_inverse_bands(d, n))
+        np.testing.assert_allclose(T @ kernel_matrix(d, n), np.eye(n), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("bands", [operator_bands, quadrature_inverse_bands])
+    @pytest.mark.parametrize("d", [1e-3, 1.0, 1e3])
+    def test_unused_band_corners_are_zero(self, bands, d):
+        """Blocks laid end to end by np.hstack are coupled through these corners."""
+        ab = bands(d, 101)
+        assert ab[0, 0] == 0.0 and ab[2, -1] == 0.0
+
     def test_interior_stencil_inflow(self):
         d, n = 0.5, 21
         h = grid_spacing(n)

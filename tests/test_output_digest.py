@@ -4,7 +4,8 @@
 shipped inputs; ``tests/output_digest.txt`` is its output at the last
 program change.  With the numpy and scipy versions named in its header the
 digest must match byte for byte.  With other versions only the exit codes
-and the verdict lines (stdout with every number masked) must match.
+and the verdict lines (stdout with every number masked) must match.  A
+mismatch names the ``<command> | <stream>`` keys whose lines moved.
 """
 
 import importlib.util
@@ -22,10 +23,17 @@ def _digest_script():
     return module
 
 
+def _moved(committed, fresh):
+    """The ``<command> | <stream>`` keys whose lines differ, in digest order."""
+    old, new = ({" | ".join(line.split(" | ")[:2]): line for line in lines}
+                for lines in (committed, fresh))
+    return [key for key in {**old, **new} if old.get(key) != new.get(key)]
+
+
 def test_outputs_match_committed_digest():
     committed = DIGEST.read_text().splitlines()
     fresh = _digest_script().digest_lines()
     if fresh[0] != committed[0]:  # another numpy or scipy
         committed, fresh = ([line for line in lines if " | verdicts | " in line]
                             for lines in (committed, fresh))
-    assert fresh == committed
+    assert fresh == committed, "moved: " + ", ".join(_moved(committed, fresh))

@@ -154,6 +154,22 @@ class TestSteadyOperator:
         got = fs.steady._SteadyOperator(params, kin, n).apply(np.stack((dep, u, v)))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [201, 401])
+    @pytest.mark.parametrize("d", [1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, 1e6])
+    def test_apply_matches_long_double_quadrature(self, d, n):
+        """With signed sources the solve is within 1e-14*(|M| @ |s|) of
+        ``max(M @ s, 0)`` in long double, M = kernel_matrix(d, n).  At
+        d = 0.1, n = 401 a factorization of T instead of its transpose,
+        whose pivots tie, misses this by a factor of 5."""
+        params = standard_params(d0=d, du=d, dv=d)
+        op = fs.steady._SteadyOperator(params, floc_kinetics(), n)
+        s = np.random.default_rng(11).standard_normal((3, n))
+        op.sources = lambda X: s.copy()
+        M = fs.kernel_matrix(d, n)
+        want = np.maximum(s.astype(np.longdouble) @ M.T.astype(np.longdouble), 0.0)
+        bound = 1e-14 * (np.abs(s) @ np.abs(M).T)
+        assert np.all(np.abs(op.apply(None) - want) <= bound)
+
     def test_fine_grid_needs_no_dense_matrix(self):
         """n = 200 001: three dense kernels would need about 960 GB.
 
