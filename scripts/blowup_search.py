@@ -10,7 +10,6 @@ initial value until the run blows up, then report the dichotomy pair.
 import argparse
 
 import flocstat as fs
-import numpy as np
 
 
 def run_at(magnitude: float, *, yu: float, t_end: float, grid_n: int):
@@ -40,7 +39,7 @@ def main() -> int:
     for _ in range(args.max_doublings):
         result = run_at(magnitude, yu=args.yu, t_end=args.t_end, grid_n=args.grid_n)
         verdict = result.verdict
-        sup_final = max(np.max(result.final.u), np.max(result.final.v))
+        sup_final = max(result.monitors["sup_u_1"][-1], result.monitors["sup_v_1"][-1])
         print(
             f"M={magnitude:<8g} verdict={verdict.kind:<10} "
             f"t_final={verdict.t_final:<8g} final_sup={sup_final:.3e}"

@@ -5,6 +5,9 @@ Runs, in this one process and through ``flocstat.cli.main``:
 
 - ``run``, ``eigen``, ``steady`` and ``check`` on every shipped preset;
 - ``steady --grid-n 4001`` on fig2a and fig3a;
+- ``run``, ``eigen``, ``steady`` and ``check`` on a short two-species
+  configuration, whose run ends in ``extinction-u2,v2`` and whose check
+  prints a ray on species 2;
 - ``sweep`` over the benchmark's motility configuration, with its values
   in ascending and in descending order.
 
@@ -55,7 +58,7 @@ def header() -> str:
 
 
 def commands(config_dir: Path) -> list[tuple[str, list[str]]]:
-    """(name, argv) of every digested command; sweep configs go to ``config_dir``."""
+    """(name, argv) of every digested command; its configs go to ``config_dir``."""
     out = []
     for preset in available_presets():
         for verb in ("run", "eigen", "steady", "check"):
@@ -63,6 +66,37 @@ def commands(config_dir: Path) -> list[tuple[str, list[str]]]:
     for preset in ("fig2a", "fig3a"):
         out.append((f"steady {preset} n=4001",
                     ["steady", "--preset", preset, "--grid-n", "4001"]))
+    # two species of distinct diffusivities: the second neither grows nor
+    # starts attached, so it washes out, and its yield product above 1
+    # violates mass control along the ray u_2 = v_2
+    two_species = config_dir / "two_species.ini"
+    two_species.write_text("""\
+[model]
+m = 2
+d0 = 0.1
+du = 0.1 0.2
+dv = 0.15 0.25
+yu = 0.5 2
+yv = 0.5 1
+gamma_s = 1
+
+[kinetics]
+f = monod 4 1; zero
+g = monod 4 1; zero
+alpha = linear_total 0.1
+beta = constant 0.1
+
+[initial]
+S = 0.5
+u = 1; 0.5
+v = 1; 0
+
+[controls]
+t_end = 3
+grid_n = 41
+""")
+    for verb in ("run", "eigen", "steady", "check"):
+        out.append((f"{verb} two_species", [verb, "--config", str(two_species)]))
     for order, values in (("ascending", sorted(MOTILITY_VALUES)),
                           ("descending", sorted(MOTILITY_VALUES, reverse=True))):
         config = config_dir / f"motility_{order}.ini"

@@ -9,8 +9,6 @@ import argparse
 import time
 from pathlib import Path
 
-import numpy as np
-
 import flocstat as fs
 
 
@@ -41,10 +39,10 @@ def main() -> int:
         result, verdict = fs.run_experiment(config, out_root / name)
         elapsed = time.perf_counter() - start
         p = config.params
-        final = result.final
+        sup_u, sup_v = (result.monitors[key][-1] for key in ("sup_u_1", "sup_v_1"))
         print(
             f"{name:<8} {p.d0:>6g} {p.du[0]:>7g} {p.dv[0]:>7g} {verdict:<14} "
-            f"{np.max(final.u[0]):>10.3e} {np.max(final.v[0]):>10.3e} {elapsed:>6.1f}"
+            f"{sup_u:>10.3e} {sup_v:>10.3e} {elapsed:>6.1f}"
         )
     print(f"\noutputs under {out_root.resolve()}")
     return 0

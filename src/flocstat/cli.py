@@ -79,6 +79,7 @@ from .model import (
     PowerTotalRate,
     ZeroGrowth,
     check_structural_conditions,
+    component_labels,
 )
 from .operators import MIN_GRID_N
 from .pde import Grid, SimulationResult, StateField, classify_outcome, monitor_keys, simulate
@@ -440,18 +441,13 @@ def _fmt(value: float) -> str:
 
 
 def write_monitors_csv(path: Path, result: SimulationResult) -> None:
-    """Write the per-step monitor table (columns ``monitor_keys``, repr floats)."""
-    cols = monitor_keys(result.initial.m)
-    _write_float_table(path, cols, [result.monitors[c] for c in cols])
+    """Write the per-step monitor table (``result.monitors`` in order, repr floats)."""
+    _write_float_table(path, list(result.monitors), list(result.monitors.values()))
 
 
 def write_snapshot_csv(path: Path, state: StateField) -> None:
-    header = ["x", "S"]
-    columns = [state.grid.x, state.S]
-    for i in range(state.m):
-        header += [f"u_{i + 1}", f"v_{i + 1}"]
-        columns += [state.u[i], state.v[i]]
-    _write_float_table(path, header, columns)
+    """Write one state's profiles: ``x`` and one column per component."""
+    _write_float_table(path, ["x", *component_labels(state.m)], [state.grid.x, *state.stack()])
 
 
 def _write_float_table(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
@@ -558,7 +554,7 @@ def _smallest_diffusivity(params: ModelParams, parameter: str, value: float) -> 
         point = _apply_sweep_value(params, parameter, value)
     except ValueError:
         return -math.inf
-    return min(point.d0, *point.du, *point.dv)
+    return min(point.diffusivities)
 
 
 def _usable_cpus() -> int:
@@ -799,10 +795,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     )
     print(f"one_sided_balance: {report.one_sided_balance} ({branches})")
     print(f"exchange_floor: {report.exchange_floor} (yield products: {report.yuyv_class})")
+    labels = component_labels(params.m)
     for name, ray in (("mass_control", report.mass_ray), ("exchange_floor", report.exchange_ray)):
         if ray is not None:
-            # a ray holds state indices (S, u_1, v_1, ...); it never holds S
-            along = " = ".join(f"{'vu'[k % 2]}_{(k + 1) // 2}" for k in ray)
+            along = " = ".join(labels[k] for k in ray)
             print(f"  ray[{name}]: {along} = s -> inf, every other component 0")
     if params.m == 1:
         try:

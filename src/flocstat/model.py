@@ -53,6 +53,27 @@ def _as_float_tuple(value: Union[float, Sequence[float]], m: int, name: str) -> 
     return out
 
 
+def _set_coefficient(law, field: str, label: str, rule: str = "positive") -> None:
+    """Store ``law.<field>`` as a float, or raise a ValueError naming it by
+    ``label`` unless it is a finite real number that is positive (or, for
+    ``rule="nonnegative"``, 0)."""
+    value = _as_float(getattr(law, field), label)
+    if not (math.isfinite(value) and (value > 0 or (value == 0 and rule == "nonnegative"))):
+        raise ValueError(f"{label} must be {rule}, got {value}")
+    object.__setattr__(law, field, value)
+
+
+def component_labels(m: int) -> list[str]:
+    """The 2m+1 state components ``S, u_1, v_1, ..., u_m, v_m``, in the order
+    of the state stack and of every per-component parameter and output."""
+    return ["S"] + [f"{k}_{i}" for i in range(1, m + 1) for k in ("u", "v")]
+
+
+def _by_component(s: float, u: Sequence[float], v: Sequence[float]) -> tuple[float, ...]:
+    """``(s, u_1, v_1, ..., u_m, v_m)``, in ``component_labels`` order."""
+    return (s, *(x for pair in zip(u, v) for x in pair))
+
+
 # ---------------------------------------------------------------------------
 # Growth laws  f_i(S), g_i(S)
 # ---------------------------------------------------------------------------
@@ -85,10 +106,8 @@ class Monod(_GrowthLaw):
     b: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0 and math.isfinite(self.a)):
-            raise ValueError(f"Monod coefficient a must be positive, got {self.a}")
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise ValueError(f"Monod half-saturation b must be positive, got {self.b}")
+        _set_coefficient(self, "a", "Monod coefficient a")
+        _set_coefficient(self, "b", "Monod half-saturation b")
 
     def _plan(self, row):
         a, b, denominator = np.array(self.a), np.array(self.b), np.empty_like(row)
@@ -117,9 +136,8 @@ class Haldane(_GrowthLaw):
     c: float
 
     def __post_init__(self) -> None:
-        for coeff, label in ((self.a, "a"), (self.b, "b"), (self.c, "c")):
-            if not (coeff > 0 and math.isfinite(coeff)):
-                raise ValueError(f"Haldane coefficient {label} must be positive, got {coeff}")
+        for field in ("a", "b", "c"):
+            _set_coefficient(self, field, f"Haldane coefficient {field}")
 
     def _plan(self, row):
         a, b, c = (np.array(x) for x in (self.a, self.b, self.c))
@@ -211,8 +229,7 @@ class _ScaledRate(_TotalsRate):
     """A law ``c * T**_power`` with a nonnegative coefficient ``c``."""
 
     def __post_init__(self) -> None:
-        if not (self.c >= 0 and math.isfinite(self.c)):
-            raise ValueError(f"{type(self).__name__} coefficient must be nonnegative, got {self.c}")
+        _set_coefficient(self, "c", f"{type(self).__name__} coefficient", "nonnegative")
 
     @property
     def terms(self) -> dict[tuple[int, int], float]:
@@ -280,8 +297,9 @@ class PowerTotalRate(_ScaledRate):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not (isinstance(self.l, int) and self.l >= 1):
+        if not (isinstance(self.l, numbers.Integral) and self.l >= 1):
             raise ValueError(f"PowerTotalRate exponent must be an integer >= 1, got {self.l}")
+        object.__setattr__(self, "l", int(self.l))
 
     def _plan(self, row):
         c = np.array(self.c)
@@ -351,6 +369,16 @@ class ModelParams:
             for x in getattr(self, name):
                 if not (x >= 0 and math.isfinite(x)):
                     raise ValueError(f"feed concentration {name} entries must be nonnegative, got {x}")
+
+    @property
+    def diffusivities(self) -> tuple[float, ...]:
+        """One diffusivity per component, in ``component_labels`` order."""
+        return _by_component(self.d0, self.du, self.dv)
+
+    @property
+    def feeds(self) -> tuple[float, ...]:
+        """One feed concentration per component, in ``component_labels`` order."""
+        return _by_component(self.gamma_s, self.gamma_u, self.gamma_v)
 
     @property
     def yield_products(self) -> tuple[float, ...]:
@@ -581,12 +609,8 @@ class ConditionReport:
 def weight_vector(params: ModelParams) -> tuple[float, ...]:
     """Mass-control weight vector ``(y_max, 1+yu_1, 1+yv_1, ..., 1+yu_m, 1+yv_m)``
     with ``y_max = max_i max(yu_i, yv_i, 1)``."""
-    y_max = max(1.0, max(max(a, b) for a, b in zip(params.yu, params.yv)))
-    weights = [y_max]
-    for i in range(params.m):
-        weights.append(1.0 + params.yu[i])
-        weights.append(1.0 + params.yv[i])
-    return tuple(weights)
+    y_max = max(1.0, *params.yu, *params.yv)
+    return _by_component(y_max, [1.0 + y for y in params.yu], [1.0 + y for y in params.yv])
 
 
 def _growth_constant(law: FlocRate, m: int, l: int) -> float:

@@ -152,7 +152,12 @@ def peclet_admissible(d: float, n: int) -> bool:
 
 def min_grid_n(d: float) -> int:
     """Smallest n whose cell Peclet number for diffusivity d is at most 1."""
-    return 1 + math.ceil(1.0 / (2.0 * d))
+    ratio = 1.0 / (2.0 * d)
+    if math.isfinite(ratio):
+        return 1 + math.ceil(ratio)
+    # below d of about 2.8e-309 the quotient overflows a double: take it exactly
+    numerator, denominator = d.as_integer_ratio()
+    return 1 - (-denominator // (2 * numerator))
 
 
 class TransportDefect(NamedTuple):

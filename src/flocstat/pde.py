@@ -60,7 +60,8 @@ from numpy.linalg import LinAlgError
 
 from ._lapack import dgttrf, dgttrs
 from .eigen import EigenPair, solve_principal
-from .model import KineticsSpec, ModelParams, _ReactionKernel, weight_vector
+from .model import (KineticsSpec, ModelParams, _ReactionKernel, _as_float, component_labels,
+                    weight_vector)
 from .operators import (Array, feed_vector, grid_spacing, min_grid_n, operator_bands,
                          peclet_admissible, peclet_number, trapezoid)
 
@@ -137,9 +138,9 @@ class StateField:
     """All fields of the model at one instant: substrate S (n,), isolated
     densities u (m, n), attached densities v (m, n), and the time t.
 
-    Values must be finite and nonnegative — the continuous solutions the
-    scheme approximates are componentwise nonnegative, so a negative
-    sample is a construction error, not data.
+    Values must be finite and nonnegative, and t a finite real number — the
+    continuous solutions the scheme approximates are componentwise
+    nonnegative, so a negative sample is a construction error, not data.
     """
 
     grid: Grid
@@ -167,7 +168,10 @@ class StateField:
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "t", float(self.t))
+        t = _as_float(self.t, "t")
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
+        object.__setattr__(self, "t", t)
 
     @property
     def m(self) -> int:
@@ -181,7 +185,7 @@ class StateField:
                    v=np.full((1, grid.n), float(v)), t=t)
 
     def stack(self) -> Array:
-        """(2m+1, n) array ordered (S, u_1, v_1, ..., u_m, v_m)."""
+        """(2m+1, n) array, one row per component in ``component_labels`` order."""
         W = np.empty((2 * self.m + 1, self.grid.n))
         W[0] = self.S
         W[1::2] = self.u
@@ -191,15 +195,6 @@ class StateField:
     @classmethod
     def from_stack(cls, grid: Grid, W: Array, t: float) -> "StateField":
         return cls(grid=grid, S=W[0].copy(), u=W[1::2].copy(), v=W[2::2].copy(), t=t)
-
-    def component_labels(self) -> tuple[str, ...]:
-        """Labels matching stack() order; species index dropped when m=1."""
-        if self.m == 1:
-            return ("S", "u", "v")
-        labels = ["S"]
-        for i in range(self.m):
-            labels += [f"u{i + 1}", f"v{i + 1}"]
-        return tuple(labels)
 
     def sup(self) -> float:
         """Largest value over all components and nodes."""
@@ -235,8 +230,9 @@ class SimulationResult:
         ``weight_vector`` sum of the integrals), ``Q`` (the
         eigenfunction-weighted biomass of species 1,
         ``(yu + 1)*int(u*w) + (yv + 1)*int(v*w)`` with ``w(x) = phi(1 - x)``)
-        and ``dt`` (step that produced the row).  The last row is the final
-        state.
+        and ``dt`` (step that produced the row).  The first row is the
+        initial state and the last row the final one: ``classify_outcome``
+        reads the verdict from the ``sup_*`` columns of these two rows.
     snapshots: states at selected times (each carries its t).
     steps_accepted/steps_rejected: macro steps (see ``simulate``).
     fallbacks: accepted steps in which the extrapolated state was negative
@@ -268,14 +264,9 @@ class _Stepper:
 
     def __init__(self, params: ModelParams, kin: KineticsSpec, grid: Grid):
         self.params = params
-        diffs = [params.d0]
-        feeds = [params.gamma_s]
-        for i in range(params.m):
-            diffs += [params.du[i], params.dv[i]]
-            feeds += [params.gamma_u[i], params.gamma_v[i]]
-        n = grid.n
+        diffs, n = params.diffusivities, grid.n
         self.A = np.hstack([operator_bands(d, n) for d in diffs])
-        self.B = np.stack([feed_vector(d, n, g) for d, g in zip(diffs, feeds)])
+        self.B = np.stack([feed_vector(d, n, g) for d, g in zip(diffs, params.feeds)])
         self._factors: dict[float, list[Array]] = {}
         self._kernel = _ReactionKernel(params, kin, n)
         # coarse, half and fine IMEX results, the rate at the half state,
@@ -401,7 +392,7 @@ def _require_consistent(params: ModelParams, kin: KineticsSpec, state: StateFiel
 
 
 def _require_monotone_grid(params: ModelParams, grid: Grid) -> None:
-    d_min = min([params.d0, *params.du, *params.dv])
+    d_min = min(params.diffusivities)
     if not peclet_admissible(d_min, grid.n):
         raise ValueError(
             f"grid too coarse for the smallest diffusivity {d_min}: cell Peclet "
@@ -413,7 +404,7 @@ def _require_monotone_grid(params: ModelParams, grid: Grid) -> None:
 def monitor_keys(m: int) -> list[str]:
     """The monitor columns ``simulate`` records for m species, in order:
     the header of ``monitors.csv`` (see :class:`SimulationResult`)."""
-    labels = ["S"] + [f"{k}_{i + 1}" for i in range(m) for k in ("u", "v")]
+    labels = component_labels(m)
     return (["t"] + [f"sup_{c}" for c in labels] + [f"l1_{c}" for c in labels]
             + ["mass", "Q", "dt"])
 
@@ -497,6 +488,7 @@ def simulate(initial: StateField, params: ModelParams, kin: KineticsSpec, *,
     """
     _require_consistent(params, kin, initial)
     _require_monotone_grid(params, initial.grid)
+    t_end = _as_float(t_end, "t_end")
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
     time_tol = 1e-12 * max(1.0, abs(t_end))
@@ -614,21 +606,19 @@ def classify_outcome(result: SimulationResult) -> str:
     ``extinction-<components>``: ``extinction-u`` / ``extinction-v`` for a
     single species, a comma list of ``u<i>``/``v<i>`` such as
     ``extinction-u1,v2`` for several.  A component counts as extinct when its
-    final sup norm is below ``EXTINCT_SUP`` and below ``EXTINCT_FRACTION``
-    times its initial sup norm.
+    final sup norm is below ``EXTINCT_SUP`` and, unless its initial sup norm
+    is 0, below ``EXTINCT_FRACTION`` times that.  Both sup norms are read
+    from the first and last monitor rows, as ``monitors.csv`` holds them.
     """
     if result.verdict.kind == "blow_up":
         return "blow-up"
-    labels = result.final.component_labels()[1:]
-    # rows u_1, v_1, u_2, v_2, ...: the order of the labels
-    init = result.initial.stack()[1:]
-    fin = result.final.stack()[1:]
+    labels = component_labels(result.final.m)[1:]
     extinct: list[str] = []
-    for j, label in enumerate(labels):
-        s0 = float(init[j].max())
-        s1 = float(fin[j].max())
+    for label in labels:
+        sup = result.monitors[f"sup_{label}"]
+        s0, s1 = float(sup[0]), float(sup[-1])
         if s1 < EXTINCT_SUP and (s0 == 0.0 or s1 < EXTINCT_FRACTION * s0):
-            extinct.append(label)
+            extinct.append(label[0] if len(labels) == 2 else label.replace("_", ""))
     if not extinct:
         return "coexistence"
     if len(extinct) == len(labels):

@@ -112,7 +112,7 @@ def _require_theory_regime(params: ModelParams, kin: KineticsSpec) -> None:
         raise ValueError(
             f"the steady-state machinery covers the single-species system only; got m={params.m}"
         )
-    if params.gamma_s != 1.0 or params.gamma_u[0] != 0.0 or params.gamma_v[0] != 0.0:
+    if params.feeds != (1.0, 0.0, 0.0):
         raise ValueError(
             "the steady-state machinery assumes unit substrate feed and zero "
             f"biomass feed (gamma_s=1, gamma_u=gamma_v=0); got gamma_s={params.gamma_s}, "
@@ -148,7 +148,7 @@ class _SteadyOperator:
     def __init__(self, params: ModelParams, kin: KineticsSpec, n: int):
         _require_theory_regime(params, kin)
         self.n = n
-        self.diffs = (params.d0, params.du[0], params.dv[0])
+        self.diffs = params.diffusivities
         T = np.hstack([quadrature_inverse_bands(d, n) for d in self.diffs])
         *self._factors, info = dgttrf(T[0, 1:], T[1], T[2, :-1])
         if info != 0:
@@ -482,7 +482,7 @@ def check_coexistence_hypotheses(params: ModelParams, kin: KineticsSpec, *,
     on the whole envelope box only under monotonicity.
     """
     _require_theory_regime(params, kin)
-    pairs = [solve_principal(d, grid_n) for d in (params.d0, params.du[0], params.dv[0])]
+    pairs = [solve_principal(d, grid_n) for d in params.diffusivities]
     for label, pair in zip(("d0", "du", "dv"), pairs):
         # the envelope ratios below are 0/0 wherever an eigenfunction is 0
         if float(np.min(pair.function)) <= 0.0:

@@ -1007,6 +1007,19 @@ class TestUnitPeclet:
         assert "not resolved at cell Peclet 1.000" in done.stderr
         assert "RuntimeWarning" not in done.stderr and "infs or NaNs" not in done.stderr
 
+    @pytest.mark.parametrize("verb", ["run", "eigen", "check", "steady"])
+    def test_subnormal_diffusivity_is_one_line(self, tmp_path, capsys, verb):
+        """At du = 1e-320, 1/(2d) overflows a double: the cell Peclet number
+        is inf, and the grid hint is an exact integer, not an OverflowError."""
+        text = preset_text("fig2a").replace("\ndu = 1\n", "\ndu = 1e-320\n")
+        (tmp_path / "tiny.ini").write_text(text)
+        code = main([verb, "--config", str(tmp_path / "tiny.ini"), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == (EXIT_CONFIG if verb == "run" else EXIT_NO_CONVERGENCE)
+        assert len(err.splitlines()) == 1, err
+        assert "grid too coarse" in err and "cell Peclet" in err and " inf > 1" in err
+        assert re.search(r"use n >=? 5000055664706\d{300,}$", err)
+
 
 class TestPackaging:
     def test_readme_cli_flags_exist(self, capsys):

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -131,6 +132,36 @@ class TestRateLaws:
         if not terms:
             assert law.degree == 0
             assert law.vanishes_without_attached and law.vanishes_without_isolated
+
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: fs.Monod(np.float32(4), 1), fs.Monod(4.0, 1.0)),
+        (lambda: fs.Haldane(3, np.int64(1), 1), fs.Haldane(3.0, 1.0, 1.0)),
+        (lambda: fs.LinearTotalRate(np.array(2)), fs.LinearTotalRate(2.0)),
+        (lambda: fs.PowerTotalRate(1.0, np.int64(2)), fs.PowerTotalRate(1.0, 2)),
+        (lambda: fs.Monod("1", 1), "Monod coefficient a must be a real number, got '1'"),
+        (lambda: fs.Monod(None, 1), "Monod coefficient a must be a real number, got None"),
+        (lambda: fs.Monod(1, -1.0), "Monod half-saturation b must be positive, got -1.0"),
+        (lambda: fs.Haldane(1, 1, "2"), "Haldane coefficient c must be a real number, got '2'"),
+        (lambda: fs.Haldane(1, 0.0, 1), "Haldane coefficient b must be positive, got 0.0"),
+        (lambda: fs.ConstantRate([1.0]),
+         r"ConstantRate coefficient must be a real number, got \[1.0\]"),
+        (lambda: fs.ConstantRate(math.inf),
+         "ConstantRate coefficient must be nonnegative, got inf"),
+        (lambda: fs.PowerTotalRate(1.0, 2.0),
+         "PowerTotalRate exponent must be an integer >= 1, got 2.0"),
+        (lambda: fs.PowerTotalRate(1.0, np.int64(0)),
+         "PowerTotalRate exponent must be an integer >= 1, got 0"),
+    ])
+    def test_law_coefficients_are_real_numbers(self, make, expected):
+        """Coefficients are stored as floats and exponents as ints, whatever
+        number types they come as; anything else is a ValueError naming it."""
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=f"^{expected}$"):
+                make()
+            return
+        law = make()
+        assert law == expected
+        assert [type(x) for x in vars(law).values()] == [type(x) for x in vars(expected).values()]
 
     def test_rate_laws_accept_profiles(self):
         u = np.array([[0.0, 1.0, 2.0]])

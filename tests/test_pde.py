@@ -12,7 +12,7 @@ from scipy.integrate import trapezoid
 import flocstat as fs
 from conftest import floc_kinetics, mass_growth_class, standard_params
 from flocstat.operators import trapezoid as package_trapezoid
-from flocstat.pde import ATOL, RECORD_BLOCK, RTOL, _Stepper, monitor_keys
+from flocstat.pde import ATOL, EXTINCT_SUP, RECORD_BLOCK, RTOL, _Stepper, monitor_keys
 from oracles import imex_step_banded
 
 
@@ -60,8 +60,28 @@ class TestGridAndState:
     def test_state_constant_and_labels(self, grid_201):
         state = fs.StateField.constant(grid_201, S=0.1, u=1.0, v=2.0)
         assert state.m == 1
-        assert state.component_labels() == ("S", "u", "v")
         assert np.all(state.v == 2.0)
+
+    @pytest.mark.parametrize("t, message", [
+        (math.nan, "t must be finite, got nan"),
+        (math.inf, "t must be finite, got inf"),
+        (-math.inf, "t must be finite, got -inf"),
+        ("1", "t must be a real number, got '1'"),
+    ])
+    def test_state_rejects_time_that_is_not_a_finite_number(self, grid_201, t, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fs.StateField.constant(grid_201, S=0.1, u=1.0, v=1.0, t=t)
+
+    @pytest.mark.parametrize("t_end, message", [
+        (math.nan, "t_end must be finite, got nan"),
+        (math.inf, "t_end must be finite, got inf"),
+        (-math.inf, "t_end must be finite, got -inf"),
+        ("1", "t_end must be a real number, got '1'"),
+    ])
+    def test_simulate_rejects_horizon_that_is_not_a_finite_number(self, t_end, message):
+        state = fs.StateField.constant(fs.Grid(41), S=0.1, u=1.0, v=1.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fs.simulate(state, standard_params(), floc_kinetics(), t_end=t_end)
 
     def test_state_rejects_negative(self, grid_201):
         with pytest.raises(ValueError):
@@ -559,6 +579,28 @@ class TestClassifyOutcome:
         state = fs.StateField.constant(grid_201, S=1.0, u=0.01, v=0.01)
         result = fs.simulate(state, params, kin, t_end=200.0)
         assert fs.classify_outcome(result) == "washout"
+
+    @pytest.mark.parametrize("m, alpha, expected", [
+        (1, fs.AttachedTimesTotalRate(), "extinction-v"),
+        (1, fs.LinearTotalRate(1.0), "coexistence"),
+        (2, fs.AttachedTimesTotalRate(), "extinction-v1,v2"),
+        (2, fs.LinearTotalRate(1.0), "coexistence"),
+    ])
+    def test_phase_starting_at_zero(self, m, alpha, expected):
+        """Every species starts with no attached biomass.  Attachment at the
+        rate (u + v)*v keeps it at 0, which counts as extinct; attachment at
+        the rate u + v makes it grow past EXTINCT_SUP, which does not."""
+        grid = fs.Grid(41)
+        params = fs.ModelParams(m=m, d0=1.0, du=1.0, dv=10.0, yu=0.1, yv=0.1, gamma_s=1.0)
+        kin = fs.KineticsSpec(f=(fs.Monod(4.0, 1.0),) * m, g=(fs.Monod(5.0, 1.0),) * m,
+                              alpha=(alpha,) * m, beta=(fs.OnePlusAttachedTimesTotalRate(),) * m)
+        state = fs.StateField(grid=grid, S=np.full(grid.n, 0.1), u=np.ones((m, grid.n)),
+                              v=np.zeros((m, grid.n)))
+        result = fs.simulate(state, params, kin, t_end=5.0)
+        for i in range(1, m + 1):
+            sup = result.monitors[f"sup_v_{i}"]
+            assert sup[0] == 0.0 and (sup[-1] < EXTINCT_SUP) == (expected != "coexistence")
+        assert fs.classify_outcome(result) == expected
 
     def test_blow_up_label(self, grid_201):
         params = standard_params(du=1.0, dv=1.0, yu=2.0, yv=2.0)
