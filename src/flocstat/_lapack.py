@@ -28,7 +28,7 @@ import scipy
 
 from .operators import Array
 
-__all__ = ["dgttrf", "dgttrs", "smallest_eigenpair"]
+__all__ = ["dgbtrf", "dgbtrs", "dgttrf", "dgttrs", "smallest_eigenpair"]
 
 _NAME = "scipy.linalg._flapack"
 
@@ -54,6 +54,8 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
+dgbtrf = _flapack.dgbtrf
+dgbtrs = _flapack.dgbtrs
 dgttrf = _flapack.dgttrf
 dgttrs = _flapack.dgttrs
 

@@ -12,12 +12,15 @@ The solver discretizes with the second-order stencils in
 matrix is similar, through a diagonal scaling, to a symmetric one, whose
 smallest eigenpair LAPACK returns directly: bisection (``dstebz``) and
 inverse iteration (``dstein``), called through
-:func:`flocstat._lapack.smallest_eigenpair`.
+:func:`flocstat._lapack.smallest_eigenpair`.  Each (d, n) is solved once
+per process: the CLI's verbs ask for the same few pairs many times over.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,7 +42,7 @@ class EigenPair:
         function: eigenfunction sampled on the uniform grid, strictly
             positive (entries below the smallest double, about
             ``exp(-708)`` times the sup, flush to zero); normalized to
-            sup = 1.
+            sup = 1.  Read-only: one pair serves every caller.
         iterations: always 1; the solve is direct.
         residual: sup-norm of the eigen-equation defect relative to the
             sup of the eigenfunction.
@@ -53,23 +56,8 @@ class EigenPair:
     residual: float
 
 
-def solve_principal(d: float, n: int) -> EigenPair:
-    """Principal eigenpair at diffusivity d on the n-node grid, by one
-    symmetric tridiagonal eigen-solve.
-
-    With cell Peclet number below 1 (``h < 2d``) every off-diagonal entry
-    of A is negative, so a diagonal D whose entries grow by
-    ``sqrt(lower/upper)`` per node makes ``D^{-1} A D`` symmetric
-    tridiagonal; its smallest eigenpair ``(lam, y)`` gives the pair
-    ``(lam, D y)`` of A.  D spans about ``exp(1/(2d))`` over the grid, so
-    ``D y`` is formed in log space.  A is an irreducible M-matrix, so by
-    Perron-Frobenius on its positive inverse the principal eigenvector is
-    the only positive one; a result that is not positive, or whose
-    residual is above the rounding floor, means the grid does not resolve
-    the eigenfunction and raises ValueError, as do an upper band that is
-    not negative (at cell Peclet 1, where A is reducible), a d that is not
-    positive and finite, and a grid that breaks the Peclet rule.
-    """
+def _solve_principal(d: float, n: int) -> EigenPair:
+    """The solve behind :func:`solve_principal`, uncached."""
     if not (d > 0 and math.isfinite(d)):
         raise ValueError(f"diffusivity must be positive and finite, got {d}")
     pe = peclet_number(d, n)
@@ -97,7 +85,47 @@ def solve_principal(d: float, n: int) -> EigenPair:
         raise ValueError(
             f"{unresolved} (min {float(np.min(phi)):.3e}, residual {resid:.3e}); use a finer grid"
         )
+    phi.flags.writeable = False
     return EigenPair(d=float(d), n=int(n), value=lam, function=phi, iterations=1, residual=resid)
+
+
+#: the (d, n) pairs one process keeps; a `steady-eigen` benchmark pass asks
+#: for 13 distinct ones
+_CACHE_SIZE = 64
+
+_solve_cached = functools.lru_cache(maxsize=_CACHE_SIZE)(_solve_principal)
+
+
+def solve_principal(d: float, n: int) -> EigenPair:
+    """Principal eigenpair at diffusivity d on the n-node grid, by one
+    symmetric tridiagonal eigen-solve.
+
+    With cell Peclet number below 1 (``h < 2d``) every off-diagonal entry
+    of A is negative, so a diagonal D whose entries grow by
+    ``sqrt(lower/upper)`` per node makes ``D^{-1} A D`` symmetric
+    tridiagonal; its smallest eigenpair ``(lam, y)`` gives the pair
+    ``(lam, D y)`` of A.  D spans about ``exp(1/(2d))`` over the grid, so
+    ``D y`` is formed in log space.  A is an irreducible M-matrix, so by
+    Perron-Frobenius on its positive inverse the principal eigenvector is
+    the only positive one; a result that is not positive, or whose
+    residual is above the rounding floor, means the grid does not resolve
+    the eigenfunction and raises ValueError, as do an upper band that is
+    not negative (at cell Peclet 1, where A is reducible), a d that is not
+    positive and finite, and a grid that breaks the Peclet rule.
+
+    Each (d, n) is solved once per process and kept in a bounded LRU
+    cache.  A 0-d array or numpy number d and a numpy integer n share the
+    entry of the float and int they hold; inputs of other types are solved
+    uncached, to be rejected by the checks above.  An error is never kept:
+    it is raised afresh on every call.
+    """
+    if isinstance(n, numbers.Integral):
+        n = int(n)
+    if np.ndim(d) == 0 and np.asarray(d).dtype.kind in "fiu":
+        d = float(d)
+    if type(d) is float and type(n) is int:
+        return _solve_cached(d, n)
+    return _solve_principal(d, n)
 
 
 class LambdaBracket(NamedTuple):

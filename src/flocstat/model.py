@@ -41,6 +41,15 @@ def _as_float(value: float, name: str) -> float:
     return float(value)
 
 
+def _as_float_array(value, name: str) -> Array:
+    """``np.asarray(value, dtype=float)``, or a ValueError naming the field if
+    value holds anything but real numbers (strings and objects included)."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return np.asarray(arr, dtype=float)
+
+
 def _as_float_tuple(value: Union[float, Sequence[float]], m: int, name: str) -> tuple[float, ...]:
     """Normalise a scalar-or-sequence parameter to an m-tuple of floats."""
     if isinstance(value, (str, bytes)):

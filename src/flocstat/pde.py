@@ -60,8 +60,8 @@ from numpy.linalg import LinAlgError
 
 from ._lapack import dgttrf, dgttrs
 from .eigen import EigenPair, solve_principal
-from .model import (KineticsSpec, ModelParams, _ReactionKernel, _as_float, component_labels,
-                    weight_vector)
+from .model import (KineticsSpec, ModelParams, _ReactionKernel, _as_float, _as_float_array,
+                    component_labels, weight_vector)
 from .operators import (Array, feed_vector, grid_spacing, min_grid_n, operator_bands,
                          peclet_admissible, peclet_number, trapezoid)
 
@@ -150,9 +150,9 @@ class StateField:
     t: float = 0.0
 
     def __post_init__(self) -> None:
-        S = np.asarray(self.S, dtype=float)
-        u = np.atleast_2d(np.asarray(self.u, dtype=float))
-        v = np.atleast_2d(np.asarray(self.v, dtype=float))
+        S = _as_float_array(self.S, "S")
+        u = np.atleast_2d(_as_float_array(self.u, "u"))
+        v = np.atleast_2d(_as_float_array(self.v, "v"))
         n = self.grid.n
         if S.shape != (n,):
             raise ValueError(f"S has shape {S.shape}, expected ({n},)")
@@ -181,8 +181,9 @@ class StateField:
     def constant(cls, grid: Grid, *, S: float, u: float, v: float,
                  t: float = 0.0) -> "StateField":
         """Single-species state with constant profiles."""
-        return cls(grid=grid, S=np.full(grid.n, float(S)), u=np.full((1, grid.n), float(u)),
-                   v=np.full((1, grid.n), float(v)), t=t)
+        return cls(grid=grid, S=np.full(grid.n, _as_float(S, "S")),
+                   u=np.full((1, grid.n), _as_float(u, "u")),
+                   v=np.full((1, grid.n), _as_float(v, "v")), t=t)
 
     def stack(self) -> Array:
         """(2m+1, n) array, one row per component in ``component_labels`` order."""

@@ -20,10 +20,13 @@ operator.  This module provides:
   special casing).  Its sources are the reaction terms at the available
   substrate ``max(1 - Stilde, 0)``, assembled by the reaction kernel of
   the time stepper (``flocstat.model._ReactionKernel``);
-* a damped Picard iteration, where non-convergence is a reportable
-  result, not an exception: the iteration stops at its limit, at an
-  iterate that overflows, or once it stops contracting (its sup change
-  is no smaller than 200 iterations earlier);
+* a damped Picard iteration, finished by Newton's method on the steady
+  equations ``s(X) - T X = 0`` (banded in node-major order, kl = ku = 3,
+  factored by LAPACK ``dgbtrf``) where it contracts slowly or stalls.
+  Non-convergence is a reportable result, not an exception: the
+  iteration stops at its limit, at an iterate that overflows, or once it
+  stops contracting (its sup change is no smaller than 200 iterations
+  earlier) after Newton has failed too;
 * hypothesis checkers for the extinction and coexistence existence
   theorems, reporting every clause as a signed margin.  The checkers
   are honest: for several clause systems no admissible parameters
@@ -44,10 +47,11 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from ._lapack import dgttrf, dgttrs
+from ._lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 from .eigen import solve_principal
-from .model import GrowthLaw, KineticsSpec, ModelParams, _ReactionKernel
-from .operators import Array, quadrature_inverse_bands, transport_defect, trapezoid_weights
+from .model import GrowthLaw, KineticsSpec, ModelParams, _ReactionKernel, _as_float_array
+from .operators import (Array, band_matvec, quadrature_inverse_bands, transport_defect,
+                        trapezoid_weights)
 from .pde import Grid
 
 __all__ = [
@@ -125,9 +129,10 @@ def _as_triple(init) -> Array:
     parts = tuple(init)
     if len(parts) != 3:
         raise ValueError(f"init must have exactly three components, got {len(parts)}")
-    arrays = [np.asarray(p, dtype=float) for p in parts]
+    labels = ("Stilde", "u", "v")
+    arrays = [_as_float_array(p, f"init.{label}") for label, p in zip(labels, parts)]
     n = arrays[0].shape[0] if arrays[0].ndim == 1 else -1
-    for label, arr in zip(("Stilde", "u", "v"), arrays):
+    for label, arr in zip(labels, arrays):
         if arr.ndim != 1 or arr.shape[0] != n:
             raise ValueError(f"init.{label} must be a 1-D array matching the others")
         if not np.isfinite(arr).all():
@@ -149,7 +154,7 @@ class _SteadyOperator:
         _require_theory_regime(params, kin)
         self.n = n
         self.diffs = params.diffusivities
-        T = np.hstack([quadrature_inverse_bands(d, n) for d in self.diffs])
+        T = self._T = np.hstack([quadrature_inverse_bands(d, n) for d in self.diffs])
         *self._factors, info = dgttrf(T[0, 1:], T[1], T[2, :-1])
         if info != 0:
             raise LinAlgError(f"steady quadrature inverse for n={n} is singular")
@@ -180,6 +185,44 @@ class _SteadyOperator:
         out = dgttrs(*self._factors, src, overwrite_b=1, trans="T")[0].reshape(3, self.n)
         return np.maximum(out, self._zero, out=out)  # np.clip(out, 0, None)
 
+    def residual(self, X: Array) -> float:
+        """The fixed-point defect ``sup |G(X) - X|``, on which the solve
+        converges."""
+        GX = self.apply(X)
+        return float(_max(np.absolute(np.subtract(GX, X, out=GX), out=GX), None))
+
+    def defect(self, X: Array) -> Array:
+        """``s(X) - T X``: the steady equations ``X = M s(X)`` as a root
+        problem, without the clamp of :meth:`apply`."""
+        # T's three blocks end to end are one tridiagonal matrix: each
+        # block's bands are zero at its edges, so no block couples to the next
+        return self.sources(X) - band_matvec(self._T, X.reshape(-1)).reshape(3, self.n)
+
+    def jacobian_bands(self, X: Array) -> Array:
+        """Jacobian of :meth:`defect` at X in node-major order (unknown
+        ``3i + c`` is component c at node i), where it is banded with
+        kl = ku = 3: entry (k, j) sits at row ``6 + k - j`` of the (10, 3n)
+        array, whose top three rows are the fill space ``dgbtrf`` needs.
+        The sources are node-local, so one forward difference per
+        component, with every node perturbed at once, gives all their 3x3
+        node blocks; T's part is exact."""
+        n = self.n
+        band = np.zeros((10, 3 * n))
+        for c in range(3):
+            Tc = self._T[:, c * n:(c + 1) * n]
+            band[3, c + 3::3] = -Tc[0, 1:]
+            band[6, c::3] = -Tc[1]
+            band[9, c:3 * n - 3:3] = -Tc[2, :-1]
+        base = self.sources(X).copy()
+        shifted = X.copy()
+        for c in range(3):
+            shifted[c] = X[c] + _DIFFERENCE_STEP * np.maximum(np.abs(X[c]), 1.0)
+            slopes = (self.sources(shifted) - base) / (shifted[c] - X[c])
+            for r in range(3):
+                band[6 + r - c, c::3] += slopes[r]
+            shifted[c] = X[c]
+        return band
+
     def differential_defect(self, X: Array) -> float:
         """Sup-norm defect of the triple against the differential balances."""
         src = self.sources(X)
@@ -202,8 +245,10 @@ class SteadyState:
     sup-norm defect of the differential balances (second-order
     differences, boundary conditions included) — the quantity that
     governs drift when the state is transplanted into the transient
-    solver.  reason says why an unconverged solve stopped; it is empty
-    for a converged state.  A solve that stops at a non-finite iterate
+    solver.  iterations counts the Picard iterations and newton_steps
+    the Newton steps taken after them (0 where Picard did not hand over).
+    reason says why an unconverged solve stopped; it is empty for a
+    converged state.  A solve that stops at a non-finite iterate
     returns that iterate, with both residuals nan; every other state is
     finite.  ``fixed_point_solve`` builds every state, from nonnegative
     profiles of the grid's length; the constructor does not check them.
@@ -218,6 +263,7 @@ class SteadyState:
     converged: bool
     iterations: int
     reason: str = ""
+    newton_steps: int = 0
 
     @property
     def substrate(self) -> Array:
@@ -287,36 +333,86 @@ MAX_ITER = 5000
 #: (fig5l), while a span of 50 or 100 stops fig5l before it converges
 _CONTRACTION_WINDOW = 200
 
+#: Picard hands over to Newton once its sup change is below _HANDOVER_CHANGE
+#: but has shrunk by less than a factor _HANDOVER_RATIO per iteration over
+#: the last _HANDOVER_SPAN iterations.  Per iteration over that span, the
+#: shipped presets that contract slowly shrink by 0.83-0.98 (fig4e to fig5l)
+#: and the others by at most 0.78 (fig4f).
+_HANDOVER_CHANGE = 1e-4
+_HANDOVER_RATIO = 0.8
+_HANDOVER_SPAN = 20
+
+#: Newton gives up after this many steps, or when this many halvings of a
+#: step do not reduce the residual
+_NEWTON_MAX_STEPS = 20
+_NEWTON_HALVINGS = 20
+
+#: relative forward-difference step of the Jacobian, about sqrt(eps)
+_DIFFERENCE_STEP = 2.0**-26
+
 # the reduction behind ndarray.max, without its wrapper
 _max = np.maximum.reduce
 
 
+def _newton(op: _SteadyOperator, X: Array) -> tuple[Array, int, bool]:
+    """Newton's method on ``s(X) - T X = 0`` from X, each step projected
+    onto X >= 0 and halved until it reduces the residual ``sup |G(X) - X|``.
+    Returns the iterate of least residual, the number of steps and whether
+    that residual is below TOL."""
+    residual = op.residual(X)
+    steps = 0
+    for steps in range(1, _NEWTON_MAX_STEPS + 1):
+        lu, pivots, info = dgbtrf(op.jacobian_bands(X), 3, 3, overwrite_ab=1)
+        if info != 0:
+            break
+        rhs = np.negative(op.defect(X).T).reshape(-1)  # node-major
+        delta = dgbtrs(lu, 3, 3, rhs, pivots, overwrite_b=1)[0].reshape(op.n, 3).T.copy()
+        for _ in range(_NEWTON_HALVINGS):
+            trial = np.maximum(X + delta, 0.0)
+            trial_residual = op.residual(trial)
+            if trial_residual < residual:
+                break
+            delta *= 0.5
+        else:
+            break
+        X, residual = trial, trial_residual
+        if residual < TOL:
+            return X, steps, True
+    return X, steps, False
+
+
 def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadyState:
     """Damped Picard iteration ``x <- (1 - w)*x + w*G(x)`` on the triple,
-    with ``w = DAMPING``.
+    with ``w = DAMPING``, finished by Newton's method.
 
-    The iteration stops when the successive sup-norm change drops below
-    ``TOL``; hitting ``MAX_ITER`` iterations first returns the last iterate
-    marked unconverged — the operator is not proven contractive, so
-    non-convergence is a result, not an error.  So does an iteration that
-    stops contracting: once the sup change at iteration k is at least the
-    change at iteration k - 200, the solve stops with the reason "not
-    contracting".  So does an iterate that overflows: the iteration stops
-    at the first non-finite one and returns it with nan residuals.  The
-    returned residual is the fixed-point defect ``sup |G(x) - x|``;
-    pde_residual is the differential-balance defect.
+    Picard hands its iterate to Newton once: when its sup change is below
+    1e-4 but has shrunk by less than a factor 0.8 per iteration over the
+    last 20 iterations, or when it stops contracting (its sup change at
+    iteration k is at least the change at iteration k - 200).  Newton
+    (``_newton``) converges once ``sup |G(x) - x|`` is below ``TOL``; where
+    it cannot get there, Picard resumes from Newton's best iterate.
+
+    Picard converges when its sup-norm change drops below ``TOL``.  The
+    operator is not proven contractive, so non-convergence is a result,
+    not an error: ``MAX_ITER`` iterations return the last iterate marked
+    unconverged, and so does a stop at non-contraction after Newton has
+    failed, with the reason "not contracting"; an iterate that overflows
+    stops the solve and is returned with nan residuals.  The returned
+    residual is the fixed-point defect ``sup |G(x) - x|``; pde_residual is
+    the differential-balance defect.
     """
     X = _as_triple(init)
     n = X.shape[1]
     grid = Grid(n)
     op = _SteadyOperator(params, kin, n)
-    converged = False
+    converged = handed_over = False
     reason = f"iteration limit {MAX_ITER} reached"
-    iterations = 0
+    iterations = newton_steps = 0
     changes = []
     # the iterate, the next one and their difference live in three buffers
     X_new, diff = np.empty_like(X), np.empty_like(X)
     keep, step = np.array(1.0 - DAMPING), np.array(DAMPING)
+    slow = _HANDOVER_RATIO**_HANDOVER_SPAN
     # overflow is detected below and reported as the stopping reason
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, MAX_ITER + 1):
@@ -335,15 +431,24 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
                 converged, reason = True, ""
                 break
             changes.append(change)
-            if iterations > _CONTRACTION_WINDOW:
-                earlier = changes[-1 - _CONTRACTION_WINDOW]
-                if change >= earlier:
-                    reason = (f"not contracting: sup change {change:.3e} at iteration "
-                              f"{iterations} is not below {earlier:.3e} at iteration "
-                              f"{iterations - _CONTRACTION_WINDOW}")
+            stalled = (iterations > _CONTRACTION_WINDOW
+                       and change >= changes[-1 - _CONTRACTION_WINDOW])
+            if not handed_over and (stalled or (
+                    change < _HANDOVER_CHANGE and iterations > _HANDOVER_SPAN
+                    and change > slow * changes[-1 - _HANDOVER_SPAN])):
+                handed_over = True
+                X, newton_steps, converged = _newton(op, X)
+                if converged:
+                    reason = ""
                     break
+            elif stalled:
+                earlier = changes[-1 - _CONTRACTION_WINDOW]
+                reason = (f"not contracting: sup change {change:.3e} at iteration "
+                          f"{iterations} is not below {earlier:.3e} at iteration "
+                          f"{iterations - _CONTRACTION_WINDOW}")
+                break
     if math.isfinite(change):
-        residual = float(np.max(np.abs(op.apply(X) - X)))
+        residual = op.residual(X)
         pde_residual = op.differential_defect(X)
     else:
         residual = pde_residual = math.nan
@@ -351,6 +456,7 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
         grid=grid, Stilde=X[0], u=X[1], v=X[2],
         residual=residual, pde_residual=pde_residual,
         converged=converged, iterations=iterations, reason=reason,
+        newton_steps=newton_steps,
     )
 
 

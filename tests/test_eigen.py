@@ -92,6 +92,31 @@ class TestSolvePrincipal:
             fs.solve_principal(d, n=201)
 
 
+class TestPairCache:
+    def test_cached_pair_equals_uncached_solve_and_is_read_only(self):
+        pair = fs.solve_principal(0.37, 201)
+        fresh = fs.eigen._solve_principal(0.37, 201)
+        assert pair.value == fresh.value and pair.residual == fresh.residual
+        np.testing.assert_array_equal(pair.function, fresh.function)
+        assert not pair.function.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pair.function[0] = 2.0
+        # 0-d arrays, numpy floats and numpy integers share the entry
+        for d, n in ((0.37, 201), (np.float64(0.37), np.int64(201)), (np.array(0.37), 201)):
+            assert fs.solve_principal(d, n) is pair
+
+    def test_errors_are_raised_on_every_call(self):
+        size = fs.eigen._solve_cached.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="grid too coarse"):
+                fs.solve_principal(0.001, 101)
+        assert fs.eigen._solve_cached.cache_info().currsize == size
+        fs.solve_principal(0.5, 201)
+        # a float size equal to a cached int one is still no grid size
+        with pytest.raises(ValueError, match="grid size must be an integer"):
+            fs.solve_principal(0.5, 201.0)
+
+
 class TestLambdaBracket:
     @pytest.mark.parametrize("d", [0.02, 0.05, 0.1, 0.15])
     def test_encloses_exact_value_small_d(self, d):

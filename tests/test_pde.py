@@ -112,6 +112,19 @@ class TestGridAndState:
         with pytest.raises(ValueError, match=message):
             fs.StateField(grid=grid_201, S=S, u=u, v=v)
 
+    @pytest.mark.parametrize("field", ["S", "u", "v"])
+    def test_state_rejects_profiles_that_are_not_numbers(self, field):
+        """Strings and objects fail the number rule of ModelParams, in a
+        profile and in a constant alike."""
+        grid = fs.Grid(21)
+        profiles = {"S": np.full(21, 0.5), "u": np.ones(21), "v": np.ones(21)}
+        for bad in (["0.5"] * 21, [0.5] * 20 + [None]):
+            with pytest.raises(ValueError, match=f"^{field} must hold real numbers"):
+                fs.StateField(grid=grid, **{**profiles, field: bad})
+        constants = {"S": 0.1, "u": 1.0, "v": 1.0}
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got '0.1'$"):
+            fs.StateField.constant(grid, **{**constants, field: "0.1"})
+
     def test_stack_round_trip(self, grid_201):
         x = grid_201.x
         state = fs.StateField(grid=grid_201, S=x, u=x[None, :] ** 2, v=1 - x[None, :])

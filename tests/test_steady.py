@@ -33,13 +33,38 @@ def preset_solve(name):
 # sup change of 4-7e-6, fig6p cycles between 3.5e-4 and 1.05e-3
 STALLED_PRESETS = ("fig6n", "fig6o", "fig6p")
 
-# Picard iterations of every preset whose solve converges; fig5l's change
-# shrinks slowest, to 0.34 of its value 200 iterations earlier
+# Picard iterations of every preset's solve.  Picard hands over to Newton
+# on the presets it finishes slowly (fig5l took 1155 iterations at 0.984 per
+# iteration, fig5k 450, fig5j 245, fig4d 203, fig5m 144, fig4e 119 and fig1a
+# and fig1b 117 and 114, all Picard alone), on fig6n and fig6o before they
+# stall, and on fig6p where it stalls; the other presets never hand over
 CONVERGING_ITERATIONS = {
-    "fig1a": 117, "fig1b": 114, "fig2a": 48, "fig2b": 45, "fig3a": 72, "fig3b": 69,
-    "fig4d": 203, "fig4e": 119, "fig4f": 75, "fig4g": 71, "fig5h": 42, "fig5i": 48,
-    "fig5j": 245, "fig5k": 450, "fig5l": 1155, "fig5m": 144, "washout_demo": 38,
+    "fig1a": 37, "fig1b": 34, "fig2a": 48, "fig2b": 45, "fig3a": 72, "fig3b": 69,
+    "fig4d": 53, "fig4e": 44, "fig4f": 75, "fig4g": 71, "fig5h": 42, "fig5i": 48,
+    "fig5j": 77, "fig5k": 128, "fig5l": 289, "fig5m": 51, "fig6n": 78, "fig6o": 78,
+    "fig6p": 213, "washout_demo": 38,
 }
+
+# the Newton steps that finish them
+NEWTON_STEPS = {
+    "fig1a": 2, "fig1b": 2, "fig4d": 2, "fig4e": 2, "fig5j": 2, "fig5k": 3, "fig5l": 4,
+    "fig5m": 2, "fig6n": 4, "fig6o": 4, "fig6p": 2,
+}
+
+
+def picard_only(monkeypatch):
+    """Let Picard hand over to Newton only where it stops contracting."""
+    monkeypatch.setattr(fs.steady, "_HANDOVER_CHANGE", 0.0)
+
+
+def dense_from_bands(band):
+    """The square matrix of a (10, N) dgbtrf band array, kl = ku = 3."""
+    N = band.shape[1]
+    dense = np.zeros((N, N))
+    for k in range(N):
+        for j in range(max(0, k - 3), min(N, k + 4)):
+            dense[k, j] = band[6 + k - j, j]
+    return dense
 
 
 class TestKernel:
@@ -170,6 +195,27 @@ class TestSteadyOperator:
         bound = 1e-14 * (np.abs(s) @ np.abs(M).T)
         assert np.all(np.abs(op.apply(None) - want) <= bound)
 
+    @pytest.mark.parametrize("preset", ["fig5l", "fig6n"])
+    def test_jacobian_bands_match_dense_difference_jacobian(self, preset):
+        """The banded Jacobian of ``s(X) - T X``, from three source
+        evaluations, equals a central-difference Jacobian taken one
+        unknown at a time, node-major, on 21 nodes."""
+        config = fs.load_preset(preset)
+        n = 21
+        op = fs.steady._SteadyOperator(config.params, config.kin, n)
+        X = np.random.default_rng(13).uniform(0.05, 0.6, size=(3, n))
+        dense = np.empty((3 * n, 3 * n))
+        for j in range(3 * n):
+            c, i = j % 3, j // 3
+            step = 1e-6 * max(abs(X[c, i]), 1.0)
+            up, down = X.copy(), X.copy()
+            up[c, i] += step
+            down[c, i] -= step
+            dense[:, j] = ((op.defect(up) - op.defect(down)) / (2 * step)).T.reshape(-1)
+        got = dense_from_bands(op.jacobian_bands(X))
+        scale = float(np.max(np.abs(dense)))
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-8 * scale)
+
     def test_fine_grid_needs_no_dense_matrix(self):
         """n = 200 001: three dense kernels would need about 960 GB.
 
@@ -241,18 +287,39 @@ class TestFixedPoint:
         assert state.reason == "iteration limit 3 reached"
 
     def test_converging_presets_keep_their_iteration_counts(self):
-        """The non-contraction stop never cuts a converging solve short."""
-        names = [name for name in fs.available_presets()
-                 if name not in STALLED_PRESETS and name != "blowup_demo"]
-        got = {}
+        """The handover rule picks the same presets, at the same iterations,
+        and every solve converges."""
+        names = [name for name in fs.available_presets() if name != "blowup_demo"]
+        got, steps = {}, {}
         for name in names:
             state = preset_solve(name)
             assert state.converged, name
+            # Picard stops at a change below TOL, half its residual
+            assert state.residual < (1 if state.newton_steps else 2) * fs.steady.TOL, name
             got[name] = state.iterations
+            if state.newton_steps:
+                steps[name] = state.newton_steps
         assert got == CONVERGING_ITERATIONS
+        assert steps == NEWTON_STEPS
 
     @pytest.mark.parametrize("name", STALLED_PRESETS)
-    def test_stalled_preset_stops_not_contracting(self, name):
+    def test_stalled_preset_converges_by_newton(self, name):
+        """fig6n and fig6o hand over while Picard still contracts slowly,
+        fig6p at its non-contraction stop; Newton converges on each.  The
+        states match those Newton reaches from Picard's stalled iterates in
+        a dense-Jacobian prototype: sup u 9.696e-3, 9.763e-3, 8.197e-2."""
+        state = preset_solve(name)
+        assert state.converged and state.reason == ""
+        assert state.residual < fs.steady.TOL
+        assert state.pde_residual < 1e-5
+        assert float(np.max(state.u)) == pytest.approx(
+            {"fig6n": 9.696e-3, "fig6o": 9.763e-3, "fig6p": 8.197e-2}[name], rel=1e-3)
+
+    @pytest.mark.parametrize("name", STALLED_PRESETS)
+    def test_stalled_preset_stops_not_contracting(self, name, monkeypatch):
+        """Where Newton fails too (forced here: it may take no step), Picard
+        resumes from the handover iterate and stops as not contracting."""
+        monkeypatch.setattr(fs.steady, "_NEWTON_MAX_STEPS", 0)
         state = preset_solve(name)
         assert not state.converged
         assert state.iterations <= 500
@@ -263,6 +330,36 @@ class TestFixedPoint:
         assert int(k) == state.iterations and int(k_earlier) == state.iterations - 200
         assert float(change) >= float(earlier)
         assert math.isfinite(state.residual) and math.isfinite(state.pde_residual)
+
+    def test_newton_finish_matches_picard_alone(self, monkeypatch):
+        """On every preset Picard alone converges on, the Newton-finished
+        state agrees with Picard's in the max and mean of each steady.csv
+        column, within the benchmark's steady tolerance."""
+        names = [name for name in fs.available_presets()
+                 if name not in STALLED_PRESETS and name != "blowup_demo"]
+        finished = {name: preset_solve(name) for name in names}
+        picard_only(monkeypatch)
+        for name in names:
+            state, alone = finished[name], preset_solve(name)
+            assert alone.converged and alone.newton_steps == 0, name
+            for a, b in ((state.Stilde, alone.Stilde), (state.substrate, alone.substrate),
+                         (state.u, alone.u), (state.v, alone.v)):
+                for stat in (np.max, np.mean):
+                    assert float(stat(a)) == pytest.approx(float(stat(b)), rel=1e-6, abs=1e-8)
+
+    def test_newton_resumes_picard_where_it_fails(self, monkeypatch):
+        """A Newton that cannot reduce the residual hands back its start:
+        Picard then finishes fig5l alone, in its Picard-only count."""
+        monkeypatch.setattr(fs.steady, "_NEWTON_HALVINGS", 0)
+        state = preset_solve("fig5l")
+        assert state.converged and state.newton_steps == 1
+        assert state.iterations == 1155
+
+    def test_rejects_string_init(self):
+        grid = fs.Grid(21)
+        init = (["0.5"] * grid.n, np.zeros(grid.n), np.zeros(grid.n))
+        with pytest.raises(ValueError, match="init.Stilde must hold real numbers"):
+            fs.fixed_point_solve(init, theory_params(), floc_kinetics())
 
     def test_stops_at_first_non_finite_iterate(self):
         """blowup_demo's quadratic exchange with yields 2 overflows the
