@@ -745,9 +745,9 @@ def _cmd_steady(args: argparse.Namespace) -> int:
         ["x", "depletion", "S", "u", "v"],
         [grid.x, state.Stilde, state.substrate, state.u, state.v],
     )
-    newton = f" newton_steps={state.newton_steps}" if state.newton_steps else ""
     print(
-        f"fixed point: converged={state.converged} iterations={state.iterations}{newton} "
+        f"fixed point: converged={state.converged} iterations={state.iterations} "
+        f"newton_steps={state.newton_steps} "
         f"residual={state.residual:.3e} pde_residual={state.pde_residual:.3e}"
     )
     print(f"profile written to {path.resolve()}")

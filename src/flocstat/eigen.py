@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ._lapack import smallest_eigenpair
-from .operators import (Array, band_matvec, min_grid_n, operator_bands, peclet_admissible,
-                        peclet_number)
+from .model import _as_float
+from .operators import (Array, band_matvec, grid_spacing, min_grid_n, operator_bands,
+                        peclet_admissible, peclet_number)
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,17 @@ class EigenPair:
     residual: float
 
 
-def _solve_principal(d: float, n: int) -> EigenPair:
-    """The solve behind :func:`solve_principal`, uncached."""
+def _as_diffusivity(d) -> float:
+    """``float(d)``, or a ValueError unless d is a positive finite real number."""
+    d = _as_float(d, "diffusivity")
     if not (d > 0 and math.isfinite(d)):
         raise ValueError(f"diffusivity must be positive and finite, got {d}")
+    return d
+
+
+def _solve_principal(d: float, n: int) -> EigenPair:
+    """The solve behind :func:`solve_principal`, uncached, for the float d
+    and the int n it has checked."""
     pe = peclet_number(d, n)
     if not peclet_admissible(d, n):
         raise ValueError(
@@ -111,21 +118,17 @@ def solve_principal(d: float, n: int) -> EigenPair:
     residual is above the rounding floor, means the grid does not resolve
     the eigenfunction and raises ValueError, as do an upper band that is
     not negative (at cell Peclet 1, where A is reducible), a d that is not
-    positive and finite, and a grid that breaks the Peclet rule.
+    a positive finite real number, an n that is not an integer of at least
+    ``MIN_GRID_N``, and a grid that breaks the Peclet rule.
 
     Each (d, n) is solved once per process and kept in a bounded LRU
-    cache.  A 0-d array or numpy number d and a numpy integer n share the
-    entry of the float and int they hold; inputs of other types are solved
-    uncached, to be rejected by the checks above.  An error is never kept:
-    it is raised afresh on every call.
+    cache, keyed by the float and int they hold: a 0-d array or numpy
+    number d and a numpy integer n share the entry of the plain ones.  An
+    error is never kept: it is raised afresh on every call.
     """
-    if isinstance(n, numbers.Integral):
-        n = int(n)
-    if np.ndim(d) == 0 and np.asarray(d).dtype.kind in "fiu":
-        d = float(d)
-    if type(d) is float and type(n) is int:
-        return _solve_cached(d, n)
-    return _solve_principal(d, n)
+    d = _as_diffusivity(d)
+    grid_spacing(n)  # raises unless an integer of at least MIN_GRID_N
+    return _solve_cached(d, int(n))
 
 
 class LambdaBracket(NamedTuple):
@@ -145,9 +148,8 @@ class LambdaBracket(NamedTuple):
 
 def lambda_bracket(d: float) -> LambdaBracket:
     """Closed-form enclosure of the principal eigenvalue (see LambdaBracket);
-    a d that is not positive and finite raises ValueError."""
-    if not (d > 0 and math.isfinite(d)):
-        raise ValueError(f"diffusivity must be positive and finite, got {d}")
+    a d that is not a positive finite real number raises ValueError."""
+    d = _as_diffusivity(d)
     if d < 1.0 / (2.0 * math.pi):
         lo = 1.0 / (4.0 * d) + math.pi**2 * d / 4.0
         hi = 1.0 / (4.0 * d) + math.pi**2 * d

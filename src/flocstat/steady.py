@@ -22,7 +22,7 @@ operator.  This module provides:
   the time stepper (``flocstat.model._ReactionKernel``);
 * a damped Picard iteration, finished by Newton's method on the steady
   equations ``s(X) - T X = 0`` (banded in node-major order, kl = ku = 3,
-  factored by LAPACK ``dgbtrf``) where it contracts slowly or stalls.
+  factored by LAPACK ``dgbtrf``) once it nears its fixed point or stalls.
   Non-convergence is a reportable result, not an exception: the
   iteration stops at its limit, at an iterate that overflows, or once it
   stops contracting (its sup change is no smaller than 200 iterations
@@ -48,7 +48,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from ._lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
-from .eigen import solve_principal
+from .eigen import _as_diffusivity, solve_principal
 from .model import GrowthLaw, KineticsSpec, ModelParams, _ReactionKernel, _as_float_array
 from .operators import (Array, band_matvec, quadrature_inverse_bands, transport_defect,
                         trapezoid_weights)
@@ -78,10 +78,9 @@ def kernel_eval(d: float, x, s):
     Equals 1 for ``s <= x`` (everything released upstream of x arrives
     undiminished) and decays like ``exp((x - s)/d)`` for ``s > x``.
     Accepts scalars or broadcastable arrays; arguments outside ``[0, 1]``
-    or a nonpositive ``d`` raise ValueError.
+    or a d that is not a positive finite real number raise ValueError.
     """
-    if not (d > 0 and math.isfinite(d)):
-        raise ValueError(f"diffusivity must be positive, got {d}")
+    d = _as_diffusivity(d)
     x_arr = np.asarray(x, dtype=float)
     s_arr = np.asarray(s, dtype=float)
     for name, arr in (("x", x_arr), ("s", s_arr)):
@@ -207,7 +206,8 @@ class _SteadyOperator:
         component, with every node perturbed at once, gives all their 3x3
         node blocks; T's part is exact."""
         n = self.n
-        band = np.zeros((10, 3 * n))
+        # Fortran order, so that dgbtrf factors it in place
+        band = np.zeros((10, 3 * n), order="F")
         for c in range(3):
             Tc = self._T[:, c * n:(c + 1) * n]
             band[3, c + 3::3] = -Tc[0, 1:]
@@ -217,7 +217,9 @@ class _SteadyOperator:
         shifted = X.copy()
         for c in range(3):
             shifted[c] = X[c] + _DIFFERENCE_STEP * np.maximum(np.abs(X[c]), 1.0)
-            slopes = (self.sources(shifted) - base) / (shifted[c] - X[c])
+            slopes = self.sources(shifted)  # a work array: difference it in place
+            slopes -= base
+            slopes /= shifted[c] - X[c]
             for r in range(3):
                 band[6 + r - c, c::3] += slopes[r]
             shifted[c] = X[c]
@@ -333,14 +335,8 @@ MAX_ITER = 5000
 #: (fig5l), while a span of 50 or 100 stops fig5l before it converges
 _CONTRACTION_WINDOW = 200
 
-#: Picard hands over to Newton once its sup change is below _HANDOVER_CHANGE
-#: but has shrunk by less than a factor _HANDOVER_RATIO per iteration over
-#: the last _HANDOVER_SPAN iterations.  Per iteration over that span, the
-#: shipped presets that contract slowly shrink by 0.83-0.98 (fig4e to fig5l)
-#: and the others by at most 0.78 (fig4f).
+#: Picard hands over to Newton once its sup change is below this
 _HANDOVER_CHANGE = 1e-4
-_HANDOVER_RATIO = 0.8
-_HANDOVER_SPAN = 20
 
 #: Newton gives up after this many steps, or when this many halvings of a
 #: step do not reduce the residual
@@ -367,6 +363,7 @@ def _newton(op: _SteadyOperator, X: Array) -> tuple[Array, int, bool]:
             break
         rhs = np.negative(op.defect(X).T).reshape(-1)  # node-major
         delta = dgbtrs(lu, 3, 3, rhs, pivots, overwrite_b=1)[0].reshape(op.n, 3).T.copy()
+        del lu  # free the factors before the next step builds its band
         for _ in range(_NEWTON_HALVINGS):
             trial = np.maximum(X + delta, 0.0)
             trial_residual = op.residual(trial)
@@ -385,10 +382,9 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
     """Damped Picard iteration ``x <- (1 - w)*x + w*G(x)`` on the triple,
     with ``w = DAMPING``, finished by Newton's method.
 
-    Picard hands its iterate to Newton once: when its sup change is below
-    1e-4 but has shrunk by less than a factor 0.8 per iteration over the
-    last 20 iterations, or when it stops contracting (its sup change at
-    iteration k is at least the change at iteration k - 200).  Newton
+    Picard hands its iterate to Newton once: at the first iteration whose
+    sup change is below 1e-4, or when it stops contracting (its sup change
+    at iteration k is at least the change at iteration k - 200).  Newton
     (``_newton``) converges once ``sup |G(x) - x|`` is below ``TOL``; where
     it cannot get there, Picard resumes from Newton's best iterate.
 
@@ -412,7 +408,6 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
     # the iterate, the next one and their difference live in three buffers
     X_new, diff = np.empty_like(X), np.empty_like(X)
     keep, step = np.array(1.0 - DAMPING), np.array(DAMPING)
-    slow = _HANDOVER_RATIO**_HANDOVER_SPAN
     # overflow is detected below and reported as the stopping reason
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, MAX_ITER + 1):
@@ -433,9 +428,7 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
             changes.append(change)
             stalled = (iterations > _CONTRACTION_WINDOW
                        and change >= changes[-1 - _CONTRACTION_WINDOW])
-            if not handed_over and (stalled or (
-                    change < _HANDOVER_CHANGE and iterations > _HANDOVER_SPAN
-                    and change > slow * changes[-1 - _HANDOVER_SPAN])):
+            if not handed_over and (stalled or change < _HANDOVER_CHANGE):
                 handed_over = True
                 X, newton_steps, converged = _newton(op, X)
                 if converged:

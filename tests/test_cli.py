@@ -799,7 +799,8 @@ class TestMainEntry:
                      "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        assert "fixed point: converged=True" in out
+        assert re.search(r"^fixed point: converged=True iterations=24 newton_steps=2 "
+                         r"residual=\S+ pde_residual=", out, re.M)
         assert "coexistence: feasible=False" in out
         assert (tmp_path / "steady.csv").is_file()
 

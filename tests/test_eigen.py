@@ -150,3 +150,20 @@ class TestLambdaBracket:
         for d, lam in EIGENVALUE_BY_DIFFUSIVITY.items():
             assert lam < np.exp(1.0 / d)
 
+
+
+DIFFUSIVITY_ENTRY_POINTS = {
+    "solve_principal": lambda d: fs.solve_principal(d, 201),
+    "lambda_bracket": fs.lambda_bracket,
+    "kernel_matrix": lambda d: fs.kernel_matrix(d, 21),
+}
+
+
+@pytest.mark.parametrize("call", DIFFUSIVITY_ENTRY_POINTS.values(),
+                         ids=DIFFUSIVITY_ENTRY_POINTS.keys())
+@pytest.mark.parametrize("d", ["1", None, 1 + 0j], ids=["str", "None", "complex"])
+def test_diffusivity_not_a_real_number_raises_value_error(call, d):
+    """A d that is no real number gets the ValueError naming it that every
+    other entry point gives, not a TypeError from comparing it."""
+    with pytest.raises(ValueError, match=r"diffusivity must be a real number, got "):
+        call(d)

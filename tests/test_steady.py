@@ -19,10 +19,11 @@ def theory_params(du=1.0, dv=10.0):
     return standard_params(du=du, dv=dv)
 
 
-def preset_solve(name):
-    """The fixed-point solve `flocstat steady` runs on a preset at its own grid."""
+def preset_solve(name, grid_n=None):
+    """The fixed-point solve `flocstat steady` runs on a preset, at its own
+    grid or at ``--grid-n grid_n``."""
     config = fs.load_preset(name)
-    initial = build_initial_state(config, fs.Grid(config.controls.grid_n))
+    initial = build_initial_state(config, fs.Grid(grid_n or config.controls.grid_n))
     return fs.fixed_point_solve(
         (np.clip(1.0 - initial.S, 0.0, None), initial.u[0], initial.v[0]),
         config.params, config.kin,
@@ -33,22 +34,17 @@ def preset_solve(name):
 # sup change of 4-7e-6, fig6p cycles between 3.5e-4 and 1.05e-3
 STALLED_PRESETS = ("fig6n", "fig6o", "fig6p")
 
-# Picard iterations of every preset's solve.  Picard hands over to Newton
-# on the presets it finishes slowly (fig5l took 1155 iterations at 0.984 per
-# iteration, fig5k 450, fig5j 245, fig4d 203, fig5m 144, fig4e 119 and fig1a
-# and fig1b 117 and 114, all Picard alone), on fig6n and fig6o before they
-# stall, and on fig6p where it stalls; the other presets never hand over
-CONVERGING_ITERATIONS = {
-    "fig1a": 37, "fig1b": 34, "fig2a": 48, "fig2b": 45, "fig3a": 72, "fig3b": 69,
-    "fig4d": 53, "fig4e": 44, "fig4f": 75, "fig4g": 71, "fig5h": 42, "fig5i": 48,
-    "fig5j": 77, "fig5k": 128, "fig5l": 289, "fig5m": 51, "fig6n": 78, "fig6o": 78,
-    "fig6p": 213, "washout_demo": 38,
-}
-
-# the Newton steps that finish them
-NEWTON_STEPS = {
-    "fig1a": 2, "fig1b": 2, "fig4d": 2, "fig4e": 2, "fig5j": 2, "fig5k": 3, "fig5l": 4,
-    "fig5m": 2, "fig6n": 4, "fig6o": 4, "fig6p": 2,
+# (Picard iterations, Newton steps) of every preset's solve.  Picard hands
+# over to Newton at its first sup change below 1e-4 or, on fig6p, whose
+# change never gets there, where it stalls.  Picard alone took 1155
+# iterations on fig5l (0.984 per iteration), 72 on fig3a and 38 on
+# washout_demo
+SOLVE_COUNTS = {
+    "fig1a": (37, 2), "fig1b": (34, 2), "fig2a": (24, 2), "fig2b": (21, 2),
+    "fig3a": (28, 2), "fig3b": (25, 2), "fig4d": (53, 2), "fig4e": (44, 2),
+    "fig4f": (29, 2), "fig4g": (28, 2), "fig5h": (20, 2), "fig5i": (24, 2),
+    "fig5j": (77, 2), "fig5k": (128, 3), "fig5l": (289, 4), "fig5m": (51, 2),
+    "fig6n": (78, 4), "fig6o": (78, 4), "fig6p": (213, 2), "washout_demo": (12, 2),
 }
 
 
@@ -247,8 +243,8 @@ class TestFixedPoint:
         )
         state = fs.fixed_point_solve(init, params, kin)
         assert state.converged and state.reason == ""
-        assert state.iterations == 39
-        assert state.residual < 2 * fs.steady.TOL
+        assert (state.iterations, state.newton_steps) == (16, 2)
+        assert state.residual < fs.steady.TOL
         assert state.pde_residual < 1e-5
         assert np.all(state.v == 0.0)
         assert float(np.min(state.u)) == pytest.approx(0.4226, abs=2e-4)
@@ -286,26 +282,24 @@ class TestFixedPoint:
         assert state.iterations == 3
         assert state.reason == "iteration limit 3 reached"
 
-    def test_converging_presets_keep_their_iteration_counts(self):
-        """The handover rule picks the same presets, at the same iterations,
-        and every solve converges."""
-        names = [name for name in fs.available_presets() if name != "blowup_demo"]
-        got, steps = {}, {}
-        for name in names:
-            state = preset_solve(name)
-            assert state.converged, name
-            # Picard stops at a change below TOL, half its residual
-            assert state.residual < (1 if state.newton_steps else 2) * fs.steady.TOL, name
-            got[name] = state.iterations
-            if state.newton_steps:
-                steps[name] = state.newton_steps
-        assert got == CONVERGING_ITERATIONS
-        assert steps == NEWTON_STEPS
+    def test_every_converging_solve_ends_in_newton(self):
+        """Each preset but blowup_demo keeps its pinned counts; Newton
+        finishes each of them, and fig3a on 4001 nodes (12 003 unknowns),
+        to a residual below TOL."""
+        states = {name: preset_solve(name) for name in fs.available_presets()
+                  if name != "blowup_demo"}
+        assert {name: (state.iterations, state.newton_steps)
+                for name, state in states.items()} == SOLVE_COUNTS
+        states["fig3a n=4001"] = preset_solve("fig3a", grid_n=4001)
+        for name, state in states.items():
+            assert state.converged and state.reason == "", name
+            assert state.newton_steps >= 1, name
+            assert state.residual < fs.steady.TOL, name
 
     @pytest.mark.parametrize("name", STALLED_PRESETS)
     def test_stalled_preset_converges_by_newton(self, name):
-        """fig6n and fig6o hand over while Picard still contracts slowly,
-        fig6p at its non-contraction stop; Newton converges on each.  The
+        """fig6n and fig6o hand over while Picard still contracts, fig6p at
+        its non-contraction stop; Newton converges on each.  The
         states match those Newton reaches from Picard's stalled iterates in
         a dense-Jacobian prototype: sup u 9.696e-3, 9.763e-3, 8.197e-2."""
         state = preset_solve(name)
