@@ -9,10 +9,10 @@ Exit codes
 2   configuration error (every violated key is listed on stderr), a run
     whose inputs the solver rejects before its first step, or an output
     directory or file that cannot be created or written
-3   solver non-convergence (the steady-state iteration, where Picard and
-    Newton both fail, or a run stalled by its step budget
-    ``flocstat.pde.MAX_STEPS``), or a grid too coarse for the eigen solver
-    (for the steady hypothesis reports, also one on which an eigenfunction
+3   solver non-convergence (the steady-state iteration, or a run stalled
+    by its step budget ``flocstat.pde.MAX_STEPS``), a steady root that is
+    linearly unstable, or a grid too coarse for the eigen solver (for the
+    steady hypothesis reports, also one on which an eigenfunction
     underflows to zero)
 4   the simulation verdict was blow-up
 
@@ -747,10 +747,13 @@ def _cmd_steady(args: argparse.Namespace) -> int:
     )
     print(
         f"fixed point: converged={state.converged} iterations={state.iterations} "
-        f"newton_steps={state.newton_steps} "
         f"residual={state.residual:.3e} pde_residual={state.pde_residual:.3e}"
     )
     print(f"profile written to {path.resolve()}")
+    if state.unstable:
+        print("steady root is unstable: det(-J) < 0, so its linearization has an odd "
+              "number of positive real eigenvalues", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     try:
         extinction = [
             check_extinction_hypotheses(params, kin, which, grid_n=grid_n)

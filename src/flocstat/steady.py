@@ -20,13 +20,14 @@ operator.  This module provides:
   special casing).  Its sources are the reaction terms at the available
   substrate ``max(1 - Stilde, 0)``, assembled by the reaction kernel of
   the time stepper (``flocstat.model._ReactionKernel``);
-* a damped Picard iteration, finished by Newton's method on the steady
-  equations ``s(X) - T X = 0`` (banded in node-major order, kl = ku = 3,
-  factored by LAPACK ``dgbtrf``) once it nears its fixed point or stalls.
-  Non-convergence is a reportable result, not an exception: the
-  iteration stops at its limit, at an iterate that overflows, or once it
-  stops contracting (its sup change is no smaller than 200 iterations
-  earlier) after Newton has failed too;
+* pseudo-transient continuation on the steady equations
+  ``s(X) - T X = 0``: implicit Euler steps of the flow ``T X' = s(X) - T X``
+  whose pseudo-time step grows until they are Newton's, each solved on
+  the equations' band (node-major, kl = ku = 3, factored by LAPACK
+  ``dgbtrf``).  Non-convergence is a reportable result, not an
+  exception: the solve stops at its step limit, at a singular step
+  matrix, or at a defect that overflows.  A converged root where
+  det(-J) < 0 is flagged unstable;
 * hypothesis checkers for the extinction and coexistence existence
   theorems, reporting every clause as a signed margin.  The checkers
   are honest: for several clause systems no admissible parameters
@@ -197,22 +198,23 @@ class _SteadyOperator:
         # block's bands are zero at its edges, so no block couples to the next
         return self.sources(X) - band_matvec(self._T, X.reshape(-1)).reshape(3, self.n)
 
-    def jacobian_bands(self, X: Array) -> Array:
-        """Jacobian of :meth:`defect` at X in node-major order (unknown
-        ``3i + c`` is component c at node i), where it is banded with
-        kl = ku = 3: entry (k, j) sits at row ``6 + k - j`` of the (10, 3n)
-        array, whose top three rows are the fill space ``dgbtrf`` needs.
-        The sources are node-local, so one forward difference per
-        component, with every node perturbed at once, gives all their 3x3
-        node blocks; T's part is exact."""
+    def jacobian_bands(self, X: Array, mass: float = 1.0) -> Array:
+        """``ds/dX - mass*T`` at X, which for mass 1 is the Jacobian of
+        :meth:`defect`, in node-major order (unknown ``3i + c`` is
+        component c at node i), where it is banded with kl = ku = 3: entry
+        (k, j) sits at row ``6 + k - j`` of the (10, 3n) array, whose top
+        three rows are the fill space ``dgbtrf`` needs.  The sources are
+        node-local, so one forward difference per component, with every
+        node perturbed at once, gives all their 3x3 node blocks; T's part
+        is exact."""
         n = self.n
         # Fortran order, so that dgbtrf factors it in place
         band = np.zeros((10, 3 * n), order="F")
         for c in range(3):
             Tc = self._T[:, c * n:(c + 1) * n]
-            band[3, c + 3::3] = -Tc[0, 1:]
-            band[6, c::3] = -Tc[1]
-            band[9, c:3 * n - 3:3] = -Tc[2, :-1]
+            band[3, c + 3::3] = -mass * Tc[0, 1:]
+            band[6, c::3] = -mass * Tc[1]
+            band[9, c:3 * n - 3:3] = -mass * Tc[2, :-1]
         base = self.sources(X).copy()
         shifted = X.copy()
         for c in range(3):
@@ -247,13 +249,17 @@ class SteadyState:
     sup-norm defect of the differential balances (second-order
     differences, boundary conditions included) — the quantity that
     governs drift when the state is transplanted into the transient
-    solver.  iterations counts the Picard iterations and newton_steps
-    the Newton steps taken after them (0 where Picard did not hand over).
-    reason says why an unconverged solve stopped; it is empty for a
-    converged state.  A solve that stops at a non-finite iterate
-    returns that iterate, with both residuals nan; every other state is
-    finite.  ``fixed_point_solve`` builds every state, from nonnegative
-    profiles of the grid's length; the constructor does not check them.
+    solver.  iterations counts the pseudo-transient steps.  reason says
+    why an unconverged solve stopped; it is empty for a converged state.
+    A solve that stops at a non-finite defect returns its iterate, with
+    both residuals nan; every other state is finite.  unstable is True on
+    a converged state where det(-J) < 0, J the Jacobian of the steady
+    equations: J then has an odd number of positive real eigenvalues, so
+    the state is linearly unstable.  False proves no stability: an even
+    number of them, or a complex pair in the right half-plane, leaves
+    det(-J) > 0.  ``fixed_point_solve`` builds every state, from
+    nonnegative profiles of the grid's length; the constructor does not
+    check them.
     """
 
     grid: Grid
@@ -265,7 +271,7 @@ class SteadyState:
     converged: bool
     iterations: int
     reason: str = ""
-    newton_steps: int = 0
+    unstable: bool = False
 
     @property
     def substrate(self) -> Array:
@@ -321,27 +327,14 @@ _FALLBACK_DEPLETION = 0.5
 # ---------------------------------------------------------------------------
 
 
-#: the weight w of the new iterate in the Picard update ``(1 - w)*x + w*G(x)``
-DAMPING = 0.5
-
-#: the solve converges once the sup change of an iteration is below TOL
+#: the solve converges once its fixed-point defect ``sup |G(X) - X|`` is below TOL
 TOL = 1e-10
 
-#: the solve stops unconverged after this many iterations
-MAX_ITER = 5000
+#: the solve stops unconverged after this many pseudo-transient steps
+MAX_ITER = 200
 
-#: iterations between the two sup changes the non-contraction test compares;
-#: the largest ratio over that span on a converging shipped preset is 0.34
-#: (fig5l), while a span of 50 or 100 stops fig5l before it converges
-_CONTRACTION_WINDOW = 200
-
-#: Picard hands over to Newton once its sup change is below this
-_HANDOVER_CHANGE = 1e-4
-
-#: Newton gives up after this many steps, or when this many halvings of a
-#: step do not reduce the residual
-_NEWTON_MAX_STEPS = 20
-_NEWTON_HALVINGS = 20
+#: past this pseudo-time step the step is Newton's (delta = inf)
+_NEWTON_DELTA = 1e12
 
 #: relative forward-difference step of the Jacobian, about sqrt(eps)
 _DIFFERENCE_STEP = 2.0**-26
@@ -350,106 +343,86 @@ _DIFFERENCE_STEP = 2.0**-26
 _max = np.maximum.reduce
 
 
-def _newton(op: _SteadyOperator, X: Array) -> tuple[Array, int, bool]:
-    """Newton's method on ``s(X) - T X = 0`` from X, each step projected
-    onto X >= 0 and halved until it reduces the residual ``sup |G(X) - X|``.
-    Returns the iterate of least residual, the number of steps and whether
-    that residual is below TOL."""
-    residual = op.residual(X)
-    steps = 0
-    for steps in range(1, _NEWTON_MAX_STEPS + 1):
-        lu, pivots, info = dgbtrf(op.jacobian_bands(X), 3, 3, overwrite_ab=1)
-        if info != 0:
-            break
-        rhs = np.negative(op.defect(X).T).reshape(-1)  # node-major
-        delta = dgbtrs(lu, 3, 3, rhs, pivots, overwrite_b=1)[0].reshape(op.n, 3).T.copy()
-        del lu  # free the factors before the next step builds its band
-        for _ in range(_NEWTON_HALVINGS):
-            trial = np.maximum(X + delta, 0.0)
-            trial_residual = op.residual(trial)
-            if trial_residual < residual:
-                break
-            delta *= 0.5
-        else:
-            break
-        X, residual = trial, trial_residual
-        if residual < TOL:
-            return X, steps, True
-    return X, steps, False
+def _sup(a: Array) -> float:
+    return float(_max(np.absolute(a), None))
+
+
+def _unstable_by_determinant(op: _SteadyOperator, X: Array) -> bool:
+    """Whether det(-J) < 0 for the Jacobian J of the steady equations at
+    X: then J has an odd number of positive real eigenvalues, so X is
+    linearly unstable.  The sign comes from one ``dgbtrf`` of the band:
+    that of the product of U's diagonal, flipped at every row swap."""
+    band = op.jacobian_bands(X)
+    lu, pivots, info = dgbtrf(np.negative(band, out=band), 3, 3, overwrite_ab=1)
+    if info != 0:  # singular: det(-J) = 0
+        return False
+    swaps = int(np.count_nonzero(pivots != np.arange(pivots.size)))
+    return (swaps + int(np.count_nonzero(lu[6] < 0.0))) % 2 == 1
 
 
 def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadyState:
-    """Damped Picard iteration ``x <- (1 - w)*x + w*G(x)`` on the triple,
-    with ``w = DAMPING``, finished by Newton's method.
+    """Pseudo-transient continuation on the steady equations
+    ``F(X) = s(X) - T X = 0``, the fixed points of ``G``.
 
-    Picard hands its iterate to Newton once: at the first iteration whose
-    sup change is below 1e-4, or when it stops contracting (its sup change
-    at iteration k is at least the change at iteration k - 200).  Newton
-    (``_newton``) converges once ``sup |G(x) - x|`` is below ``TOL``; where
-    it cannot get there, Picard resumes from Newton's best iterate.
+    Each step is one implicit Euler step of the flow ``T X' = F(X)``, of
+    pseudo-time step delta, linearized at X: it solves
+    ``((1 + 1/delta) T - ds/dX) D = F(X)`` on the node-major band of
+    ``jacobian_bands`` and sets ``X <- max(X + D, 0)``.  delta starts at 1
+    and grows by switched evolution relaxation, ``delta <- delta *
+    |F_old| / |F_new|`` in the sup norm; once it passes 1e12 it is
+    infinite and the step is Newton's.
 
-    Picard converges when its sup-norm change drops below ``TOL``.  The
-    operator is not proven contractive, so non-convergence is a result,
-    not an error: ``MAX_ITER`` iterations return the last iterate marked
-    unconverged, and so does a stop at non-contraction after Newton has
-    failed, with the reason "not contracting"; an iterate that overflows
-    stops the solve and is returned with nan residuals.  The returned
-    residual is the fixed-point defect ``sup |G(x) - x|``; pde_residual is
-    the differential-balance defect.
+    The solve converges once ``sup |G(X) - X|`` is below ``TOL``.  The
+    operator is not proven to have a root, so non-convergence is a
+    result, not an error: the solve stops unconverged after ``MAX_ITER``
+    steps, at a step matrix that is singular, and at a non-finite
+    defect, which returns the iterate with nan residuals.  A converged
+    state is flagged ``unstable`` when det(-J) < 0 there.  The returned
+    residual is ``sup |G(X) - X|``; pde_residual is the
+    differential-balance defect.
     """
     X = _as_triple(init)
     n = X.shape[1]
-    grid = Grid(n)
     op = _SteadyOperator(params, kin, n)
-    converged = handed_over = False
+    converged = unstable = False
     reason = f"iteration limit {MAX_ITER} reached"
-    iterations = newton_steps = 0
-    changes = []
-    # the iterate, the next one and their difference live in three buffers
-    X_new, diff = np.empty_like(X), np.empty_like(X)
-    keep, step = np.array(1.0 - DAMPING), np.array(DAMPING)
+    delta = 1.0
     # overflow is detected below and reported as the stopping reason
     with np.errstate(over="ignore", invalid="ignore"):
+        F = op.defect(X)
+        norm = _sup(F)
         for iterations in range(1, MAX_ITER + 1):
-            GX = op.apply(X)
-            # X_new = (1 - w)*X + w*G(X)
-            np.multiply(keep, X, out=X_new)
-            np.add(X_new, np.multiply(step, GX, out=GX), out=X_new)
-            # X is finite, so the change is finite exactly when X_new is
-            np.subtract(X_new, X, out=diff)
-            change = float(_max(np.absolute(diff, out=diff), None))
-            X, X_new = X_new, X
-            if not math.isfinite(change):
-                reason = f"non-finite iterate at iteration {iterations}"
+            if not math.isfinite(norm):
+                reason = f"non-finite defect at step {iterations}"
                 break
-            if change < TOL:
+            lu, pivots, info = dgbtrf(op.jacobian_bands(X, 1.0 + 1.0 / delta), 3, 3,
+                                      overwrite_ab=1)
+            if info != 0:
+                reason = f"singular step matrix at step {iterations}"
+                break
+            rhs = np.negative(F.T).reshape(-1)  # node-major
+            step = dgbtrs(lu, 3, 3, rhs, pivots, overwrite_b=1)[0]
+            del lu  # free the factors before the next step builds its band
+            X = np.maximum(X + step.reshape(n, 3).T, 0.0)
+            if op.residual(X) < TOL:
                 converged, reason = True, ""
                 break
-            changes.append(change)
-            stalled = (iterations > _CONTRACTION_WINDOW
-                       and change >= changes[-1 - _CONTRACTION_WINDOW])
-            if not handed_over and (stalled or change < _HANDOVER_CHANGE):
-                handed_over = True
-                X, newton_steps, converged = _newton(op, X)
-                if converged:
-                    reason = ""
-                    break
-            elif stalled:
-                earlier = changes[-1 - _CONTRACTION_WINDOW]
-                reason = (f"not contracting: sup change {change:.3e} at iteration "
-                          f"{iterations} is not below {earlier:.3e} at iteration "
-                          f"{iterations - _CONTRACTION_WINDOW}")
-                break
-    if math.isfinite(change):
-        residual = op.residual(X)
-        pde_residual = op.differential_defect(X)
-    else:
-        residual = pde_residual = math.nan
+            F = op.defect(X)
+            norm, old = _sup(F), norm
+            delta *= old / norm
+            if delta > _NEWTON_DELTA:
+                delta = math.inf
+        if math.isfinite(norm):
+            residual = op.residual(X)
+            pde_residual = op.differential_defect(X)
+            unstable = converged and _unstable_by_determinant(op, X)
+        else:
+            residual = pde_residual = math.nan
     return SteadyState(
-        grid=grid, Stilde=X[0], u=X[1], v=X[2],
+        grid=Grid(n), Stilde=X[0], u=X[1], v=X[2],
         residual=residual, pde_residual=pde_residual,
         converged=converged, iterations=iterations, reason=reason,
-        newton_steps=newton_steps,
+        unstable=unstable,
     )
 
 
