@@ -185,20 +185,26 @@ class _SteadyOperator:
         out = dgttrs(*self._factors, src, overwrite_b=1, trans="T")[0].reshape(3, self.n)
         return np.maximum(out, self._zero, out=out)  # np.clip(out, 0, None)
 
-    def residual(self, X: Array) -> float:
+    def residual(self, X: Array, F: Array) -> float:
         """The fixed-point defect ``sup |G(X) - X|``, on which the solve
-        converges."""
-        GX = self.apply(X)
+        converges, from the defect F at X: ``G(X) = max(X + M F, 0)``
+        with M the quadrature, T's inverse."""
+        MF = dgttrs(*self._factors, F.reshape(-1), trans="T")[0].reshape(3, self.n)
+        GX = np.maximum(np.add(X, MF, out=MF), self._zero, out=MF)
         return float(_max(np.absolute(np.subtract(GX, X, out=GX), out=GX), None))
 
-    def defect(self, X: Array) -> Array:
+    def defect(self, X: Array, src: Optional[Array] = None) -> Array:
         """``s(X) - T X``: the steady equations ``X = M s(X)`` as a root
-        problem, without the clamp of :meth:`apply`."""
+        problem, without the clamp of :meth:`apply`.  src, if given, holds
+        the sources at X."""
+        if src is None:
+            src = self.sources(X)
         # T's three blocks end to end are one tridiagonal matrix: each
         # block's bands are zero at its edges, so no block couples to the next
-        return self.sources(X) - band_matvec(self._T, X.reshape(-1)).reshape(3, self.n)
+        return src - band_matvec(self._T, X.reshape(-1)).reshape(3, self.n)
 
-    def jacobian_bands(self, X: Array, mass: float = 1.0) -> Array:
+    def jacobian_bands(self, X: Array, mass: float = 1.0,
+                       src: Optional[Array] = None) -> Array:
         """``ds/dX - mass*T`` at X, which for mass 1 is the Jacobian of
         :meth:`defect`, in node-major order (unknown ``3i + c`` is
         component c at node i), where it is banded with kl = ku = 3: entry
@@ -206,7 +212,9 @@ class _SteadyOperator:
         three rows are the fill space ``dgbtrf`` needs.  The sources are
         node-local, so one forward difference per component, with every
         node perturbed at once, gives all their 3x3 node blocks; T's part
-        is exact."""
+        is exact.  src, if given, holds the sources at X, from which the
+        differences are taken; it must not be the work array of
+        :meth:`sources`."""
         n = self.n
         # Fortran order, so that dgbtrf factors it in place
         band = np.zeros((10, 3 * n), order="F")
@@ -215,7 +223,7 @@ class _SteadyOperator:
             band[3, c + 3::3] = -mass * Tc[0, 1:]
             band[6, c::3] = -mass * Tc[1]
             band[9, c:3 * n - 3:3] = -mass * Tc[2, :-1]
-        base = self.sources(X).copy()
+        base = self.sources(X).copy() if src is None else src
         shifted = X.copy()
         for c in range(3):
             shifted[c] = X[c] + _DIFFERENCE_STEP * np.maximum(np.abs(X[c]), 1.0)
@@ -333,9 +341,6 @@ TOL = 1e-10
 #: the solve stops unconverged after this many pseudo-transient steps
 MAX_ITER = 200
 
-#: past this pseudo-time step the step is Newton's (delta = inf)
-_NEWTON_DELTA = 1e12
-
 #: relative forward-difference step of the Jacobian, about sqrt(eps)
 _DIFFERENCE_STEP = 2.0**-26
 
@@ -347,12 +352,13 @@ def _sup(a: Array) -> float:
     return float(_max(np.absolute(a), None))
 
 
-def _unstable_by_determinant(op: _SteadyOperator, X: Array) -> bool:
+def _unstable_by_determinant(op: _SteadyOperator, X: Array, src: Array) -> bool:
     """Whether det(-J) < 0 for the Jacobian J of the steady equations at
-    X: then J has an odd number of positive real eigenvalues, so X is
-    linearly unstable.  The sign comes from one ``dgbtrf`` of the band:
-    that of the product of U's diagonal, flipped at every row swap."""
-    band = op.jacobian_bands(X)
+    X, where the sources are src: then J has an odd number of positive
+    real eigenvalues, so X is linearly unstable.  The sign comes from one
+    ``dgbtrf`` of the band: that of the product of U's diagonal, flipped
+    at every row swap."""
+    band = op.jacobian_bands(X, 1.0, src)
     lu, pivots, info = dgbtrf(np.negative(band, out=band), 3, 3, overwrite_ab=1)
     if info != 0:  # singular: det(-J) = 0
         return False
@@ -369,14 +375,18 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
     ``((1 + 1/delta) T - ds/dX) D = F(X)`` on the node-major band of
     ``jacobian_bands`` and sets ``X <- max(X + D, 0)``.  delta starts at 1
     and grows by switched evolution relaxation, ``delta <- delta *
-    |F_old| / |F_new|`` in the sup norm; once it passes 1e12 it is
-    infinite and the step is Newton's.
+    |F_old| / |F_new|`` in the sup norm, that is ``delta = |F_0| / |F_k|``,
+    so the steps become Newton's as the defect falls.  Every step is
+    accepted, so which root the solve reaches depends on the start delta
+    = 1, not only on init: on the presets a start of 0.25 took fig1a to
+    washout, 0.5 took blowup_demo to washout, and 10 stalled fig2b.
 
     The solve converges once ``sup |G(X) - X|`` is below ``TOL``.  The
     operator is not proven to have a root, so non-convergence is a
     result, not an error: the solve stops unconverged after ``MAX_ITER``
     steps, at a step matrix that is singular, and at a non-finite
-    defect, which returns the iterate with nan residuals.  A converged
+    defect, which returns the iterate with nan residuals; the reason
+    names the step that produced it, step 0 being init.  A converged
     state is flagged ``unstable`` when det(-J) < 0 there.  The returned
     residual is ``sup |G(X) - X|``; pde_residual is the
     differential-balance defect.
@@ -385,17 +395,28 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
     n = X.shape[1]
     op = _SteadyOperator(params, kin, n)
     converged = unstable = False
-    reason = f"iteration limit {MAX_ITER} reached"
-    delta = 1.0
+    iterations = 0
     # overflow is detected below and reported as the stopping reason
     with np.errstate(over="ignore", invalid="ignore"):
-        F = op.defect(X)
-        norm = _sup(F)
-        for iterations in range(1, MAX_ITER + 1):
+        while True:
+            src = op.sources(X).copy()
+            F = op.defect(X, src)
+            norm = _sup(F)
             if not math.isfinite(norm):
                 reason = f"non-finite defect at step {iterations}"
                 break
-            lu, pivots, info = dgbtrf(op.jacobian_bands(X, 1.0 + 1.0 / delta), 3, 3,
+            residual = op.residual(X, F)
+            if residual < TOL:  # F = 0 gives residual 0, so norm > 0 below
+                converged, reason = True, ""
+                break
+            if iterations >= MAX_ITER:
+                reason = f"iteration limit {MAX_ITER} reached"
+                break
+            if not iterations:
+                first = norm
+            iterations += 1
+            # mass 1 + 1/delta, with delta = |F_0| / |F_k|
+            lu, pivots, info = dgbtrf(op.jacobian_bands(X, 1.0 + norm / first, src), 3, 3,
                                       overwrite_ab=1)
             if info != 0:
                 reason = f"singular step matrix at step {iterations}"
@@ -404,18 +425,9 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
             step = dgbtrs(lu, 3, 3, rhs, pivots, overwrite_b=1)[0]
             del lu  # free the factors before the next step builds its band
             X = np.maximum(X + step.reshape(n, 3).T, 0.0)
-            if op.residual(X) < TOL:
-                converged, reason = True, ""
-                break
-            F = op.defect(X)
-            norm, old = _sup(F), norm
-            delta *= old / norm
-            if delta > _NEWTON_DELTA:
-                delta = math.inf
         if math.isfinite(norm):
-            residual = op.residual(X)
             pde_residual = op.differential_defect(X)
-            unstable = converged and _unstable_by_determinant(op, X)
+            unstable = converged and _unstable_by_determinant(op, X, src)
         else:
             residual = pde_residual = math.nan
     return SteadyState(

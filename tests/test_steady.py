@@ -89,6 +89,10 @@ SOLVE_COUNTS = {
     "fig6p": 9, "washout_demo": 6, "fig2a n=4001": 9, "fig3a n=4001": 10,
 }
 
+# presets whose differential-balance defect on their 201 nodes, a grid
+# error, lies between 1e-5 and 1e-4; every other case stays below 1e-5
+COARSE_PRESETS = {"fig3a", "fig3b", "fig4f", "fig4g", "fig5j", "fig5k", "fig5l", "fig5m"}
+
 
 def dense_from_bands(band):
     """The square matrix of a (10, N) dgbtrf band array, kl = ku = 3."""
@@ -341,7 +345,8 @@ class TestFixedPoint:
         state = preset_solve(name, int(grid_n) if grid_n else None)
         assert state.converged and state.reason == "" and not state.unstable
         assert state.iterations == SOLVE_COUNTS[case]
-        assert state.residual < fs.steady.TOL and state.pde_residual < 1e-4
+        assert state.residual < fs.steady.TOL
+        assert state.pde_residual < (1e-4 if case in COARSE_PRESETS else 1e-5)
         got = [float(stat(col)) for col in (state.Stilde, state.substrate, state.u, state.v)
                for stat in (np.max, np.mean)]
         assert got == pytest.approx(STEADY_REFERENCE[case], rel=1e-6, abs=1e-8)
@@ -360,9 +365,40 @@ class TestFixedPoint:
             assert state.residual < fs.steady.TOL
             assert float(np.max(state.u)) == pytest.approx(1.396, abs=5e-4)
 
+    def test_perturbed_starts_keep_or_flag_the_root(self):
+        """Every step is accepted, so the start decides the root.  From
+        fig1a's data with the biomass halved, doubled or swapped between
+        the phases the solve keeps the preset's coexistence root; from five
+        times the biomass it reaches washout, which det(-J) < 0 flags."""
+        config = fs.load_preset("fig1a")
+        initial = build_initial_state(config, fs.Grid(config.controls.grid_n))
+        dep, u, v = np.clip(1.0 - initial.S, 0.0, None), initial.u[0], initial.v[0]
+        for init in ((dep, 0.5 * u, 0.5 * v), (dep, 2.0 * u, 2.0 * v), (dep, v, u)):
+            state = fs.fixed_point_solve(init, config.params, config.kin)
+            assert state.converged and not state.unstable
+            got = [float(stat(col)) for col in (state.Stilde, state.substrate, state.u, state.v)
+                   for stat in (np.max, np.mean)]
+            assert got == pytest.approx(STEADY_REFERENCE["fig1a"], rel=1e-6, abs=1e-8)
+        state = fs.fixed_point_solve((dep, 5.0 * u, 5.0 * v), config.params, config.kin)
+        assert state.converged and state.unstable
+        assert float(np.max(state.u)) == float(np.max(state.v)) == 0.0
+
+    def test_zero_step_limit_returns_init(self, monkeypatch):
+        monkeypatch.setattr(fs.steady, "MAX_ITER", 0)
+        params, kin = theory_params(), floc_kinetics()
+        grid = fs.Grid(101)
+        init = (np.full(grid.n, 0.2), np.full(grid.n, 0.5), np.zeros(grid.n))
+        state = fs.fixed_point_solve(init, params, kin)
+        assert not state.converged and state.iterations == 0
+        assert state.reason == "iteration limit 0 reached"
+        assert math.isfinite(state.residual) and math.isfinite(state.pde_residual)
+        np.testing.assert_array_equal(np.stack([state.Stilde, state.u, state.v]),
+                                      np.stack(init))
+
     def test_singular_step_matrix_stops_unconverged(self, monkeypatch):
         monkeypatch.setattr(fs.steady._SteadyOperator, "jacobian_bands",
-                            lambda self, X, mass=1.0: np.zeros((10, 3 * self.n), order="F"))
+                            lambda self, X, mass=1.0, src=None:
+                            np.zeros((10, 3 * self.n), order="F"))
         params, kin = theory_params(), floc_kinetics()
         grid = fs.Grid(101)
         init = (np.full(grid.n, 0.2), np.full(grid.n, 0.5), np.zeros(grid.n))
@@ -388,11 +424,26 @@ class TestFixedPoint:
         init = (np.zeros(grid.n), np.full(grid.n, 1e160), np.full(grid.n, 1e160))
         state = fs.fixed_point_solve(init, config.params, config.kin)
         assert not state.converged and not state.unstable
-        assert state.iterations == 1
-        assert state.reason == "non-finite defect at step 1"
+        assert state.iterations == 0
+        assert state.reason == "non-finite defect at step 0"
         assert np.isnan(state.residual) and np.isnan(state.pde_residual)
         np.testing.assert_array_equal(np.stack([state.Stilde, state.u, state.v]),
                                       np.stack(init))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("limit", [4, 200])
+    def test_overflow_at_the_last_allowed_step_is_named(self, limit, monkeypatch):
+        """From u = 1e150, v = 0.1 on blowup_demo's kinetics the fourth
+        step overflows; the reason names it, also when it is the last step
+        the limit allows."""
+        monkeypatch.setattr(fs.steady, "MAX_ITER", limit)
+        config = fs.load_preset("blowup_demo")
+        grid = fs.Grid(config.controls.grid_n)
+        init = (np.zeros(grid.n), np.full(grid.n, 1e150), np.full(grid.n, 0.1))
+        state = fs.fixed_point_solve(init, config.params, config.kin)
+        assert not state.converged and state.iterations == 4
+        assert state.reason == "non-finite defect at step 4"
+        assert np.isnan(state.residual) and np.isnan(state.pde_residual)
 
     def test_rejects_negative_init(self):
         params, kin = theory_params(), floc_kinetics()
