@@ -15,6 +15,10 @@ Exit codes
     steady hypothesis reports, also one on which an eigenfunction
     underflows to zero)
 4   the simulation verdict was blow-up
+141 stdout was closed by its reader before the verb finished printing (as
+    ``| true`` does): files written before then are complete, the rest of
+    the report and the verb's own exit code are lost.  141 is 128 + SIGPIPE,
+    the code a shell reports for a program that a closed pipe stops
 
 INI schema
 ----------
@@ -94,6 +98,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_BLOW_UP = 4
+EXIT_STDOUT_CLOSED = 141
 
 PRESET_ALIASES = {
     "fig1": "fig1a",
@@ -870,7 +875,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout goes to the null device, so that the flush at exit of what
+        # is left in its buffer cannot fail again
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return EXIT_STDOUT_CLOSED
     except ConfigError as exc:
         print("configuration error:", file=sys.stderr)
         for problem in exc.problems:

@@ -8,26 +8,24 @@ is ``exp((min(x, s) - s)/d)``, so the steady system becomes a
 fixed-point equation for the triple ``(Stilde, u, v)`` under an integral
 operator.  This module provides:
 
-* the kernel and its trapezoid quadrature matrix, kept as the dense
+* the kernel and its trapezoid quadrature matrix M, kept as the dense
   reference (the kernel has a derivative kink at ``s = x``; keeping the
   kink on a grid node retains second-order accuracy);
-* one application of the integral operator, which evaluates the same
-  trapezoid rule in O(n) without forming the matrix: the matrix has a
-  tridiagonal inverse, so the quadrature is one LAPACK ``dgttrs`` solve,
-  as in the time stepper (the two-component extinction systems are the
-  exact restriction of the full operator when one biomass component is
+* the steady equations ``X = M s(X)`` as the root problem
+  ``F(X) = s(X) - T X = 0``, with T the tridiagonal inverse of M, so that
+  M is never applied (the two-component extinction systems are the exact
+  restriction of the full system when one biomass component is
   identically zero and the matching exchange rate vanishes there — no
-  special casing).  Its sources are the reaction terms at the available
+  special casing).  The sources s are the reaction terms at the available
   substrate ``max(1 - Stilde, 0)``, assembled by the reaction kernel of
   the time stepper (``flocstat.model._ReactionKernel``);
-* pseudo-transient continuation on the steady equations
-  ``s(X) - T X = 0``: implicit Euler steps of the flow ``T X' = s(X) - T X``
-  whose pseudo-time step grows until they are Newton's, each solved on
-  the equations' band (node-major, kl = ku = 3, factored by LAPACK
-  ``dgbtrf``).  Non-convergence is a reportable result, not an
-  exception: the solve stops at its step limit, at a singular step
-  matrix, or at a defect that overflows.  A converged root where
-  det(-J) < 0 is flagged unstable;
+* pseudo-transient continuation on F: implicit Euler steps of the flow
+  ``T X' = F(X)`` whose pseudo-time step grows until they are Newton's.
+  Each step makes one LAPACK ``dgbtrf`` factorization of the equations'
+  band (node-major, kl = ku = 3), which also gives the stop test, the
+  step's size, and at the root the sign of det(-J), negative on an
+  unstable root.  Non-convergence is a reportable result, not an
+  exception;
 * hypothesis checkers for the extinction and coexistence existence
   theorems, reporting every clause as a signed margin.  The checkers
   are honest: for several clause systems no admissible parameters
@@ -46,9 +44,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
-from ._lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
+from ._lapack import dgbtrf, dgbtrs
 from .eigen import _as_diffusivity, solve_principal
 from .model import GrowthLaw, KineticsSpec, ModelParams, _ReactionKernel, _as_float_array
 from .operators import (Array, band_matvec, quadrature_inverse_bands, transport_defect,
@@ -99,7 +96,8 @@ def kernel_matrix(d: float, n: int) -> Array:
     Composite trapezoid on the uniform n-node grid; the kernel kink at
     ``s = x_i`` always falls on a node, so the rule stays second order.
     This dense n-by-n matrix is the reference for the rule; the steady
-    operator applies it in O(n), as a solve with its tridiagonal inverse.
+    solve never forms or applies it, and works with its tridiagonal
+    inverse (``operators.quadrature_inverse_bands``) instead.
     """
     x = Grid(n).x
     K = kernel_eval(d, x[:, None], x[None, :])
@@ -107,7 +105,7 @@ def kernel_matrix(d: float, n: int) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# The steady integral operator
+# The steady equations
 # ---------------------------------------------------------------------------
 
 
@@ -143,23 +141,18 @@ def _as_triple(init) -> Array:
 
 
 class _SteadyOperator:
-    """Workspace applying the trapezoid quadrature of ``kernel_matrix`` in O(n):
-    one ``dgttrs`` solve with its inverse T, the three components laid end
-    to end as one block-diagonal system of size 3n.  ``dgttrf`` factors T's
-    transpose, whose pivots a exceed the entries ``a*exp(-h/d)`` below them;
-    on T every pivot ties with the entry below, and the row swaps rounding
-    picks cost up to 5300 ulp (d = 0.1, n = 401)."""
+    """Workspace for the steady equations ``s(X) - T X = 0`` on n nodes:
+    the sources s, the defect, and the band of its Jacobian.  T is the
+    tridiagonal inverse of ``kernel_matrix``'s quadrature, the three
+    components laid end to end as one block-diagonal system of size 3n."""
 
     def __init__(self, params: ModelParams, kin: KineticsSpec, n: int):
         _require_theory_regime(params, kin)
         self.n = n
         self.diffs = params.diffusivities
-        T = self._T = np.hstack([quadrature_inverse_bands(d, n) for d in self.diffs])
-        *self._factors, info = dgttrf(T[0, 1:], T[1], T[2, :-1])
-        if info != 0:
-            raise LinAlgError(f"steady quadrature inverse for n={n} is singular")
-        # work rows, reused by every application: the available substrate
-        # and the sources, which the solve overwrites
+        self._T = np.hstack([quadrature_inverse_bands(d, n) for d in self.diffs])
+        # work rows, reused by every evaluation: the available substrate
+        # and the sources
         self._kernel = _ReactionKernel(params, kin, n)
         self._available = np.empty(n)
         self._sources = np.empty((3, n))
@@ -179,24 +172,9 @@ class _SteadyOperator:
         np.subtract(self._zero, out[0], out=out[0])
         return out
 
-    def apply(self, X: Array) -> Array:
-        """The operator at X, in a work array that the next call overwrites."""
-        src = self.sources(X).reshape(-1)
-        out = dgttrs(*self._factors, src, overwrite_b=1, trans="T")[0].reshape(3, self.n)
-        return np.maximum(out, self._zero, out=out)  # np.clip(out, 0, None)
-
-    def residual(self, X: Array, F: Array) -> float:
-        """The fixed-point defect ``sup |G(X) - X|``, on which the solve
-        converges, from the defect F at X: ``G(X) = max(X + M F, 0)``
-        with M the quadrature, T's inverse."""
-        MF = dgttrs(*self._factors, F.reshape(-1), trans="T")[0].reshape(3, self.n)
-        GX = np.maximum(np.add(X, MF, out=MF), self._zero, out=MF)
-        return float(_max(np.absolute(np.subtract(GX, X, out=GX), out=GX), None))
-
     def defect(self, X: Array, src: Optional[Array] = None) -> Array:
         """``s(X) - T X``: the steady equations ``X = M s(X)`` as a root
-        problem, without the clamp of :meth:`apply`.  src, if given, holds
-        the sources at X."""
+        problem.  src, if given, holds the sources at X."""
         if src is None:
             src = self.sources(X)
         # T's three blocks end to end are one tridiagonal matrix: each
@@ -253,19 +231,20 @@ class SteadyState:
 
     Stilde is the substrate depletion (unit feed minus substrate,
     clamped nonnegative); u and v are the biomass profiles.  residual is
-    the sup-norm defect of the fixed-point equation; pde_residual is the
-    sup-norm defect of the differential balances (second-order
-    differences, boundary conditions included) — the quantity that
-    governs drift when the state is transplanted into the transient
-    solver.  iterations counts the pseudo-transient steps.  reason says
-    why an unconverged solve stopped; it is empty for a converged state.
-    A solve that stops at a non-finite defect returns its iterate, with
-    both residuals nan; every other state is finite.  unstable is True on
-    a converged state where det(-J) < 0, J the Jacobian of the steady
-    equations: J then has an odd number of positive real eigenvalues, so
-    the state is linearly unstable.  False proves no stability: an even
-    number of them, or a complex pair in the right half-plane, leaves
-    det(-J) > 0.  ``fixed_point_solve`` builds every state, from
+    the sup norm of the solve's last pseudo-transient step, inf if it took
+    none; pde_residual is the sup-norm defect of the differential balances
+    (second-order differences, boundary conditions included) — the
+    quantity that governs drift when the state is transplanted into the
+    transient solver.  iterations counts the pseudo-transient steps, the
+    final Newton step of a converged solve included.  reason says why an
+    unconverged solve stopped; it is empty for a converged state.  A solve
+    that stops at a non-finite defect returns its iterate, with both
+    residuals nan; on every other state pde_residual is finite.  unstable
+    is True on a converged state where det(-J) < 0, J the Jacobian of the
+    steady equations: J then has an odd number of positive real
+    eigenvalues, so the state is linearly unstable.  False proves no
+    stability: an even number of them, or a complex pair in the right
+    half-plane, leaves det(-J) > 0.  ``fixed_point_solve`` builds every state, from
     nonnegative profiles of the grid's length; the constructor does not
     check them.
     """
@@ -335,7 +314,7 @@ _FALLBACK_DEPLETION = 0.5
 # ---------------------------------------------------------------------------
 
 
-#: the solve converges once its fixed-point defect ``sup |G(X) - X|`` is below TOL
+#: the solve converges once a pseudo-transient step's sup norm is below TOL
 TOL = 1e-10
 
 #: the solve stops unconverged after this many pseudo-transient steps
@@ -352,23 +331,9 @@ def _sup(a: Array) -> float:
     return float(_max(np.absolute(a), None))
 
 
-def _unstable_by_determinant(op: _SteadyOperator, X: Array, src: Array) -> bool:
-    """Whether det(-J) < 0 for the Jacobian J of the steady equations at
-    X, where the sources are src: then J has an odd number of positive
-    real eigenvalues, so X is linearly unstable.  The sign comes from one
-    ``dgbtrf`` of the band: that of the product of U's diagonal, flipped
-    at every row swap."""
-    band = op.jacobian_bands(X, 1.0, src)
-    lu, pivots, info = dgbtrf(np.negative(band, out=band), 3, 3, overwrite_ab=1)
-    if info != 0:  # singular: det(-J) = 0
-        return False
-    swaps = int(np.count_nonzero(pivots != np.arange(pivots.size)))
-    return (swaps + int(np.count_nonzero(lu[6] < 0.0))) % 2 == 1
-
-
 def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadyState:
     """Pseudo-transient continuation on the steady equations
-    ``F(X) = s(X) - T X = 0``, the fixed points of ``G``.
+    ``F(X) = s(X) - T X = 0``, T the inverse of the quadrature matrix.
 
     Each step is one implicit Euler step of the flow ``T X' = F(X)``, of
     pseudo-time step delta, linearized at X: it solves
@@ -381,53 +346,54 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
     = 1, not only on init: on the presets a start of 0.25 took fig1a to
     washout, 0.5 took blowup_demo to washout, and 10 stalled fig2b.
 
-    The solve converges once ``sup |G(X) - X|`` is below ``TOL``.  The
-    operator is not proven to have a root, so non-convergence is a
-    result, not an error: the solve stops unconverged after ``MAX_ITER``
-    steps, at a step matrix that is singular, and at a non-finite
-    defect, which returns the iterate with nan residuals; the reason
-    names the step that produced it, step 0 being init.  A converged
-    state is flagged ``unstable`` when det(-J) < 0 there.  The returned
-    residual is ``sup |G(X) - X|``; pde_residual is the
-    differential-balance defect.
+    The solve converges once a step's ``sup |D|``, its residual, is below
+    ``TOL``.  That step's matrix is -J up to a shift of T by
+    ``|F_k| / |F_0|``, so the parity of its LU's row swaps and negative
+    pivots is the sign of det(-J), which flags the state ``unstable`` when
+    negative; an init where F = 0 takes one zero step to get it.  The
+    operator is not proven to have a root, so non-convergence is a result,
+    not an error: the solve stops unconverged after ``MAX_ITER`` steps, at
+    a singular step matrix, and at a non-finite defect, which returns the
+    iterate with nan residuals; the reason names the step that produced
+    it, step 0 being init.
     """
     X = _as_triple(init)
     n = X.shape[1]
     op = _SteadyOperator(params, kin, n)
     converged = unstable = False
-    iterations = 0
+    iterations, residual = 0, math.inf
     # overflow is detected below and reported as the stopping reason
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
+        while not converged:
             src = op.sources(X).copy()
             F = op.defect(X, src)
             norm = _sup(F)
             if not math.isfinite(norm):
                 reason = f"non-finite defect at step {iterations}"
                 break
-            residual = op.residual(X, F)
-            if residual < TOL:  # F = 0 gives residual 0, so norm > 0 below
-                converged, reason = True, ""
-                break
             if iterations >= MAX_ITER:
                 reason = f"iteration limit {MAX_ITER} reached"
                 break
             if not iterations:
-                first = norm
+                first = norm or 1.0
             iterations += 1
-            # mass 1 + 1/delta, with delta = |F_0| / |F_k|
-            lu, pivots, info = dgbtrf(op.jacobian_bands(X, 1.0 + norm / first, src), 3, 3,
-                                      overwrite_ab=1)
+            # (1 + 1/delta) T - ds/dX, with delta = |F_0| / |F_k|: the
+            # negated band of jacobian_bands, which at a root is -J
+            band = op.jacobian_bands(X, 1.0 + norm / first, src)
+            lu, pivots, info = dgbtrf(np.negative(band, out=band), 3, 3, overwrite_ab=1)
             if info != 0:
                 reason = f"singular step matrix at step {iterations}"
                 break
-            rhs = np.negative(F.T).reshape(-1)  # node-major
-            step = dgbtrs(lu, 3, 3, rhs, pivots, overwrite_b=1)[0]
-            del lu  # free the factors before the next step builds its band
+            step = dgbtrs(lu, 3, 3, F.T.reshape(-1), pivots, overwrite_b=1)[0]  # node-major
             X = np.maximum(X + step.reshape(n, 3).T, 0.0)
+            residual = _sup(step)
+            if residual < TOL:
+                converged, reason = True, ""
+                swaps = int(np.count_nonzero(pivots != np.arange(pivots.size)))
+                unstable = (swaps + int(np.count_nonzero(lu[6] < 0.0))) % 2 == 1
+            del band, lu, step  # free the factors before the next band or the defect below
         if math.isfinite(norm):
             pde_residual = op.differential_defect(X)
-            unstable = converged and _unstable_by_determinant(op, X, src)
         else:
             residual = pde_residual = math.nan
     return SteadyState(

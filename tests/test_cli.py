@@ -19,6 +19,7 @@ from flocstat.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    EXIT_STDOUT_CLOSED,
     PRESET_ALIASES,
     _SCHEMA,
     available_presets,
@@ -799,7 +800,7 @@ class TestMainEntry:
                      "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        assert re.search(r"^fixed point: converged=True iterations=9 "
+        assert re.search(r"^fixed point: converged=True iterations=10 "
                          r"residual=\S+ pde_residual=", out, re.M)
         assert "coexistence: feasible=False" in out
         assert (tmp_path / "steady.csv").is_file()
@@ -856,7 +857,7 @@ class TestMainEntry:
         code = main(["steady", "--preset", "blowup_demo", "--out", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == EXIT_NO_CONVERGENCE
-        assert "fixed point: converged=True iterations=7 " in captured.out
+        assert "fixed point: converged=True iterations=8 " in captured.out
         assert "extinction[" not in captured.out
         assert captured.err == ("steady root is unstable: det(-J) < 0, so its linearization "
                                 "has an odd number of positive real eigenvalues\n")
@@ -869,7 +870,7 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert code == EXIT_OK
         assert captured.err == ""
-        assert re.search(r"^fixed point: converged=True iterations=13 "
+        assert re.search(r"^fixed point: converged=True iterations=14 "
                          r"residual=\S+ pde_residual=", captured.out, re.M)
         assert (tmp_path / "steady.csv").is_file()
 
@@ -995,6 +996,29 @@ class TestExitCodeMatrix:
         assert [key for key, code in got.items()
                 if code in (EXIT_NO_CONVERGENCE, EXIT_BLOW_UP)
                 and len(errs[key].splitlines()) > 1] == []
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv, written", [
+        (["steady", "--preset", "fig3a"], "steady.csv"),
+        (["run", "--preset", "fig2a", "--t-end", "0.1"], "monitors.csv"),
+    ])
+    def test_reader_that_closes_stdout_gets_its_own_exit_code(self, tmp_path, argv, written,
+                                                              unbuffered):
+        """As in `flocstat ... | true`: the files are written, stderr stays
+        empty, and the exit code is 141, not the 2 of an output failure,
+        whether stdout is buffered or not."""
+        src = Path(fs.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
+        with subprocess.Popen([sys.executable, "-m", "flocstat", *argv, "--out", "out"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+                              env=env) as proc:
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_STDOUT_CLOSED == 141
+        assert err == b""
+        assert (tmp_path / "out" / written).is_file()
 
 
 # grids at cell Peclet 1 whose eigen solves rounding leaves with a positive
