@@ -7,7 +7,7 @@ import pytest
 
 import flocstat as fs
 from flocstat.cli import build_initial_state
-from flocstat.operators import transport_defect
+from flocstat.operators import band_matvec, quadrature_inverse_bands, transport_defect
 from conftest import floc_kinetics, standard_params
 
 from oracles import kernel_closed_form
@@ -171,6 +171,18 @@ class TestSteadyOperator:
         out = fs.steady._SteadyOperator(params, kin, grid.n).defect(np.stack((dep, u, v)))
         np.testing.assert_allclose(out[2], 0.0, atol=1e-15)
 
+    def test_output_nonnegative(self, monkeypatch):
+        """Every iterate of the solve is clamped to X >= 0.  From this
+        start the fourth step, unclamped, takes a component below zero."""
+        params, kin = theory_params(), floc_kinetics()
+        rng = np.random.default_rng(3)
+        trip = (rng.random(101) * 0.5, rng.random(101), rng.random(101))
+        for limit in range(1, 7):
+            monkeypatch.setattr(fs.steady, "MAX_ITER", limit)
+            state = fs.fixed_point_solve(trip, params, kin)
+            assert state.iterations == limit
+            assert min(np.min(state.Stilde), np.min(state.u), np.min(state.v)) >= 0.0
+
     @pytest.mark.parametrize("alpha, beta", [
         (fs.AttachedTimesTotalRate(), fs.OnePlusAttachedTimesTotalRate()),
         (fs.LinearTotalRate(1.3), fs.PowerTotalRate(0.5, 3)),
@@ -189,6 +201,45 @@ class TestSteadyOperator:
         got = fs.steady._SteadyOperator(params, kin, 64).sources(X)
         R = fs.reaction_field(params, kin, np.maximum(1.0 - X[0], 0.0), X[1:2], X[2:3])
         np.testing.assert_array_equal(got, np.stack((-R[0], R[1], R[2])))
+
+    @pytest.mark.parametrize("n", [101, 401])
+    @pytest.mark.parametrize("d", [0.001, 0.01, 0.1, 1.0, 10.0, 100.0])
+    def test_matches_dense_quadrature(self, n, d):
+        """The O(n) defect inverts exactly the rule of kernel_matrix: at
+        X = M s its transport part returns s, to rounding in ``|s| + |T| |X|``.
+
+        d = 0.001 drives the per-cell decay exp(-h/d) towards 0, d = 100
+        towards 1.  Without exchange every source is nonnegative.
+        """
+        params = standard_params(d0=d, du=d, dv=d)
+        kin = floc_kinetics(alpha=fs.ConstantRate(0.0), beta=fs.ConstantRate(0.0))
+        rng = np.random.default_rng(7)
+        dep, u, v = rng.random(n) * 0.9, rng.random(n), rng.random(n)
+        S = 1.0 - dep
+        fS, gS = kin.f[0](S), kin.g[0](S)
+        sources = np.stack([fS * u + gS * v, fS * u, gS * v])
+        X = (fs.kernel_matrix(d, n) @ sources.T).T
+        got = fs.steady._SteadyOperator(params, kin, n).defect(X, sources)
+        absT = np.abs(quadrature_inverse_bands(d, n))
+        scale = np.abs(sources) + np.stack([band_matvec(absT, np.abs(row)) for row in X])
+        assert np.all(np.abs(got) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("n", [201, 401])
+    @pytest.mark.parametrize("d", [1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, 1e6])
+    def test_apply_matches_long_double_quadrature(self, d, n):
+        """With signed sources s and X = M s in long double, M =
+        kernel_matrix(d, n), the defect vanishes to within 1e-14*(|s| +
+        |T| |M| |s|): the rounding of M's entries and of X, carried
+        through T, whose entries grow like d/h**2 up to d = 1e6."""
+        params = standard_params(d0=d, du=d, dv=d)
+        op = fs.steady._SteadyOperator(params, floc_kinetics(), n)
+        s = np.random.default_rng(11).standard_normal((3, n))
+        M = fs.kernel_matrix(d, n)
+        X = (s.astype(np.longdouble) @ M.T.astype(np.longdouble)).astype(float)
+        absT = np.abs(quadrature_inverse_bands(d, n))
+        absTM = np.stack([band_matvec(absT, col) for col in np.abs(M).T], axis=1)
+        bound = 1e-14 * (np.abs(s) + np.abs(s) @ absTM.T)
+        assert np.all(np.abs(op.defect(X, s.copy())) <= bound)
 
     @pytest.mark.parametrize("preset", ["fig5l", "fig6n"])
     def test_jacobian_bands_match_dense_difference_jacobian(self, preset):
@@ -224,6 +275,32 @@ class TestSteadyOperator:
         jac = dense_from_bands(op.jacobian_bands(X))
         got = dense_from_bands(op.jacobian_bands(X, 2.5))
         np.testing.assert_allclose(got, jac - 1.5 * T, rtol=0, atol=1e-9 * np.abs(T).max())
+
+    def test_fine_grid_needs_no_dense_matrix(self):
+        """n = 200 001: three dense kernels would need about 960 GB.
+
+        A constant source c gives ``c * (x + d*(1 - exp((x - 1)/d)))``,
+        the integral of the kernel over [0, 1]; on it the defect vanishes
+        to rounding in ``|s| + |T| |X|``, as T's truncation error is far
+        below that on this grid.
+        """
+        n = 200_001
+        params = theory_params()
+        kin = floc_kinetics(alpha=fs.ConstantRate(0.0), beta=fs.ConstantRate(0.0))
+        op = fs.steady._SteadyOperator(params, kin, n)
+        src = op.sources(np.stack((np.full(n, 0.2), np.full(n, 0.5), np.zeros(n)))).copy()
+        c = float(kin.f[0](0.8)) * 0.5
+        np.testing.assert_allclose(src[:2], c, rtol=1e-15)
+        np.testing.assert_array_equal(src[2], 0.0)
+        x = np.linspace(0.0, 1.0, n)
+        X = np.zeros((3, n))
+        for row, d in zip(X[:2], (params.d0, params.du[0])):
+            row[:] = c * (x + d * (1.0 - np.exp((x - 1.0) / d)))
+        out = op.defect(X, src)
+        for row, Xrow, s, d in zip(out[:2], X[:2], src[:2], (params.d0, params.du[0])):
+            absT = np.abs(quadrature_inverse_bands(d, n))
+            assert np.all(np.abs(row) <= 1e-14 * (np.abs(s) + band_matvec(absT, np.abs(Xrow))))
+        np.testing.assert_array_equal(out[2], 0.0)
 
 
 class TestFixedPoint:
