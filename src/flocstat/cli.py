@@ -15,10 +15,11 @@ Exit codes
     steady hypothesis reports, also one on which an eigenfunction
     underflows to zero)
 4   the simulation verdict was blow-up
-141 stdout was closed by its reader before the verb finished printing (as
-    ``| true`` does): files written before then are complete, the rest of
-    the report and the verb's own exit code are lost.  141 is 128 + SIGPIPE,
-    the code a shell reports for a program that a closed pipe stops
+141 stdout was closed by its reader before the verb, or ``--help``, finished
+    printing (as ``| true`` does): files written before then are complete,
+    the rest of the report and the verb's own exit code are lost.  141 is
+    128 + SIGPIPE, the code a shell reports for a program that a closed pipe
+    stops
 
 INI schema
 ----------
@@ -873,8 +874,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code == 0:  # --help went to stdout: flush it while its failure is caught
+                sys.stdout.flush()
+            raise
         code = args.handler(args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit
         return code

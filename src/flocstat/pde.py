@@ -58,7 +58,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from ._lapack import dgttrf, dgttrs
+from ._lapack import TridiagonalLU, address_of
 from .eigen import EigenPair, solve_principal
 from .model import (KineticsSpec, ModelParams, _ReactionKernel, _as_float, _as_float_array,
                     component_labels, weight_vector)
@@ -268,25 +268,27 @@ class _Stepper:
         diffs, n = params.diffusivities, grid.n
         self.A = np.hstack([operator_bands(d, n) for d in diffs])
         self.B = np.stack([feed_vector(d, n, g) for d, g in zip(diffs, params.feeds)])
-        self._factors: dict[float, list[Array]] = {}
+        self._factors: dict[float, TridiagonalLU] = {}
         self._kernel = _ReactionKernel(params, kin, n)
         # coarse, half and fine IMEX results, the rate at the half state,
         # and two result stacks, so that a macro step never writes the
         # state or the rate it starts from
         self._coarse, self._half, self._fine, self._rate_half, *self._results = (
             np.empty_like(self.B) for _ in range(6))
+        # the address of each stack a solve overwrites, by the stack's id
+        self._addresses = {id(a): address_of(a, a.size)
+                           for a in (self._coarse, self._half, self._fine)}
         self.sup = math.nan
 
-    def factors(self, dt: float) -> list[Array]:
-        """LU factors of ``I + dt*A``, in dgttrs argument order.  A run's
-        step sizes are the ladder ``DT_INIT * 2**k`` and their halves, plus
-        two for each step shortened onto a snapshot time or the horizon, so
-        the cache stays small."""
+    def factors(self, dt: float) -> TridiagonalLU:
+        """LU factors of ``I + dt*A``.  A run's step sizes are the ladder
+        ``DT_INIT * 2**k`` and their halves, plus two for each step shortened
+        onto a snapshot time or the horizon, so the cache stays small."""
         got = self._factors.get(dt)
         if got is None:
             A = self.A
-            *got, info = dgttrf(dt * A[2, :-1], dt * A[1] + 1.0, dt * A[0, 1:])
-            if info != 0:
+            got = TridiagonalLU(dt * A[2, :-1], dt * A[1] + 1.0, dt * A[0, 1:])
+            if got.info != 0:
                 raise LinAlgError(f"transport matrix for dt={dt} is singular")
             self._factors[dt] = got
         return got
@@ -321,7 +323,9 @@ class _Stepper:
             if math.isfinite(low) and math.isfinite(float(_max(rhs, None))):
                 return None, "explicit stage undershoot"
             return None, "non-finite explicit stage"
-        W_new = dgttrs(*self.factors(dt), rhs.reshape(-1), overwrite_b=1)[0].reshape(W.shape)
+        address = self._addresses.get(id(rhs))
+        self.factors(dt).solve(address_of(rhs, self.B.size) if address is None else address)
+        W_new = rhs
         low, high = float(_min(W_new, None)), float(_max(W_new, None))
         if not (math.isfinite(low) and math.isfinite(high)):
             # the solve overwrote the stage: form it again to name the cause

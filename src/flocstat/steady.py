@@ -380,18 +380,20 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
             # (1 + 1/delta) T - ds/dX, with delta = |F_0| / |F_k|: the
             # negated band of jacobian_bands, which at a root is -J
             band = op.jacobian_bands(X, 1.0 + norm / first, src)
-            lu, pivots, info = dgbtrf(np.negative(band, out=band), 3, 3, overwrite_ab=1)
+            pivots, info = dgbtrf(np.negative(band, out=band), 3, 3)  # band now holds the LU
             if info != 0:
                 reason = f"singular step matrix at step {iterations}"
                 break
-            step = dgbtrs(lu, 3, 3, F.T.reshape(-1), pivots, overwrite_b=1)[0]  # node-major
+            step = F.T.reshape(-1)  # node-major, a copy
+            dgbtrs(band, 3, 3, pivots, step)
             X = np.maximum(X + step.reshape(n, 3).T, 0.0)
             residual = _sup(step)
             if residual < TOL:
                 converged, reason = True, ""
-                swaps = int(np.count_nonzero(pivots != np.arange(pivots.size)))
-                unstable = (swaps + int(np.count_nonzero(lu[6] < 0.0))) % 2 == 1
-            del band, lu, step  # free the factors before the next band or the defect below
+                # LAPACK's pivots are 1-based: row k kept its place if pivots[k-1] == k
+                swaps = int(np.count_nonzero(pivots != np.arange(1, pivots.size + 1)))
+                unstable = (swaps + int(np.count_nonzero(band[6] < 0.0))) % 2 == 1
+            del band, step  # free the factors before the next band or the defect below
         if math.isfinite(norm):
             pde_residual = op.differential_defect(X)
         else:
