@@ -99,9 +99,9 @@ class TridiagonalLU:
     in place (``dgttrs``).
 
     The factors and the argument tuple of ``dgttrs`` are made once, so a
-    solve passes only the address of its right-hand side.  ``info`` is
-    dgttrf's: k > 0 if U(k, k) is exactly zero, when the matrix is singular
-    and :meth:`solve` refuses.
+    solve passes only the address of its right-hand side.  A matrix that
+    ``dgttrf`` finds singular, U(k, k) exactly zero, raises
+    ``numpy.linalg.LinAlgError`` here, so every solve has factors to use.
     """
 
     def __init__(self, lower: Array, diag: Array, upper: Array):
@@ -115,7 +115,8 @@ class TridiagonalLU:
         pointers = [a.ctypes.data for a in self._factors]
         info = _INT(0)
         _ROUTINES["dgttrf"](_ref(n), *pointers, byref(info))
-        self.info = info.value
+        if info.value:
+            raise LinAlgError(f"dgttrf: U({info.value},{info.value}) is exactly zero")
         # the scalars dgttrs reads and writes live as long as the factors
         self._n, self._one, self._info = _INT(n), _INT(1), _INT(0)
         self._head = (b"N", addressof(self._n), addressof(self._one), *pointers)
@@ -124,8 +125,6 @@ class TridiagonalLU:
     def solve(self, address: int) -> None:
         """Overwrite the n doubles at address, a right-hand side b, with the
         solution x of ``A x = b``.  Take the address from :func:`address_of`."""
-        if self.info:
-            raise LinAlgError(f"dgttrf: U({self.info},{self.info}) is exactly zero")
         _ROUTINES["dgttrs"](*self._head, address, *self._tail)
         if self._info.value:
             raise ValueError(f"dgttrs: argument {-self._info.value} is illegal")

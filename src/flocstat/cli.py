@@ -398,7 +398,9 @@ def load_config(path: Union[str, Path]) -> RunConfig:
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _presets_dir() -> Path:
+    """The shipped presets' directory, resolved once per process."""
     return Path(__file__).resolve().parent / "presets"
 
 
@@ -839,12 +841,21 @@ def _add_common(parser: argparse.ArgumentParser, presets: str) -> None:
     parser.add_argument("--t-end", type=float, help="override end time")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that writes its help without argparse's guard,
+    which drops an ``OSError`` of the write: unbuffered, a help into a closed
+    pipe then raises into :func:`main`'s ``BrokenPipeError`` handling."""
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The parser of :func:`main`, built once per process on first use and
     shared by every later call: building it takes about a millisecond, a
     preset glob included."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flocstat",
         description=(
             "Numerical laboratory for a chemostat with attached/isolated "

@@ -41,13 +41,19 @@ def _as_float(value: float, name: str) -> float:
     return float(value)
 
 
-def _as_float_array(value, name: str) -> Array:
-    """``np.asarray(value, dtype=float)``, or a ValueError naming the field if
-    value holds anything but real numbers (strings and objects included)."""
+def _as_profile(value, name: str) -> Array:
+    """``np.asarray(value, dtype=float)``, or a ValueError naming the profile
+    if value holds anything but real numbers (strings and objects included),
+    or a value that is not finite or is negative."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "biuf":
         raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
-    return np.asarray(arr, dtype=float)
+    arr = np.asarray(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite values")
+    if arr.size and float(arr.min()) < 0.0:
+        raise ValueError(f"{name} contains negative values")
+    return arr
 
 
 def _as_float_tuple(value: Union[float, Sequence[float]], m: int, name: str) -> tuple[float, ...]:

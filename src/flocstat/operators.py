@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import NamedTuple
 
 import numpy as np
 
@@ -160,28 +159,15 @@ def min_grid_n(d: float) -> int:
     return 1 - (-denominator // (2 * numerator))
 
 
-class TransportDefect(NamedTuple):
-    """Pointwise defect of a profile against the steady transport balance.
-
-    interior: max abs residual of ``-d*w'' + w' = source`` on interior
-        nodes (second-order central differences).
-    inlet: residual of the feed condition ``-d*w'(0) + w(0) - gamma``.
-    outlet: residual of the no-flux condition ``w'(1)``.
-    max_abs: the largest of the three in absolute value.
-    """
-
-    interior: float
-    inlet: float
-    outlet: float
-    max_abs: float
-
-
-def transport_defect(w: Array, d: float, source: Array, *, gamma: float = 0.0) -> TransportDefect:
-    """Measure how well a profile solves ``-d*w'' + w' = source`` with the
-    inlet feed/outlet no-flux conditions (second-order differences, the
-    boundary derivatives one-sided).  All three residuals shrink as O(h^2)
-    for a profile that solves the problem exactly in the continuum.
-    ``w`` and ``source`` are 1-D arrays of the same length, at least 3.
+def transport_defect(w: Array, d: float, source: Array, *, gamma: float = 0.0) -> float:
+    """Sup-norm defect of a profile against the steady transport balance
+    ``-d*w'' + w' = source`` with the inlet feed/outlet no-flux conditions:
+    the largest in absolute value of the interior residuals (second-order
+    central differences), the inlet residual ``-d*w'(0) + w(0) - gamma`` and
+    the outlet residual ``w'(1)`` (both derivatives one-sided, second order).
+    All three shrink as O(h^2) for a profile that solves the problem exactly
+    in the continuum.  ``w`` and ``source`` are 1-D arrays of the same
+    length, at least 3.
     """
     w = np.asarray(w, dtype=float)
     source = np.asarray(source, dtype=float)
@@ -194,11 +180,4 @@ def transport_defect(w: Array, d: float, source: Array, *, gamma: float = 0.0) -
     dw_in = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * h)
     dw_out = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * h)
     inlet = -d * dw_in + w[0] - gamma
-    outlet = dw_out
-    interior_max = float(np.max(np.abs(interior))) if interior.size else 0.0
-    return TransportDefect(
-        interior=interior_max,
-        inlet=float(inlet),
-        outlet=float(outlet),
-        max_abs=max(interior_max, abs(float(inlet)), abs(float(outlet))),
-    )
+    return max(float(np.max(np.abs(interior))), abs(float(inlet)), abs(float(dw_out)))

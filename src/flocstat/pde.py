@@ -59,8 +59,8 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from ._lapack import TridiagonalLU, address_of
-from .eigen import EigenPair, solve_principal
-from .model import (KineticsSpec, ModelParams, _ReactionKernel, _as_float, _as_float_array,
+from .eigen import solve_principal
+from .model import (KineticsSpec, ModelParams, _ReactionKernel, _as_float, _as_profile,
                     component_labels, weight_vector)
 from .operators import (Array, feed_vector, grid_spacing, min_grid_n, operator_bands,
                          peclet_admissible, peclet_number, trapezoid)
@@ -150,9 +150,9 @@ class StateField:
     t: float = 0.0
 
     def __post_init__(self) -> None:
-        S = _as_float_array(self.S, "S")
-        u = np.atleast_2d(_as_float_array(self.u, "u"))
-        v = np.atleast_2d(_as_float_array(self.v, "v"))
+        S = _as_profile(self.S, "S")
+        u = np.atleast_2d(_as_profile(self.u, "u"))
+        v = np.atleast_2d(_as_profile(self.v, "v"))
         n = self.grid.n
         if S.shape != (n,):
             raise ValueError(f"S has shape {S.shape}, expected ({n},)")
@@ -160,11 +160,6 @@ class StateField:
             raise ValueError(
                 f"u/v have shapes {u.shape}/{v.shape}, expected matching (m, {n})"
             )
-        for name, arr in (("S", S), ("u", u), ("v", v)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite values")
-            if arr.size and float(arr.min()) < 0.0:
-                raise ValueError(f"{name} contains negative values")
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
@@ -230,38 +225,36 @@ class SimulationResult:
         ``l1_u_i``/``l1_v_i`` (trapezoid integrals), ``mass`` (the
         ``weight_vector`` sum of the integrals), ``Q`` (the
         eigenfunction-weighted biomass of species 1,
-        ``(yu + 1)*int(u*w) + (yv + 1)*int(v*w)`` with ``w(x) = phi(1 - x)``)
-        and ``dt`` (step that produced the row).  The first row is the
+        ``(yu + 1)*int(u*w) + (yv + 1)*int(v*w)`` with ``w(x) = phi(1 - x)``,
+        phi the function of ``solve_principal(params.du[0], grid.n)``; w is
+        the principal eigenfunction of the adjoint operator, with
+        ``w'(0) = 0`` and ``d*w'(1) + w(1) = 0``) and ``dt`` (step that
+        produced the row).  The first row is the
         initial state and the last row the final one: ``classify_outcome``
         reads the verdict from the ``sup_*`` columns of these two rows.
-    snapshots: states at selected times (each carries its t).
+    snapshots: states at selected times (each carries its t); the first is
+        the initial state ``simulate`` was given.
     steps_accepted/steps_rejected: macro steps (see ``simulate``).
     fallbacks: accepted steps in which the extrapolated state was negative
         at some node, which then kept the fine state.
-    blowup_eigenpair: the washout eigenpair at the first species' isolated-phase
-        diffusivity.  Q's weight is its function reflected, ``function[::-1]``:
-        the principal eigenfunction of the adjoint operator, with
-        ``w'(0) = 0`` and ``d*w'(1) + w(1) = 0``.
     """
 
     grid: Grid
     monitors: dict[str, Array]
     snapshots: tuple[StateField, ...]
     verdict: Verdict
-    initial: StateField
     final: StateField
     steps_accepted: int
     steps_rejected: int
     fallbacks: int
-    blowup_eigenpair: EigenPair
 
 
 class _Stepper:
     """Per-run workspace: the transport bands of all components, laid end to
-    end as one block-diagonal tridiagonal matrix A, the feed vectors, a
-    per-dt cache of the LU factors of ``I + dt*A``, the reaction kernel, and
-    the stacks a macro step writes.  ``sup`` is the largest entry of the
-    stack the last accepted macro step returned."""
+    end as one block-diagonal tridiagonal matrix A, the feed vectors, the LU
+    factors of ``I + dt*A`` at the four step sizes used last, the reaction
+    kernel, and the stacks a macro step writes.  ``sup`` is the largest
+    entry of the stack the last accepted macro step returned."""
 
     def __init__(self, params: ModelParams, kin: KineticsSpec, grid: Grid):
         self.params = params
@@ -283,14 +276,18 @@ class _Stepper:
     def factors(self, dt: float) -> TridiagonalLU:
         """LU factors of ``I + dt*A``.  A run's step sizes are the ladder
         ``DT_INIT * 2**k`` and their halves, plus two for each step shortened
-        onto a snapshot time or the horizon, so the cache stays small."""
-        got = self._factors.get(dt)
+        onto a snapshot time or the horizon, which are used at most twice;
+        the cache keeps the factors of the four sizes used last."""
+        got = self._factors.pop(dt, None)  # put back last, as the newest
         if got is None:
             A = self.A
-            got = TridiagonalLU(dt * A[2, :-1], dt * A[1] + 1.0, dt * A[0, 1:])
-            if got.info != 0:
-                raise LinAlgError(f"transport matrix for dt={dt} is singular")
-            self._factors[dt] = got
+            try:
+                got = TridiagonalLU(dt * A[2, :-1], dt * A[1] + 1.0, dt * A[0, 1:])
+            except LinAlgError as exc:
+                raise LinAlgError(f"transport matrix for dt={dt} is singular") from exc
+            if len(self._factors) == 4:
+                del self._factors[next(iter(self._factors))]  # the least recently used
+        self._factors[dt] = got
         return got
 
     def _rate_into(self, W: Array, out: Array) -> Array:
@@ -583,12 +580,10 @@ def simulate(initial: StateField, params: ModelParams, kin: KineticsSpec, *,
         monitors=recorder.monitors(),
         snapshots=tuple(snapshots),
         verdict=verdict,
-        initial=initial,
         final=final,
         steps_accepted=accepted,
         steps_rejected=rejected,
         fallbacks=fallbacks,
-        blowup_eigenpair=pair,
     )
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from ._lapack import dgbtrf, dgbtrs
 from .eigen import _as_diffusivity, solve_principal
-from .model import GrowthLaw, KineticsSpec, ModelParams, _ReactionKernel, _as_float_array
+from .model import GrowthLaw, KineticsSpec, ModelParams, _ReactionKernel, _as_profile
 from .operators import (Array, band_matvec, quadrature_inverse_bands, transport_defect,
                         trapezoid_weights)
 from .pde import Grid
@@ -128,15 +128,11 @@ def _as_triple(init) -> Array:
     if len(parts) != 3:
         raise ValueError(f"init must have exactly three components, got {len(parts)}")
     labels = ("Stilde", "u", "v")
-    arrays = [_as_float_array(p, f"init.{label}") for label, p in zip(labels, parts)]
+    arrays = [_as_profile(p, f"init.{label}") for label, p in zip(labels, parts)]
     n = arrays[0].shape[0] if arrays[0].ndim == 1 else -1
     for label, arr in zip(labels, arrays):
         if arr.ndim != 1 or arr.shape[0] != n:
             raise ValueError(f"init.{label} must be a 1-D array matching the others")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"init.{label} contains non-finite values")
-        if arr.size and float(arr.min()) < 0.0:
-            raise ValueError(f"init.{label} contains negative values")
     return np.stack(arrays)
 
 
@@ -216,8 +212,7 @@ class _SteadyOperator:
     def differential_defect(self, X: Array) -> float:
         """Sup-norm defect of the triple against the differential balances."""
         src = self.sources(X)
-        return max(transport_defect(X[c], self.diffs[c], src[c], gamma=0.0).max_abs
-                   for c in range(3))
+        return max(transport_defect(X[c], self.diffs[c], src[c], gamma=0.0) for c in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +309,8 @@ _FALLBACK_DEPLETION = 0.5
 # ---------------------------------------------------------------------------
 
 
-#: the solve converges once a pseudo-transient step's sup norm is below TOL
+#: the solve converges once a pseudo-transient step's sup norm is below TOL,
+#: or once its defect stays at rounding level (see fixed_point_solve)
 TOL = 1e-10
 
 #: the solve stops unconverged after this many pseudo-transient steps
@@ -347,7 +343,11 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
     washout, 0.5 took blowup_demo to washout, and 10 stalled fig2b.
 
     The solve converges once a step's ``sup |D|``, its residual, is below
-    ``TOL``.  That step's matrix is -J up to a shift of T by
+    ``TOL``, or once ``sup |F|`` has been at most the rounding level of
+    T X, ``4*eps`` times the largest ``||T_c||_inf * sup X_c`` over the
+    components c, at two steps in a row: T's entries grow like d/h**2, and
+    on fine grids the steps such a defect makes are rounding noise above
+    TOL.  That step's matrix is -J up to a shift of T by
     ``|F_k| / |F_0|``, so the parity of its LU's row swaps and negative
     pivots is the sign of det(-J), which flags the state ``unstable`` when
     negative; an init where F = 0 takes one zero step to get it.  The
@@ -360,7 +360,10 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
     X = _as_triple(init)
     n = X.shape[1]
     op = _SteadyOperator(params, kin, n)
-    converged = unstable = False
+    # 4*eps*||T_c||_inf for each component c, from the row sums of |T|
+    T_rounding = band_matvec(np.absolute(op._T), np.full(3 * n, 4.0 * np.finfo(float).eps))
+    T_rounding = _max(T_rounding.reshape(3, n), 1)
+    converged = unstable = was_rounding = False
     iterations, residual = 0, math.inf
     # overflow is detected below and reported as the stopping reason
     with np.errstate(over="ignore", invalid="ignore"):
@@ -376,6 +379,7 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
                 break
             if not iterations:
                 first = norm or 1.0
+            at_rounding = norm <= float(_max(T_rounding * _max(X, 1), None))
             iterations += 1
             # (1 + 1/delta) T - ds/dX, with delta = |F_0| / |F_k|: the
             # negated band of jacobian_bands, which at a root is -J
@@ -388,11 +392,12 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
             dgbtrs(band, 3, 3, pivots, step)
             X = np.maximum(X + step.reshape(n, 3).T, 0.0)
             residual = _sup(step)
-            if residual < TOL:
+            if residual < TOL or at_rounding and was_rounding:
                 converged, reason = True, ""
                 # LAPACK's pivots are 1-based: row k kept its place if pivots[k-1] == k
                 swaps = int(np.count_nonzero(pivots != np.arange(1, pivots.size + 1)))
                 unstable = (swaps + int(np.count_nonzero(band[6] < 0.0))) % 2 == 1
+            was_rounding = at_rounding
             del band, step  # free the factors before the next band or the defect below
         if math.isfinite(norm):
             pde_residual = op.differential_defect(X)

@@ -81,7 +81,7 @@ def test_criterion_03_kernel_quadrature_consistency():
                 x = np.linspace(0.0, 1.0, n)
                 rho = rho_fn(x)
                 w = fs.kernel_matrix(d, n) @ rho
-                defects[n] = transport_defect(w, d, rho, gamma=0.0).max_abs
+                defects[n] = transport_defect(w, d, rho, gamma=0.0)
             order = np.log(defects[101] / defects[401]) / np.log(4.0)
             worst_order = min(worst_order, order)
             worst_defect = max(worst_defect, defects[401])
@@ -101,7 +101,7 @@ def test_criterion_04_substrate_bound_over_preset_suite():
         config = fs.load_preset(name)
         result = _simulate_config(config)
         sup_max = float(result.monitors["sup_S"].max())
-        limit = max(config.params.gamma_s, float(result.initial.S.max()))
+        limit = max(config.params.gamma_s, float(result.snapshots[0].S.max()))
         if sup_max - limit > 1e-3:
             failures.append(f"{name}: {sup_max:.6f} > {limit:.6f}")
     detail = (
@@ -272,7 +272,7 @@ def test_criterion_10_property_suites():
         x = np.linspace(0.0, 1.0, n)
         rho = np.sin(np.pi * x)
         w = fs.kernel_matrix(0.5, n) @ rho
-        defects[n] = transport_defect(w, 0.5, rho, gamma=0.0).max_abs
+        defects[n] = transport_defect(w, 0.5, rho, gamma=0.0)
     order = float(np.log(defects[101] / defects[401]) / np.log(4.0))
     parts.append(("quadrature-order", order >= 1.9))
 

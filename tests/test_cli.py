@@ -1020,14 +1020,15 @@ class TestClosedStdout:
         assert err == b""
         assert (tmp_path / "out" / written).is_file()
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv", [["--help"], ["steady", "--help"]], ids=["main", "steady"])
-    def test_help_into_a_closed_stdout_exits_141(self, argv):
-        """`flocstat --help | true` with stdout buffered: the help fails to
-        reach its reader inside the handling of a verb's report, not at
-        interpreter exit.  (Unbuffered, argparse discards the failed write
-        itself, and the help exits 0.)"""
+    def test_help_into_a_closed_stdout_exits_141(self, argv, unbuffered):
+        """`flocstat --help | true`: the help fails to reach its reader
+        inside the handling of a verb's report, not at interpreter exit
+        (stdout buffered) and not in argparse, which would discard the
+        failed write (unbuffered)."""
         src = Path(fs.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": ""}
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
         with subprocess.Popen([sys.executable, "-m", "flocstat", *argv], stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, env=env) as proc:
             proc.stdout.close()

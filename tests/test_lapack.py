@@ -135,7 +135,7 @@ def test_tridiagonal_lu_and_solve_match_scipy_bit_for_bit(preset):
     for dt in LADDER:
         lu = stepper.factors(dt)
         *expected, info = oracle.dgttrf(dt * A[2, :-1], dt * A[1] + 1.0, dt * A[0, 1:])
-        assert lu.info == info == 0
+        assert info == 0
         for got, want in zip(lu._factors, expected):  # dl, d, du, du2, 1-based pivots
             assert got.tobytes() == want.astype(got.dtype).tobytes()
         rhs = stepper.stage(W, stepper.rate(W), dt).reshape(-1)
@@ -191,18 +191,23 @@ def test_band_lu_step_and_parity_match_scipy_bit_for_bit(preset, unstable):
 
 
 def test_singular_transport_matrix_raises_in_factors():
-    """dt = 0.5 against A = -2 I makes ``I + dt*A`` the zero matrix."""
+    """dt = 0.5 against A = -2 I makes ``I + dt*A`` the zero matrix: the
+    stepper names dt, says why, and caches nothing."""
     stepper = _Stepper(standard_params(), floc_kinetics(), fs.Grid(21))
     stepper.A = np.zeros_like(stepper.A)
     stepper.A[1] = -2.0
-    with pytest.raises(LinAlgError, match="transport matrix for dt=0.5 is singular"):
+    with pytest.raises(LinAlgError, match="transport matrix for dt=0.5 is singular") as caught:
         stepper.factors(0.5)
-    assert 0.5 not in stepper._factors
-    lu = _lapack.TridiagonalLU(np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2))
-    assert lu.info == 2
-    b = np.ones(3)
-    with pytest.raises(LinAlgError, match=r"U\(2,2\) is exactly zero"):
-        lu.solve(_lapack.address_of(b, 3))
+    assert str(caught.value.__cause__) == "dgttrf: U(1,1) is exactly zero"
+    assert stepper._factors == {}
+
+
+def test_zero_pivot_raises_when_factoring():
+    """dgttrf's zero pivot stops the construction, as scipy's info reports it."""
+    lower, diag, upper = np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2)
+    assert oracle.dgttrf(lower, diag, upper)[-1] == 2
+    with pytest.raises(LinAlgError, match=r"^dgttrf: U\(2,2\) is exactly zero$"):
+        _lapack.TridiagonalLU(lower, diag, upper)
 
 
 def test_singular_band_reports_its_zero_pivot():

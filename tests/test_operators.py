@@ -9,7 +9,6 @@ from scipy.linalg import solve_banded
 
 from flocstat.operators import (
     MIN_GRID_N,
-    TransportDefect,
     band_matvec,
     feed_vector,
     grid_spacing,
@@ -131,32 +130,38 @@ class TestTrapezoid:
 class TestTransportDefect:
     def test_exact_for_constant_feed(self):
         n, d, gamma = 201, 0.5, 2.0
-        w = np.full(n, gamma)
-        defect = transport_defect(w, d, np.zeros(n), gamma=gamma)
-        assert isinstance(defect, TransportDefect)
-        assert defect.max_abs < 1e-12
+        assert transport_defect(np.full(n, gamma), d, np.zeros(n), gamma=gamma) < 1e-12
 
     def test_detects_wrong_inflow(self):
+        """A constant profile without its feed misses the inlet row alone, by 1."""
         n, d = 201, 0.5
-        w = np.full(n, 1.0)
-        defect = transport_defect(w, d, np.zeros(n), gamma=0.0)
-        assert abs(defect.inlet) == pytest.approx(1.0, abs=1e-12)
+        defect = transport_defect(np.full(n, 1.0), d, np.zeros(n), gamma=0.0)
+        assert defect == pytest.approx(1.0, abs=1e-12)
+
+    # w = 1 + b*x with source b + bump: the interior residuals are -bump, the
+    # inlet residual -d*b + 1 - gamma and the outlet residual b
+    @pytest.mark.parametrize("largest, b, bump, gamma, expected", [
+        ("interior", 0.1, -7.0, 0.95, 7.0),
+        ("inlet", 0.1, 0.0, -4.0, 4.95),
+        ("outlet", -3.0, 0.0, 2.5, 3.0),
+    ])
+    def test_is_the_largest_of_the_three_residuals(self, largest, b, bump, gamma, expected):
+        n, d = 21, 0.5
+        w = 1.0 + b * np.linspace(0.0, 1.0, n)
+        source = np.full(n, b)
+        source[5] += bump
+        assert transport_defect(w, d, source, gamma=gamma) == pytest.approx(expected, rel=1e-12)
 
     def test_second_order_on_manufactured_solution(self):
-        """w(x) = cos(pi*x/2)+c: defect of the exact transport balance is O(h^2)."""
+        """w(x) = cos(pi*x) + 2 meets w'(0) = w'(1) = 0, so with its source
+        and feed every residual of the exact solution is O(h^2)."""
         d = 0.7
 
         def defect_at(n: int) -> float:
             x = np.linspace(0.0, 1.0, n)
-            w = np.cos(np.pi * x / 2.0)
-            dw = -np.pi / 2.0 * np.sin(np.pi * x / 2.0)
-            ddw = -((np.pi / 2.0) ** 2) * np.cos(np.pi * x / 2.0)
-            source = -d * ddw + dw
-            gamma = -d * dw[0] + w[0]
-            # manufactured slope at the outlet is not zero, so cancel it in
-            # the source; only interior + inlet rows are exact here
-            res = transport_defect(w, d, source, gamma=gamma)
-            return max(abs(res.interior), abs(res.inlet))
+            w = np.cos(np.pi * x) + 2.0
+            source = d * np.pi**2 * np.cos(np.pi * x) - np.pi * np.sin(np.pi * x)
+            return transport_defect(w, d, source, gamma=3.0)
 
         coarse, fine = defect_at(101), defect_at(401)
         order = np.log(coarse / fine) / np.log(4.0)

@@ -11,6 +11,7 @@ from scipy.integrate import trapezoid
 
 import flocstat as fs
 from conftest import floc_kinetics, mass_growth_class, standard_params
+from flocstat.cli import build_initial_state
 from flocstat.operators import trapezoid as package_trapezoid
 from flocstat.pde import ATOL, EXTINCT_SUP, RECORD_BLOCK, RTOL, _Stepper, monitor_keys
 from oracles import imex_step_banded
@@ -225,7 +226,7 @@ def macro_step_oracle(state, params, kin, dt):
 def replayed_states(result, params, kin):
     """The recorded states of ``result``, one per monitor row, stepped again
     with the macro step oracle at each row's dt."""
-    state = result.initial
+    state = result.snapshots[0]
     states = [state]
     rows = zip(result.monitors["t"][1:].tolist(), result.monitors["dt"][1:].tolist())
     for t, dt in rows:
@@ -240,7 +241,7 @@ def per_row_monitors(result, params, kin):
     integrals from scipy's ``trapezoid`` on that row alone."""
     h = result.grid.h
     weights = np.asarray(fs.weight_vector(params))
-    phi = result.blowup_eigenpair.function[::-1]
+    phi = fs.solve_principal(params.du[0], result.grid.n).function[::-1]
     keys = monitor_keys(params.m)
     states = replayed_states(result, params, kin)
     rows = []
@@ -547,6 +548,24 @@ class TestStepBuffers:
         for key, column in expected.items():
             np.testing.assert_array_equal(result.monitors[key], column, err_msg=key)
         np.testing.assert_array_equal(result.final.stack(), final.stack())
+
+    def test_lu_cache_keeps_the_four_step_sizes_used_last(self, monkeypatch):
+        """fig4e steps with more than four sizes; the stepper never holds the
+        factors of more than four."""
+        held, sizes = [], set()
+        real_factors = _Stepper.factors
+
+        def recording_factors(stepper, dt):
+            lu = real_factors(stepper, dt)
+            held.append(len(stepper._factors))
+            sizes.add(dt)
+            return lu
+
+        monkeypatch.setattr(_Stepper, "factors", recording_factors)
+        config = fs.load_preset("fig4e")
+        state = build_initial_state(config, fs.Grid(config.controls.grid_n))
+        fs.simulate(state, config.params, config.kin, t_end=config.controls.t_end)
+        assert len(sizes) > 4 and max(held) == 4
 
     def test_rates_do_not_alias_held_arrays(self):
         """Each rate is a new array; macro steps leave the states and rates

@@ -1,6 +1,7 @@
 """Tests for the steady-state kernel, the steady equations and their solve, and reports."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -136,8 +137,7 @@ class TestKernel:
             "sine": np.sin(np.pi * x),
         }[density]
         w = fs.kernel_matrix(d, n) @ rho
-        defect = transport_defect(w, d, rho, gamma=0.0)
-        assert defect.max_abs < 5e-4
+        assert transport_defect(w, d, rho, gamma=0.0) < 5e-4
 
     def test_quadrature_defect_second_order(self):
         d = 1.0
@@ -146,7 +146,7 @@ class TestKernel:
             x = np.linspace(0.0, 1.0, n)
             rho = np.sin(np.pi * x)
             w = fs.kernel_matrix(d, n) @ rho
-            return transport_defect(w, d, rho, gamma=0.0).max_abs
+            return transport_defect(w, d, rho, gamma=0.0)
 
         order = np.log(max_defect(101) / max_defect(401)) / np.log(4.0)
         assert order > 1.9
@@ -436,6 +436,36 @@ class TestFixedPoint:
         assert state.iterations == 1
         assert state.reason == "singular step matrix at step 1"
         assert state.residual == math.inf and math.isfinite(state.pde_residual)
+
+    @pytest.mark.parametrize("bad, message", [
+        (["0.5"] * 21, "{} must hold real numbers, got dtype <U3"),
+        ([0.5] * 20 + [math.nan], "{} contains non-finite values"),
+        ([0.5] * 20 + [-1e-300], "{} contains negative values"),
+    ], ids=["dtype", "nan", "negative"])
+    def test_one_faulty_profile_is_named_as_its_caller_names_it(self, bad, message):
+        """StateField and the steady solve check a profile by the same rules;
+        each names the profile its own way."""
+        grid, good = fs.Grid(21), np.full(21, 0.5)
+        with pytest.raises(ValueError, match="^" + re.escape(message.format("u")) + "$"):
+            fs.StateField(grid=grid, S=good, u=bad, v=good)
+        with pytest.raises(ValueError, match="^" + re.escape(message.format("init.u")) + "$"):
+            fs.fixed_point_solve((good, bad, good), theory_params(), floc_kinetics())
+
+    @pytest.mark.parametrize("case", ["fig2a", "theory"])
+    def test_fine_grid_stops_at_the_rounding_level(self, case):
+        """At n = 50 001 T's entries, about d/h**2, leave each step's
+        rounding noise above TOL; the solve stops once the defect stays at
+        the rounding level of T X, in at most 15 steps (200, unconverged,
+        with a stop on TOL alone)."""
+        n = 50_001
+        if case == "fig2a":
+            state = preset_solve("fig2a", n)
+        else:
+            init = (np.full(n, 0.2), np.full(n, 0.5), np.zeros(n))
+            state = fs.fixed_point_solve(init, theory_params(), floc_kinetics())
+        assert state.converged and state.reason == "" and not state.unstable
+        assert state.iterations <= 15
+        assert state.residual < 1e-8 and state.pde_residual < 1e-5
 
     def test_rejects_string_init(self):
         grid = fs.Grid(21)
