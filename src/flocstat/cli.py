@@ -449,16 +449,6 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_monitors_csv(path: Path, result: SimulationResult) -> None:
-    """Write the per-step monitor table (``result.monitors`` in order, repr floats)."""
-    _write_float_table(path, list(result.monitors), list(result.monitors.values()))
-
-
-def write_snapshot_csv(path: Path, state: StateField) -> None:
-    """Write one state's profiles: ``x`` and one column per component."""
-    _write_float_table(path, ["x", *component_labels(state.m)], [state.grid.x, *state.stack()])
-
-
 def _write_float_table(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write equal-length float columns as CSV, each cell formatted by _fmt.
 
@@ -472,11 +462,20 @@ def _write_float_table(path: Path, header: Sequence[str], columns: Sequence[np.n
 
 
 def write_outputs(out_dir: Path, result: SimulationResult) -> None:
-    """Write monitors.csv and snapshot_<k>.csv under ``out_dir``."""
+    """Write monitors.csv (``result.monitors`` in order) and snapshot_<k>.csv
+    (``x`` and one column per component) under ``out_dir``, and remove
+    every other file named snapshot_<k>.csv there, left by an earlier run."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_monitors_csv(out_dir / "monitors.csv", result)
+    _write_float_table(out_dir / "monitors.csv", list(result.monitors),
+                       list(result.monitors.values()))
     for k, snap in enumerate(result.snapshots):
-        write_snapshot_csv(out_dir / f"snapshot_{k}.csv", snap)
+        _write_float_table(out_dir / f"snapshot_{k}.csv", ["x", *component_labels(snap.m)],
+                           [snap.grid.x, *snap.stack()])
+    for path in out_dir.glob("snapshot_*.csv"):
+        k = path.name[len("snapshot_"):-len(".csv")]
+        if (k.isascii() and k.isdigit() and k == str(int(k))
+                and int(k) >= len(result.snapshots) and path.is_file()):
+            path.unlink()
 
 
 # --------------------------------------------------------------------------
@@ -753,9 +752,11 @@ def _cmd_steady(args: argparse.Namespace) -> int:
         ["x", "depletion", "S", "u", "v"],
         [grid.x, state.Stilde, state.substrate, state.u, state.v],
     )
+    at_rounding = (f" (at rounding level {state.rounding_level:.3e})"
+                   if state.pde_residual <= state.rounding_level else "")
     print(
         f"fixed point: converged={state.converged} iterations={state.iterations} "
-        f"residual={state.residual:.3e} pde_residual={state.pde_residual:.3e}"
+        f"residual={state.residual:.3e} pde_residual={state.pde_residual:.3e}{at_rounding}"
     )
     print(f"profile written to {path.resolve()}")
     if state.unstable:

@@ -232,18 +232,16 @@ class SimulationResult:
         produced the row).  The first row is the
         initial state and the last row the final one: ``classify_outcome``
         reads the verdict from the ``sup_*`` columns of these two rows.
-    snapshots: states at selected times (each carries its t); the first is
-        the initial state ``simulate`` was given.
+    snapshots: states at selected times, each with its t and grid: first the
+        initial state ``simulate`` was given, last the final one.
     steps_accepted/steps_rejected: macro steps (see ``simulate``).
     fallbacks: accepted steps in which the extrapolated state was negative
         at some node, which then kept the fine state.
     """
 
-    grid: Grid
     monitors: dict[str, Array]
     snapshots: tuple[StateField, ...]
     verdict: Verdict
-    final: StateField
     steps_accepted: int
     steps_rejected: int
     fallbacks: int
@@ -299,18 +297,19 @@ class _Stepper:
         feed, in a new array."""
         return self._rate_into(W, np.empty_like(self.B))
 
-    def stage(self, W: Array, F: Array, dt: float, out: Optional[Array] = None) -> Array:
-        """The explicit stage ``W + dt*F``, in ``out`` or a new array."""
+    def stage(self, W: Array, F: Array, dt: float, out: Array) -> Array:
+        """The explicit stage ``W + dt*F``, in ``out`` as for ``try_step``."""
+        if id(out) not in self._addresses:
+            raise ValueError("out must be the stepper's coarse, half or fine stack")
         rhs = np.multiply(F, dt, out=out)
         rhs += W
         return rhs
 
-    def try_step(self, W: Array, F: Array, dt: float,
-                 out: Optional[Array] = None) -> tuple[Optional[Array], str]:
-        """One IMEX step from W, whose ``rate(W)`` is F, into ``out`` (a new
-        array if None; never W or F).  Returns (new stack, "") on acceptance,
-        (None, reason) on rejection; an accepted undershoot within CLAMP_TOL
-        is clipped to 0."""
+    def try_step(self, W: Array, F: Array, dt: float, out: Array) -> tuple[Optional[Array], str]:
+        """One IMEX step from W, whose ``rate(W)`` is F, into ``out``: the
+        stepper's coarse, half or fine stack, never W or F (ValueError for any
+        other array).  Returns (out, "") on acceptance, (None, reason) on
+        rejection; an accepted undershoot within CLAMP_TOL is clipped to 0."""
         # the explicit stage is solved in place.  Its minimum propagates nan
         # and -inf; an entry of +inf passes into the solve, whose result it
         # makes non-finite, and is looked for only then
@@ -320,8 +319,7 @@ class _Stepper:
             if math.isfinite(low) and math.isfinite(float(_max(rhs, None))):
                 return None, "explicit stage undershoot"
             return None, "non-finite explicit stage"
-        address = self._addresses.get(id(rhs))
-        self.factors(dt).solve(address_of(rhs, self.B.size) if address is None else address)
+        self.factors(dt).solve(self._addresses[id(rhs)])
         W_new = rhs
         low, high = float(_min(W_new, None)), float(_max(W_new, None))
         if not (math.isfinite(low) and math.isfinite(high)):
@@ -521,7 +519,7 @@ def simulate(initial: StateField, params: ModelParams, kin: KineticsSpec, *,
     fallbacks = 0
     record(W, t, DT_INIT)
     due = _targets_reached(targets, 0, t)  # the first target not yet reached
-    snapshots = [initial] if due else []
+    snapshots = [initial]
     verdict: Optional[Verdict] = None
 
     while t < t_end - time_tol:
@@ -569,18 +567,16 @@ def simulate(initial: StateField, params: ModelParams, kin: KineticsSpec, *,
         if err <= GROW_BELOW and dt_eff == dt and stepper.stage_min(W, F, 2.0 * dt) >= -CLAMP_TOL:
             dt *= 2.0
 
-    final = StateField.from_stack(grid, W, t)
     if verdict is None:
         verdict = Verdict(kind="completed", t_final=t)
-    if not snapshots or snapshots[-1].t < final.t - 1e-12:
-        snapshots.append(final)
+    # t rises with every accepted step, so a snapshot at t holds this W
+    if snapshots[-1].t < t:
+        snapshots.append(StateField.from_stack(grid, W, t))
 
     return SimulationResult(
-        grid=grid,
         monitors=recorder.monitors(),
         snapshots=tuple(snapshots),
         verdict=verdict,
-        final=final,
         steps_accepted=accepted,
         steps_rejected=rejected,
         fallbacks=fallbacks,
@@ -612,7 +608,7 @@ def classify_outcome(result: SimulationResult) -> str:
     """
     if result.verdict.kind == "blow_up":
         return "blow-up"
-    labels = component_labels(result.final.m)[1:]
+    labels = component_labels(result.snapshots[-1].m)[1:]
     extinct: list[str] = []
     for label in labels:
         sup = result.monitors[f"sup_{label}"]

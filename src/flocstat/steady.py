@@ -230,14 +230,18 @@ class SteadyState:
     none; pde_residual is the sup-norm defect of the differential balances
     (second-order differences, boundary conditions included) — the
     quantity that governs drift when the state is transplanted into the
-    transient solver.  iterations counts the pseudo-transient steps, the
-    final Newton step of a converged solve included.  reason says why an
-    unconverged solve stopped; it is empty for a converged state.  A solve
-    that stops at a non-finite defect returns its iterate, with both
-    residuals nan; on every other state pde_residual is finite.  unstable
-    is True on a converged state where det(-J) < 0, J the Jacobian of the
-    steady equations: J then has an odd number of positive real
-    eigenvalues, so the state is linearly unstable.  False proves no
+    transient solver.  rounding_level is the rounding level of T X at the
+    returned state, the one the solve's stop compares ``sup |F|`` with (see
+    ``fixed_point_solve``); a pde_residual at most this is rounding noise
+    of the second differences, not a measure of the profile's error.
+    iterations counts the pseudo-transient steps, the final Newton step of
+    a converged solve included.  reason says why an unconverged solve
+    stopped; it is empty for a converged state.  A solve that stops at a
+    non-finite defect returns its iterate, with both residuals and
+    rounding_level nan; on every other state pde_residual is finite.
+    unstable is True on a converged state where det(-J) < 0, J the
+    Jacobian of the steady equations: J then has an odd number of positive
+    real eigenvalues, so the state is linearly unstable.  False proves no
     stability: an even number of them, or a complex pair in the right
     half-plane, leaves det(-J) > 0.  ``fixed_point_solve`` builds every state, from
     nonnegative profiles of the grid's length; the constructor does not
@@ -250,6 +254,7 @@ class SteadyState:
     v: Array
     residual: float
     pde_residual: float
+    rounding_level: float
     converged: bool
     iterations: int
     reason: str = ""
@@ -363,6 +368,10 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
     # 4*eps*||T_c||_inf for each component c, from the row sums of |T|
     T_rounding = band_matvec(np.absolute(op._T), np.full(3 * n, 4.0 * np.finfo(float).eps))
     T_rounding = _max(T_rounding.reshape(3, n), 1)
+
+    def rounding_level(X: Array) -> float:
+        return float(_max(T_rounding * _max(X, 1), None))
+
     converged = unstable = was_rounding = False
     iterations, residual = 0, math.inf
     # overflow is detected below and reported as the stopping reason
@@ -379,7 +388,7 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
                 break
             if not iterations:
                 first = norm or 1.0
-            at_rounding = norm <= float(_max(T_rounding * _max(X, 1), None))
+            at_rounding = norm <= rounding_level(X)
             iterations += 1
             # (1 + 1/delta) T - ds/dX, with delta = |F_0| / |F_k|: the
             # negated band of jacobian_bands, which at a root is -J
@@ -400,12 +409,12 @@ def fixed_point_solve(init, params: ModelParams, kin: KineticsSpec) -> SteadySta
             was_rounding = at_rounding
             del band, step  # free the factors before the next band or the defect below
         if math.isfinite(norm):
-            pde_residual = op.differential_defect(X)
+            pde_residual, level = op.differential_defect(X), rounding_level(X)
         else:
-            residual = pde_residual = math.nan
+            residual = pde_residual = level = math.nan
     return SteadyState(
         grid=Grid(n), Stilde=X[0], u=X[1], v=X[2],
-        residual=residual, pde_residual=pde_residual,
+        residual=residual, pde_residual=pde_residual, rounding_level=level,
         converged=converged, iterations=iterations, reason=reason,
         unstable=unstable,
     )

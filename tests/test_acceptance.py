@@ -156,7 +156,7 @@ def test_criterion_06_washout_stability_threshold():
     def total_biomass(params, kin):
         initial = fs.StateField.constant(grid, S=params.gamma_s, u=0.01, v=0.01)
         result = fs.simulate(initial, params, kin, t_end=200.0)
-        final = result.final
+        final = result.snapshots[-1]
         return float(np.max(final.u) + np.max(final.v))
 
     stable_cases = [
@@ -222,7 +222,7 @@ def test_criterion_08_steady_state_is_dynamic_equilibrium():
         v=steady.v[None, :],
     )
     result = fs.simulate(state, params, kin, t_end=10.0)
-    final = result.final
+    final = result.snapshots[-1]
     drift = max(
         float(np.max(np.abs(final.S - state.S))),
         float(np.max(np.abs(final.u - state.u))),
@@ -283,9 +283,9 @@ def test_criterion_10_property_suites():
     a = fs.simulate(initial, config.params, config.kin, t_end=3.0)
     b = fs.simulate(initial, config.params, config.kin, t_end=3.0)
     det_ok = (
-        np.array_equal(a.final.S, b.final.S)
-        and np.array_equal(a.final.u, b.final.u)
-        and np.array_equal(a.final.v, b.final.v)
+        np.array_equal(a.snapshots[-1].S, b.snapshots[-1].S)
+        and np.array_equal(a.snapshots[-1].u, b.snapshots[-1].u)
+        and np.array_equal(a.snapshots[-1].v, b.snapshots[-1].v)
         and np.array_equal(a.monitors["mass"], b.monitors["mass"])
     )
     parts.append(("determinism", det_ok))

@@ -362,6 +362,27 @@ class TestRunExperiment:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_rerun_replaces_the_snapshots_of_an_earlier_run(self, tmp_path, capsys):
+        """A blow-up run into the directory of a longer run leaves only its
+        own snapshots there; files the run does not name stay."""
+        out = tmp_path / "o"
+        assert main(["run", "--preset", "fig2a", "--t-end", "1", "--out", str(out)]) == EXIT_OK
+        kept = ["notes.txt", "snapshot_final.csv", "snapshot_01.csv", "snapshot_3.csv.bak"]
+        for name in kept:
+            (out / name).write_text("kept\n")
+        (out / "snapshot_9.csv").unlink()
+        (out / "snapshot_9.csv").mkdir()
+        assert main(["run", "--preset", "blowup_demo", "--out", str(out)]) == EXIT_BLOW_UP
+        capsys.readouterr()
+        snapshots = sorted(p.name for p in out.glob("snapshot_*.csv") if p.is_file())
+        assert snapshots == ["snapshot_0.csv", "snapshot_01.csv", "snapshot_1.csv",
+                             "snapshot_final.csv"]
+        assert (out / "snapshot_9.csv").is_dir()
+        assert all((out / name).read_text() == "kept\n" for name in kept)
+        config = fs.load_preset("blowup_demo")
+        last = (out / "snapshot_1.csv").read_text().splitlines()
+        assert len(last) == 1 + config.controls.grid_n
+
 
 class TestSweep:
     def test_summary_schema_and_failure_row(self, tmp_path):
@@ -826,6 +847,17 @@ class TestMainEntry:
             cells = (x[j], state.Stilde[j], substrate[j], state.u[j], state.v[j])
             rows.append(",".join(repr(float(c)) for c in cells) + "\n")
         assert text == "".join(rows).encode()
+
+    @pytest.mark.parametrize("grid_n, note",
+                             [("201", ""), ("4001", " (at rounding level 3.813e-08)")])
+    def test_steady_notes_a_pde_residual_at_rounding_level(self, tmp_path, capsys, grid_n, note):
+        """fig2a's pde_residual is above the rounding level of T X at 201
+        nodes and below it at 4001, where the fixed-point line says so."""
+        code = main(["steady", "--preset", "fig2a", "--grid-n", grid_n, "--out", str(tmp_path)])
+        line = capsys.readouterr().out.splitlines()[0]
+        assert code == EXIT_OK
+        assert re.fullmatch(r"fixed point: converged=True iterations=10 residual=\S+ "
+                            r"pde_residual=[0-9.e+-]+" + re.escape(note), line)
 
     def test_steady_verb_coarse_grid_exits_without_traceback(self, tmp_path, capsys):
         """fig4e's dv=0.001 at n=501 is too coarse for the eigen solver that

@@ -70,7 +70,8 @@ class TestBlowupFunctional:
         state = fs.StateField.constant(grid, S=1.0, u=2.0, v=3.0)
         result, row = first_monitor_row(state, params)
         pair = fs.solve_principal(1.0, n=201)
-        assert fs.solve_principal(params.du[0], result.grid.n) is pair  # the run's weight, cached
+        # the run's weight, cached
+        assert fs.solve_principal(params.du[0], result.snapshots[0].grid.n) is pair
         phi_mass = trapezoid(pair.function[::-1], grid.h)
         assert row["Q"] == pytest.approx((2.0 + 1.0) * 2.0 * phi_mass
                                          + (2.0 + 1.0) * 3.0 * phi_mass, rel=1e-12)

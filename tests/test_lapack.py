@@ -138,7 +138,7 @@ def test_tridiagonal_lu_and_solve_match_scipy_bit_for_bit(preset):
         assert info == 0
         for got, want in zip(lu._factors, expected):  # dl, d, du, du2, 1-based pivots
             assert got.tobytes() == want.astype(got.dtype).tobytes()
-        rhs = stepper.stage(W, stepper.rate(W), dt).reshape(-1)
+        rhs = stepper.stage(W, stepper.rate(W), dt, stepper._coarse).reshape(-1)
         want = oracle.dgttrs(*expected, rhs)[0]
         lu.solve(_lapack.address_of(rhs, rhs.size))
         assert rhs.tobytes() == want.tobytes()

@@ -12,6 +12,7 @@ from scipy.integrate import trapezoid
 import flocstat as fs
 from conftest import floc_kinetics, mass_growth_class, standard_params
 from flocstat.cli import build_initial_state
+from flocstat.model import component_labels
 from flocstat.operators import trapezoid as package_trapezoid
 from flocstat.pde import ATOL, EXTINCT_SUP, RECORD_BLOCK, RTOL, _Stepper, monitor_keys
 from oracles import imex_step_banded
@@ -21,7 +22,7 @@ def imex_step(state, params, kin, dt):
     """One accepted fixed-dt IMEX step from ``state``, as a new state."""
     stepper = _Stepper(params, kin, state.grid)
     W = state.stack()
-    W_new, reason = stepper.try_step(W, stepper.rate(W), dt)
+    W_new, reason = stepper.try_step(W, stepper.rate(W), dt, stepper._coarse)
     assert reason == ""
     return fs.StateField.from_stack(state.grid, W_new, state.t + dt)
 
@@ -206,10 +207,10 @@ class TestBatchedSolve:
         stepper = _Stepper(params, kin, state.grid)
         W = state.stack()
         for dt in (1e-2, 5e-3, 5e-3, 1e-2, 2.5e-3, 1e-2, 3e-3):
-            W_new, reason = stepper.try_step(W, stepper.rate(W), dt)
+            W_new, reason = stepper.try_step(W, stepper.rate(W), dt, stepper._coarse)
             assert reason == ""
             np.testing.assert_array_equal(W_new, imex_step_banded(params, kin, W, dt))
-            W = W_new
+            W = W_new.copy()
         assert len(stepper._factors) == 4
 
 
@@ -239,17 +240,17 @@ def per_row_monitors(result, params, kin):
     """The monitors of ``result`` rebuilt one state at a time: the states
     come from the macro step oracle at each row's dt, and every row's
     integrals from scipy's ``trapezoid`` on that row alone."""
-    h = result.grid.h
+    grid = result.snapshots[0].grid
     weights = np.asarray(fs.weight_vector(params))
-    phi = fs.solve_principal(params.du[0], result.grid.n).function[::-1]
+    phi = fs.solve_principal(params.du[0], grid.n).function[::-1]
     keys = monitor_keys(params.m)
     states = replayed_states(result, params, kin)
     rows = []
     for state, dt in zip(states, result.monitors["dt"].tolist()):
         W = state.stack()
-        l1 = np.array([trapezoid(w, dx=h) for w in W])
-        Y = trapezoid(W[1] * phi, dx=h)
-        Z = trapezoid(W[2] * phi, dx=h)
+        l1 = np.array([trapezoid(w, dx=grid.h) for w in W])
+        Y = trapezoid(W[1] * phi, dx=grid.h)
+        Z = trapezoid(W[2] * phi, dx=grid.h)
         Q = (params.yu[0] + 1.0) * Y + (params.yv[0] + 1.0) * Z
         rows.append(dict(zip(keys, [state.t, *(w.max() for w in W), *l1, weights @ l1, Q, dt])))
     assert list(rows[0]) == list(result.monitors)
@@ -268,7 +269,7 @@ class TestBlockRecording:
         expected, final = per_row_monitors(result, params, kin)
         for key, column in expected.items():
             np.testing.assert_array_equal(result.monitors[key], column, err_msg=key)
-        np.testing.assert_array_equal(result.final.stack(), final.stack())
+        np.testing.assert_array_equal(result.snapshots[-1].stack(), final.stack())
 
     def test_blow_up_ends_mid_block(self, grid_201):
         params = standard_params(du=1.0, dv=1.0, yu=2.0, yv=2.0)
@@ -280,8 +281,8 @@ class TestBlockRecording:
         expected, final = per_row_monitors(result, params, kin)
         for key, column in expected.items():
             np.testing.assert_array_equal(result.monitors[key], column, err_msg=key)
-        np.testing.assert_array_equal(result.final.stack(), final.stack())
-        assert float(result.final.stack().max()) > 1e8
+        np.testing.assert_array_equal(result.snapshots[-1].stack(), final.stack())
+        assert float(result.snapshots[-1].stack().max()) > 1e8
 
 
 class TestSimulate:
@@ -372,7 +373,7 @@ class TestSimulate:
         kin = zero_growth_kinetics(rate_const=0.0)
         state = fs.StateField.constant(grid_201, S=1.0, u=1.0, v=1.0)
         result = fs.simulate(state, params, kin, t_end=10.0)
-        final_sup = float(np.max(result.final.u))
+        final_sup = float(np.max(result.snapshots[-1].u))
         # principal decay rate is lam(1) ~ 1.1720, so sup should drop below
         # e^{-10*1.1} at least
         assert final_sup < np.exp(-11.0)
@@ -403,7 +404,7 @@ class TestSimulate:
             grid = fs.Grid(n)
             state = fs.StateField.constant(grid, S=0.1, u=1.0, v=1.0)
             result = fs.simulate(state, params, kin, t_end=5.0)
-            finals.append(result.final)
+            finals.append(result.snapshots[-1])
         coarse = finals[0].u[0][::1]
         fine = finals[1].u[0][::2]
         assert np.max(np.abs(coarse - fine)) < 0.02 * max(1.0, np.max(np.abs(fine)))
@@ -413,17 +414,18 @@ class TestSimulate:
         state = fs.StateField.constant(grid_201, S=0.1, u=1.0, v=1.0)
         a = fs.simulate(state, params, kin, t_end=3.0)
         b = fs.simulate(state, params, kin, t_end=3.0)
-        assert np.array_equal(a.final.S, b.final.S)
-        assert np.array_equal(a.final.u, b.final.u)
-        assert np.array_equal(a.final.v, b.final.v)
+        assert np.array_equal(a.snapshots[-1].S, b.snapshots[-1].S)
+        assert np.array_equal(a.snapshots[-1].u, b.snapshots[-1].u)
+        assert np.array_equal(a.snapshots[-1].v, b.snapshots[-1].v)
         assert np.array_equal(a.monitors["sup_S"], b.monitors["sup_S"])
 
 
 def euler_run(params, kin, W, dt, t_end):
     """Fixed-dt IMEX steps from W to t_end."""
     stepper = _Stepper(params, kin, fs.Grid(W.shape[1]))
+    outs = itertools.cycle((stepper._coarse, stepper._half))  # never the stack W is in
     for _ in range(round(t_end / dt)):
-        W, reason = stepper.try_step(W, stepper.rate(W), dt)
+        W, reason = stepper.try_step(W, stepper.rate(W), dt, next(outs))
         assert reason == ""
     return W
 
@@ -442,7 +444,7 @@ class TestErrorControl:
         x = grid.x
         state = fs.StateField(grid=grid, S=0.1 + 0.9 * x**2, u=(1.0 + np.sin(3 * x))[None, :],
                               v=(1.0 - 0.5 * x)[None, :])
-        W0 = fs.simulate(state, params, kin, t_end=1.0).final.stack()
+        W0 = fs.simulate(state, params, kin, t_end=1.0).snapshots[-1].stack()
         dts = (0.02, 0.01, 0.005)
         ref = richardson_reference(params, kin, W0, dts[-1] / 16, 0.5)
         stepper = _Stepper(params, kin, state.grid)
@@ -468,7 +470,7 @@ class TestErrorControl:
         state = fs.StateField.constant(fs.Grid(51), S=0.1, u=1.0, v=1.0)
         result = fs.simulate(state, config.params, config.kin, t_end=5.0)
         ref = richardson_reference(config.params, config.kin, state.stack(), 1e-3, 5.0)
-        error = np.abs(result.final.stack() - ref).max(axis=1) / np.abs(ref).max(axis=1)
+        error = np.abs(result.snapshots[-1].stack() - ref).max(axis=1) / np.abs(ref).max(axis=1)
         assert error.max() < 3 * RTOL
         assert result.steps_accepted + result.steps_rejected < 500
 
@@ -505,7 +507,7 @@ class TestErrorControl:
         state = fs.StateField.constant(fs.Grid(201), S=1.0, u=0.01, v=0.01)
         result = fs.simulate(state, params, kin, t_end=200.0)
         assert result.fallbacks > 0
-        biomass = result.final.stack()[1:]
+        biomass = result.snapshots[-1].stack()[1:]
         assert 0.0 < biomass.min() and biomass.max() < 1e-30
 
     def test_error_estimate_is_zero_at_a_fixed_point(self):
@@ -547,7 +549,7 @@ class TestStepBuffers:
         expected, final = per_row_monitors(result, params, kin)
         for key, column in expected.items():
             np.testing.assert_array_equal(result.monitors[key], column, err_msg=key)
-        np.testing.assert_array_equal(result.final.stack(), final.stack())
+        np.testing.assert_array_equal(result.snapshots[-1].stack(), final.stack())
 
     def test_lu_cache_keeps_the_four_step_sizes_used_last(self, monkeypatch):
         """fig4e steps with more than four sizes; the stepper never holds the
@@ -589,6 +591,40 @@ class TestStepBuffers:
             assert not any(np.shares_memory(rate, a) for a in (F1, F2, W1, W2, W_new, W_next))
         for array, copy in zip((W1, F1, W2, F2), held):
             np.testing.assert_array_equal(array, copy)
+
+    def test_foreign_out_is_refused_before_any_write(self):
+        """stage and try_step write only into the stepper's coarse, half and
+        fine stacks; any other array, a view of one of them included, is
+        refused before it is written or handed to LAPACK."""
+        params, kin, state = one_species_setup()
+        stepper = _Stepper(params, kin, state.grid)
+        W = state.stack()
+        F = stepper.rate(W)
+        for out in (np.full_like(W, np.nan), stepper._coarse[:], stepper._results[0], W):
+            before = out.copy()
+            with pytest.raises(ValueError, match="coarse, half or fine stack"):
+                stepper.stage(W, F, 1e-2, out)
+            with pytest.raises(ValueError, match="coarse, half or fine stack"):
+                stepper.try_step(W, F, 1e-2, out)
+            np.testing.assert_array_equal(out, before)
+        assert not stepper._factors
+
+
+@pytest.mark.parametrize("t_end", [None, 0.05])
+@pytest.mark.parametrize("preset", fs.available_presets())
+def test_last_snapshot_is_the_final_state(preset, t_end):
+    """The last snapshot is the state a run ends in, at its horizon or at
+    blow-up: its time is the verdict's and the last monitor row's, and its
+    sups are that row's."""
+    config = fs.load_preset(preset)
+    state = build_initial_state(config, fs.Grid(config.controls.grid_n))
+    result = fs.simulate(state, config.params, config.kin, t_end=t_end or config.controls.t_end)
+    last = result.snapshots[-1]
+    assert last.t == result.verdict.t_final == result.monitors["t"][-1]
+    sups = [float(result.monitors[f"sup_{c}"][-1]) for c in component_labels(last.m)]
+    assert last.stack().max(axis=1).tolist() == sups
+    if preset == "blowup_demo" and t_end is None:
+        assert result.verdict.kind == "blow_up"
 
 
 class TestClassifyOutcome:
@@ -654,7 +690,7 @@ class TestQuasipositivityProperty:
         grid = fs.Grid(41)
         state = fs.StateField.constant(grid, S=S0, u=u0, v=v0)
         result = fs.simulate(state, params, kin, t_end=0.2)
-        final = result.final
+        final = result.snapshots[-1]
         assert np.min(final.S) >= 0.0
         assert np.min(final.u) >= 0.0
         assert np.min(final.v) >= 0.0

@@ -344,6 +344,22 @@ class TestFixedPoint:
         assert residuals[0] > residuals[1] > residuals[2]
         assert residuals[2] < 1e-6
 
+    @pytest.mark.parametrize("grid_n, at_rounding", [(None, False), (4001, True)])
+    def test_rounding_level_of_the_returned_state(self, grid_n, at_rounding):
+        """rounding_level is 4*eps*max_c ||T_c||_inf * sup X_c at the returned
+        state; fig2a's pde_residual exceeds it at its shipped grid and falls
+        below it at n = 4001, where the second differences are rounding noise."""
+        config = fs.load_preset("fig2a")
+        state = preset_solve("fig2a", grid_n)
+        n = state.grid.n
+        level = max(
+            4.0 * np.finfo(float).eps
+            * float(np.max(band_matvec(np.abs(quadrature_inverse_bands(d, n)), np.ones(n))))
+            * float(np.max(X))
+            for d, X in zip(config.params.diffusivities, (state.Stilde, state.u, state.v)))
+        assert state.rounding_level == pytest.approx(level, rel=1e-12)
+        assert (state.pde_residual <= state.rounding_level) is at_rounding
+
     def test_nonconvergence_flagged_not_raised(self, monkeypatch):
         monkeypatch.setattr(fs.steady, "MAX_ITER", 3)
         params, kin = theory_params(), floc_kinetics()
@@ -486,6 +502,7 @@ class TestFixedPoint:
         assert state.iterations == 0
         assert state.reason == "non-finite defect at step 0"
         assert np.isnan(state.residual) and np.isnan(state.pde_residual)
+        assert np.isnan(state.rounding_level)
         np.testing.assert_array_equal(np.stack([state.Stilde, state.u, state.v]),
                                       np.stack(init))
 
