@@ -9,7 +9,7 @@ Runs, in this one process and through ``flocstat.cli.main``:
   configuration, whose run ends in ``extinction-u2,v2`` and whose check
   prints a ray on species 2;
 - ``sweep`` over the benchmark's motility configuration, with its values
-  in ascending and in descending order.
+  in ascending and in descending order, and over the motility preset.
 
 and prints one line per command and per stream or output file::
 
@@ -102,6 +102,7 @@ grid_n = 41
         config = config_dir / f"motility_{order}.ini"
         config.write_text(MOTILITY_CONFIG.format(values=" ".join(repr(v) for v in values)))
         out.append((f"sweep motility {order}", ["sweep", "--config", str(config)]))
+    out.append(("sweep motility", ["sweep", "--preset", "motility"]))
     return out
 
 

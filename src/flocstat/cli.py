@@ -471,10 +471,16 @@ def write_outputs(out_dir: Path, result: SimulationResult) -> None:
     for k, snap in enumerate(result.snapshots):
         _write_float_table(out_dir / f"snapshot_{k}.csv", ["x", *component_labels(snap.m)],
                            [snap.grid.x, *snap.stack()])
+    _remove_snapshots(out_dir, keep=len(result.snapshots))
+
+
+def _remove_snapshots(out_dir: Path, keep: int) -> None:
+    """Remove every file named snapshot_<k>.csv under ``out_dir`` with
+    ``k >= keep``; ``k`` is written without leading zeros."""
     for path in out_dir.glob("snapshot_*.csv"):
         k = path.name[len("snapshot_"):-len(".csv")]
         if (k.isascii() and k.isdigit() and k == str(int(k))
-                and int(k) >= len(result.snapshots) and path.is_file()):
+                and int(k) >= keep and path.is_file()):
             path.unlink()
 
 
@@ -565,6 +571,23 @@ def _smallest_diffusivity(params: ModelParams, parameter: str, value: float) -> 
     return min(point.diffusivities)
 
 
+def _clear_points(out_path: Path) -> None:
+    """Remove what an earlier sweep left in each ``point_NNN`` directory of
+    ``out_path``: its monitors.csv and snapshots, then the directory itself
+    if that empties it.  Other files, and the directories holding them, stay."""
+    for point in out_path.glob("point_*"):
+        k = point.name[len("point_"):]
+        if not (k.isascii() and k.isdigit() and point.name == f"point_{int(k):03d}"
+                and point.is_dir()):
+            continue
+        monitors = point / "monitors.csv"
+        if monitors.is_file():
+            monitors.unlink()
+        _remove_snapshots(point, keep=0)
+        if not any(point.iterdir()):
+            point.rmdir()
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -600,6 +623,7 @@ def sweep(config: RunConfig, out_dir: Union[str, Path]) -> list[dict[str, str]]:
     axis = config.sweep
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
+    _clear_points(out_path)
     workers = min(len(axis.values), _usable_cpus())
     order = sorted(range(len(axis.values)), key=lambda i: _smallest_diffusivity(
         config.params, axis.parameter, axis.values[i]))

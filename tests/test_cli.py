@@ -1,6 +1,7 @@
 """Tests for config parsing, presets, CSV outputs, sweeps, and exit codes."""
 
 import csv
+import importlib
 import multiprocessing
 import os
 import re
@@ -22,6 +23,7 @@ from flocstat.cli import (
     EXIT_STDOUT_CLOSED,
     PRESET_ALIASES,
     _SCHEMA,
+    _apply_sweep_value,
     available_presets,
     build_initial_state,
     main,
@@ -296,12 +298,32 @@ x = 1
 class TestPresets:
     def test_all_presets_round_trip(self):
         names = fs.available_presets()
-        assert len(names) == 21
+        assert names == (
+            "blowup_demo", "fig1a", "fig1b", "fig2a", "fig2b", "fig3a", "fig3b",
+            "fig4d", "fig4e", "fig4f", "fig4g", "fig5h", "fig5i", "fig5j", "fig5k",
+            "fig5l", "fig5m", "fig6n", "fig6o", "fig6p", "motility", "washout_demo",
+        )
         for name in names:
             cfg = fs.load_preset(name)
             assert cfg.params is not None
             assert cfg.kin is not None
             assert cfg.controls.t_end > 0
+
+    def test_motility_preset_is_the_benchmark_sweep_and_the_fig4_points(self, monkeypatch):
+        """The motility preset is the benchmark's motility configuration with
+        t_end = 100 for 25, and its points are fig4e, fig4d, fig4f and
+        fig4g, apart from their controls."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        bench = fs.parse_config(workloads.MOTILITY_CONFIG.format(
+            values=" ".join(map(repr, workloads.MOTILITY_VALUES))))
+        motility = fs.load_preset("motility")
+        assert bench.controls.t_end == 25
+        assert motility == replace(bench, controls=replace(bench.controls, t_end=100.0))
+        for value, figure in zip(motility.sweep.values, ("fig4e", "fig4d", "fig4f", "fig4g")):
+            params = _apply_sweep_value(motility.params, "dv", value)
+            point = replace(motility, params=params, controls=None, sweep=None)
+            assert point == replace(fs.load_preset(figure), controls=None), figure
 
     def test_aliases_resolve(self):
         for alias, target in PRESET_ALIASES.items():
@@ -416,6 +438,29 @@ class TestSweep:
         assert len(rows) == 1
         assert None not in rows[0] and len(rows[0]) == 13
         assert rows[0]["error"] == f"ValueError: {message}"
+
+    def test_rerun_into_a_used_out_equals_a_sweep_into_an_empty_one(self, tmp_path):
+        """A rerun with fewer values removes the CSVs of every point_NNN
+        directory before its points run, and each directory that empties:
+        dv = 10's outputs leave point_001, where dv = 0.001 fails, and
+        point_002 goes.  Any other file stays."""
+
+        def swept(values: str, out: Path) -> dict:
+            text = MINIMAL.replace("t_end = 2", "t_end = 0.1")
+            fs.sweep(fs.parse_config(text + f"\n[sweep]\nparameter = dv\nvalues = {values}\n"), out)
+            return {path.relative_to(out).as_posix(): path.is_file() and path.read_bytes()
+                    for path in out.rglob("*")}
+
+        used = tmp_path / "used"
+        swept("1 10 3", used)
+        assert swept("1 0.001", used) == swept("1 0.001", tmp_path / "empty")
+        kept = [used / "point_001" / "notes.txt", used / "point_01" / "monitors.csv"]
+        for path in kept:
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("kept\n")
+        swept("1 0.001", used)
+        assert all(path.read_text() == "kept\n" for path in kept)
+        assert sorted(p.name for p in (used / "point_001").iterdir()) == ["notes.txt"]
 
     def test_rows_in_sweep_order_and_rerun_identical(self, tmp_path):
         text = MINIMAL + "\n[sweep]\nparameter = yu\nvalues = 0.3 0.1 0.2\n"
@@ -1002,8 +1047,8 @@ class TestMainEntry:
 # t = 1, after blowup_demo's blow-up near t = 0.70
 NONZERO_EXITS = {
     ("run", "blowup_demo"): EXIT_BLOW_UP,
-    # no shipped preset has a [sweep] section
-    **{("sweep", preset): EXIT_CONFIG for preset in available_presets()},
+    # motility is the only shipped preset with a [sweep] section
+    **{("sweep", preset): EXIT_CONFIG for preset in available_presets() if preset != "motility"},
     # fig4e's dv=0.001 sits at cell Peclet 1 on its 501-node grid
     ("eigen", "fig4e"): EXIT_NO_CONVERGENCE,
     ("check", "fig4e"): EXIT_NO_CONVERGENCE,
@@ -1159,22 +1204,21 @@ class TestPackaging:
         assert "simulate" in named
         assert sorted(named - set(fs.__all__)) == []
 
+    def test_readme_preset_table_names_every_preset(self):
+        """README's preset table has one row per shipped preset, its aliases
+        line is PRESET_ALIASES, and its overview counts the presets."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = re.search(r"## Presets\n(.*?)\n## ", readme, flags=re.S).group(1)
+        rows = re.findall(r"^\| ([\w /]+?) \|", section, flags=re.M)
+        names = [name.strip() for row in rows for name in row.split("/")]
+        assert sorted(names) == sorted(["preset", *available_presets()])
+        aliases = re.search(r"^Aliases: (.*)$", section, flags=re.M).group(1)
+        assert dict(re.findall(r"`(\w+)`→(\w+)", aliases)) == PRESET_ALIASES
+        count = re.search(r"(\d+) bundled presets", readme).group(1)
+        assert int(count) == len(available_presets())
+
     def test_every_export_resolves(self):
         assert [name for name in fs.__all__ if not hasattr(fs, name)] == []
-
-    @pytest.mark.parametrize("argv", [
-        ["blowup_search.py", "--t-end", "2", "--max-doublings", "6"],
-        ["motility_sweep.py", "--t-end", "0.05", "--values", "0.1", "1", "--out", "out"],
-        ["reproduce_figures.py", "--only", "fig2a", "--t-end", "0.05", "--out", "out"],
-    ])
-    def test_script_runs(self, tmp_path, argv):
-        root = Path(__file__).resolve().parents[1]
-        done = subprocess.run(
-            [sys.executable, str(root / "scripts" / argv[0]), *argv[1:]],
-            capture_output=True, text=True, cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
-        )
-        assert done.returncode == 0, done.stderr
 
     def test_python_m_flocstat_runs_without_warnings(self, tmp_path):
         src = Path(fs.__file__).resolve().parents[1]
