@@ -61,11 +61,14 @@ import configparser
 import csv
 import math
 import os
+import pickle
+import select
+import signal
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -101,12 +104,7 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_BLOW_UP = 4
 EXIT_STDOUT_CLOSED = 141
 
-PRESET_ALIASES = {
-    "fig1": "fig1a",
-    "fig2": "fig2a",
-    "fig3": "fig3a",
-    "fig6": "fig6p",
-}
+PRESET_ALIASES = {"fig1": "fig1a", "fig2": "fig2a", "fig3": "fig3a", "fig6": "fig6p"}
 
 
 class ConfigError(Exception):
@@ -531,21 +529,18 @@ SUMMARY_COLUMNS = ["parameter", "value", "verdict", "t_final", *_FINAL_MONITORS,
                    "R_u", "R_v", "error"]
 
 
-def _point_row(axis: SweepAxis, value: float) -> dict[str, str]:
-    """A summary row that names its point and has every other cell empty."""
-    row = dict.fromkeys(SUMMARY_COLUMNS, "")
-    row["parameter"] = axis.parameter
-    row["value"] = _fmt(value)
-    return row
+def _point_row(axis: SweepAxis, value: float, error: str = "") -> dict[str, str]:
+    """A summary row that names its point and ``error``, every other cell empty."""
+    return {**dict.fromkeys(SUMMARY_COLUMNS, ""), "parameter": axis.parameter,
+            "value": _fmt(value), "error": error}
 
 
-def _sweep_point(
-    config: RunConfig, axis: SweepAxis, value: float, out_dir: Path, index: int
-) -> dict[str, str]:
-    """Run one sweep point; never raises (failures land in the row)."""
-    row = _point_row(axis, value)
+def _sweep_point(config: RunConfig, out_dir: Path, index: int) -> dict[str, str]:
+    """Run sweep point ``index``; never raises (failures land in the row)."""
+    axis = config.sweep
+    row = _point_row(axis, axis.values[index])
     try:
-        params = _apply_sweep_value(config.params, axis.parameter, value)
+        params = _apply_sweep_value(config.params, axis.parameter, axis.values[index])
         point = replace(config, params=params, sweep=None)
         point_dir = out_dir / f"point_{index:03d}"
         result, verdict = run_experiment(point, point_dir)
@@ -595,29 +590,35 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _start_point(config: RunConfig, out_path: Path, i: int) -> tuple[int, BinaryIO]:
+    """Fork a process that runs sweep point ``i`` and pickles its row into a
+    pipe; return its pid and the pipe's read end."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the point's process, which leaves only by os._exit
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(_sweep_point(config, out_path, i), pipe)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
 def sweep(config: RunConfig, out_dir: Union[str, Path]) -> list[dict[str, str]]:
-    """Run the sweep points in forked worker processes, one per usable CPU,
-    and write summary.csv with one row per point, in sweep order.
+    """Run each point in its own forked process, at most one per usable CPU
+    at a time, and write summary.csv with one row per point, in sweep order.
 
-    Points are submitted in ascending order of their smallest diffusivity,
-    ties in sweep order: the smaller it is, the more steps a point tends to
-    take, and a slow point submitted last would keep one worker busy after
-    the others finish.  Each point writes its CSVs to its own ``point_NNN``
-    directory.  A failed point contributes a row with its error message
-    instead of aborting the sweep.  A worker process that dies breaks the
-    whole pool; every point it left unfinished is then rerun alone, in a
-    fresh one-worker pool, so that only a point that breaks its own pool
-    gets a ``BrokenProcessPool`` row.  Every worker has exited when this
-    returns.
-    Workers are forked (POSIX only) so that they start with flocstat already
-    imported; as with any fork, the calling process should run no other
-    threads.
+    Points start in ascending order of their smallest diffusivity, ties in
+    sweep order: the smaller it is, the more steps a point tends to take.
+    Each point writes its CSVs to its own ``point_NNN`` directory.  A failed
+    point, or one whose process dies, gets a row with its error message.
+    No point's process outlives this call, even when it raises.  Forked
+    (POSIX only), a point starts with flocstat imported; the calling
+    process should run no other threads.
     """
-    # imported here: the executor's modules would add to every verb's start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     if config.sweep is None:
         raise ConfigError(["configuration has no [sweep] section"])
     axis = config.sweep
@@ -625,29 +626,30 @@ def sweep(config: RunConfig, out_dir: Union[str, Path]) -> list[dict[str, str]]:
     out_path.mkdir(parents=True, exist_ok=True)
     _clear_points(out_path)
     workers = min(len(axis.values), _usable_cpus())
-    order = sorted(range(len(axis.values)), key=lambda i: _smallest_diffusivity(
+    pending = sorted(range(len(axis.values)), key=lambda i: _smallest_diffusivity(
         config.params, axis.parameter, axis.values[i]))
-
-    def run_points(indices: Sequence[int], size: int) -> tuple[dict, list[int]]:
-        """The rows of the points ``indices``, run in a pool of ``size``
-        workers, and the points that a dying worker took with it."""
-        rows, broken = {}, []
-        with ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = {i: pool.submit(_sweep_point, config, axis, axis.values[i], out_path, i)
-                       for i in indices}
-            for i, future in futures.items():
-                try:
-                    rows[i] = future.result()
-                except BrokenProcessPool as exc:
-                    rows[i] = _point_row(axis, axis.values[i])
-                    rows[i]["error"] = f"{type(exc).__name__}: {exc}"
-                    broken.append(i)
-        return rows, broken
-
-    by_index, broken = run_points(order, workers)
-    for i in broken:
-        by_index.update(run_points([i], 1)[0])
-    rows = [by_index[i] for i in range(len(axis.values))]
+    rows: list = [None] * len(axis.values)
+    running = {}  # read end of a running point's pipe -> (index, pid)
+    try:
+        while pending or running:
+            while pending and len(running) < workers:
+                pid, pipe = _start_point(config, out_path, i := pending.pop(0))
+                running[pipe] = (i, pid)
+            # a pipe is read to its end before its process is waited for: a
+            # row larger than the pipe's buffer cannot block both
+            for pipe in select.select(list(running), [], [])[0]:
+                i, pid = running.pop(pipe)
+                with pipe:
+                    data = pipe.read()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                rows[i] = pickle.loads(data) if code == 0 and data else _point_row(
+                    axis, axis.values[i], f"point process killed by signal {-code}"
+                    if code < 0 else f"point process exited with code {code}")
+    finally:
+        for pipe, (_, pid) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
     with (out_path / "summary.csv").open("w", newline="") as handle:
         # quotes only fields that need it, such as error messages with commas
         writer = csv.writer(handle, lineterminator="\n")
@@ -771,11 +773,8 @@ def _cmd_steady(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "steady.csv"
-    _write_float_table(
-        path,
-        ["x", "depletion", "S", "u", "v"],
-        [grid.x, state.Stilde, state.substrate, state.u, state.v],
-    )
+    _write_float_table(path, ["x", "depletion", "S", "u", "v"],
+                       [grid.x, state.Stilde, state.substrate, state.u, state.v])
     at_rounding = (f" (at rounding level {state.rounding_level:.3e})"
                    if state.pde_residual <= state.rounding_level else "")
     print(

@@ -2,9 +2,9 @@
 
 import csv
 import importlib
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -63,6 +63,13 @@ TWO_SPECIES = MINIMAL.replace("du = 1", "du = 1 2").replace(
 ).replace(
     "f = monod 4 1", "f = monod 4 1; haldane 3 1 1"
 ).replace("d0 = 1", "d0 = 1\nm = 2")
+
+
+def assert_no_child_process() -> None:
+    """This process has no child left, not even one that has exited and is
+    yet to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestParseConfig:
@@ -495,14 +502,14 @@ class TestSweep:
         assert float(rows[0]["R_v"]) == pytest.approx(2.4589, abs=1e-3)
 
     def test_worker_points_match_run_experiment_in_this_process(self, tmp_path):
-        """Every file a worker process writes for a point is byte-identical
-        to run_experiment on that point's config in the calling process, and
-        no worker outlives the sweep.  (A rerun's summary.csv is pinned by
-        test_rows_in_sweep_order_and_rerun_identical.)"""
+        """Every file a point's process writes is byte-identical to
+        run_experiment on that point's config in the calling process, and no
+        point's process outlives the sweep.  (A rerun's summary.csv is pinned
+        by test_rows_in_sweep_order_and_rerun_identical.)"""
         text = MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 10 0.05 1\n"
         cfg = fs.parse_config(text)
         fs.sweep(cfg, tmp_path / "a")
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
         for index, value in enumerate(cfg.sweep.values):
             point = replace(cfg, params=replace(cfg.params, dv=(value,)), sweep=None)
             fs.run_experiment(point, tmp_path / "alone" / str(index))
@@ -520,22 +527,20 @@ class TestSweep:
     ])
     def test_points_submitted_by_smallest_diffusivity(self, tmp_path, monkeypatch, parameter,
                                                       values, order):
-        """Points go to the workers in ascending order of their smallest
-        diffusivity (MINIMAL's are d0 = du = 1, dv = 10), ties in sweep
-        order; summary.csv keeps sweep order."""
-        from concurrent.futures import ProcessPoolExecutor
+        """Points start in ascending order of their smallest diffusivity
+        (MINIMAL's are d0 = du = 1, dv = 10), ties in sweep order;
+        summary.csv keeps sweep order."""
+        started = []
+        real_start = fs.cli._start_point
 
-        submitted = []
-        real_submit = ProcessPoolExecutor.submit
+        def recording_start(config, out_path, i):
+            started.append(i)
+            return real_start(config, out_path, i)
 
-        def recording_submit(pool, fn, *args, **kwargs):
-            submitted.append(args[-1])  # the point index
-            return real_submit(pool, fn, *args, **kwargs)
-
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+        monkeypatch.setattr("flocstat.cli._start_point", recording_start)
         cfg = fs.parse_config(MINIMAL + f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\n")
         rows = fs.sweep(cfg, tmp_path)
-        assert submitted == order
+        assert started == order
         assert [float(row["value"]) for row in rows] == list(cfg.sweep.values)
         with (tmp_path / "summary.csv").open(newline="") as handle:
             assert [row["value"] for row in csv.DictReader(handle)] == [r["value"] for r in rows]
@@ -543,7 +548,7 @@ class TestSweep:
 
     def test_rows_in_sweep_order_when_the_first_point_is_slowest(self, tmp_path, monkeypatch):
         """The first point finishes last; its row still comes first.  Forked
-        workers inherit the patched run_experiment."""
+        point processes inherit the patched run_experiment."""
         text = MINIMAL + "\n[sweep]\nparameter = yu\nvalues = 0.3 0.1 0.2\n"
         cfg = fs.parse_config(text)
         fs.sweep(cfg, tmp_path / "plain")
@@ -562,12 +567,12 @@ class TestSweep:
         ).read_bytes()
 
     def test_dying_worker_ends_in_error_rows_not_a_hang(self, tmp_path):
-        """A worker that exits mid-point breaks the pool: the points it took
-        with it get a BrokenProcessPool row, summary.csv is still written,
-        sweep exits 0 and no worker is left."""
+        """A point whose process exits mid-point gets a row naming its exit
+        code; summary.csv is still written, sweep exits 0 and no point's
+        process is left."""
         (tmp_path / "sweep.ini").write_text(MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 1 5 10\n")
         code = (
-            "import multiprocessing, os\n"
+            "import os\n"
             "import flocstat.cli as cli\n"
             "real_run = cli.run_experiment\n"
             "def run_or_die(config, out_dir):\n"
@@ -576,40 +581,44 @@ class TestSweep:
             "    return real_run(config, out_dir)\n"
             "cli.run_experiment = run_or_die\n"
             "print(cli.main(['sweep', '--config', 'sweep.ini', '--out', 'out']))\n"
-            "print(multiprocessing.active_children())\n"
+            "try:\n"
+            "    print(os.waitpid(-1, os.WNOHANG))\n"
+            "except ChildProcessError:\n"
+            "    print('no child')\n"
         )
         src = Path(fs.__file__).resolve().parents[1]
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
                               timeout=120)
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.splitlines()[-2:] == [str(EXIT_OK), "[]"]
+        assert done.stdout.splitlines()[-2:] == [str(EXIT_OK), "no child"]
         with (tmp_path / "out" / "summary.csv").open(newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert [row["value"] for row in rows] == ["1.0", "5.0", "10.0"]
-        assert rows[1]["error"].startswith("BrokenProcessPool: ")
-        for row in rows:
-            assert row["error"].startswith("BrokenProcessPool: ") or (
-                row["error"] == "" and row["verdict"]
-            )
+        assert rows[1]["error"] == "point process exited with code 1"
+        assert rows[0]["error"] == rows[2]["error"] == ""
+        assert rows[0]["verdict"] and rows[2]["verdict"]
 
-    def test_dying_worker_takes_only_its_own_point(self, tmp_path, monkeypatch):
-        """The points a dying worker leaves unfinished are rerun alone: the
-        rows and files of dv = 1 and dv = 10 equal those of a sweep in which
-        no worker dies.  Forked workers inherit the patched run_experiment."""
+    @staticmethod
+    def assert_only_dv_5_dies(tmp_path, monkeypatch, die, error):
+        """Only dv = 5, whose process calls ``die``, gets an error row, and
+        that row is ``error``: the rows and files of dv = 1 and dv = 10 equal
+        those of a sweep in which no point dies.  Forked point processes
+        inherit the patched run_experiment."""
         cfg = fs.parse_config(MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 1 5 10\n")
         clean = fs.sweep(cfg, tmp_path / "clean")
         real_run = fs.cli.run_experiment
 
         def run_or_die(config, out_dir):
             if config.params.dv == (5.0,):
-                os._exit(1)
+                die()
             return real_run(config, out_dir)
 
         monkeypatch.setattr("flocstat.cli.run_experiment", run_or_die)
         rows = fs.sweep(cfg, tmp_path / "dying")
-        assert multiprocessing.active_children() == []
-        assert rows[1]["error"].startswith("BrokenProcessPool: ")
+        assert_no_child_process()
+        assert rows[1] == {**clean[1], **dict.fromkeys(fs.cli.SUMMARY_COLUMNS[2:], ""),
+                           "error": error}
         assert [rows[0], rows[2]] == [clean[0], clean[2]]
         for index in (0, 2):
             swept, alone = (tmp_path / run / f"point_{index:03d}" for run in ("dying", "clean"))
@@ -617,6 +626,64 @@ class TestSweep:
             assert sorted(p.name for p in swept.iterdir()) == names
             for name in names:
                 assert (swept / name).read_bytes() == (alone / name).read_bytes(), (index, name)
+
+    def test_dying_worker_takes_only_its_own_point(self, tmp_path, monkeypatch):
+        self.assert_only_dv_5_dies(tmp_path, monkeypatch, lambda: os._exit(1),
+                                   "point process exited with code 1")
+
+    def test_point_killed_by_a_signal_takes_only_its_own_point(self, tmp_path, monkeypatch):
+        self.assert_only_dv_5_dies(tmp_path, monkeypatch,
+                                   lambda: os.kill(os.getpid(), signal.SIGKILL),
+                                   "point process killed by signal 9")
+
+    def test_row_larger_than_the_pipe_buffer_comes_back_whole(self, tmp_path, monkeypatch):
+        """A point's row travels through a pipe whose buffer holds 64 KiB; a
+        200 000-character error message arrives whole, in the returned row
+        and in summary.csv."""
+        message = "x" * 200_000
+
+        def failing_run(config, out_dir):
+            raise ValueError(message)
+
+        monkeypatch.setattr("flocstat.cli.run_experiment", failing_run)
+        cfg = fs.parse_config(MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 5 10\n")
+        rows = fs.sweep(cfg, tmp_path)
+        assert_no_child_process()
+        assert [row["error"] for row in rows] == [f"ValueError: {message}"] * 2
+        # longer than the csv module's default field limit: read as text
+        summary = (tmp_path / "summary.csv").read_text().splitlines()
+        assert [line.endswith(f",ValueError: {message}") for line in summary] == [False, True, True]
+
+    def test_exception_in_the_parent_leaves_no_child_process(self, tmp_path, monkeypatch):
+        """With two points running at a time, the third starts only after a
+        row has come back; an exception raised there kills and reaps the
+        point still running (dv = 5 sleeps so that it is) before it
+        propagates."""
+        real_run, real_start = fs.cli.run_experiment, fs.cli._start_point
+        started = []
+
+        def slow_five(config, out_dir):
+            if config.params.dv == (5.0,):
+                time.sleep(30)
+            return real_run(config, out_dir)
+
+        def start_two(config, out_path, i):
+            started.append(i)
+            if len(started) == 3:
+                raise RuntimeError("parent fails")
+            return real_start(config, out_path, i)
+
+        monkeypatch.setattr("flocstat.cli.run_experiment", slow_five)
+        monkeypatch.setattr("flocstat.cli._start_point", start_two)
+        monkeypatch.setattr("flocstat.cli._usable_cpus", lambda: 2)
+        cfg = fs.parse_config(MINIMAL + "\n[sweep]\nparameter = dv\nvalues = 1 5 10\n")
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="parent fails"):
+            fs.sweep(cfg, tmp_path)
+        assert time.monotonic() - t0 < 20
+        assert started == [0, 1, 2]
+        assert_no_child_process()
+        assert not (tmp_path / "summary.csv").exists()
 
 
 class TestMainEntry:
@@ -1244,8 +1311,8 @@ class TestPackaging:
         assert done.stdout.startswith("sweep over dv: 3 points, 0 failed;")
 
     def test_cli_import_leaves_heavy_scipy_modules_out(self):
-        """Importing the CLI loads no heavy scipy subpackage, and none of the
-        executor modules that only `sweep` imports."""
+        """Importing the CLI loads no heavy scipy subpackage, and no process
+        pool's modules."""
         src = Path(fs.__file__).resolve().parents[1]
         code = (
             "import sys, flocstat.cli; "
@@ -1256,6 +1323,26 @@ class TestPackaging:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_sweep_imports_no_module(self, tmp_path):
+        """A sweep loads no module that importing the CLI did not: its point
+        processes are plain forks, so neither ``multiprocessing`` nor
+        ``concurrent.futures`` is imported."""
+        src = Path(fs.__file__).resolve().parents[1]
+        code = (
+            "import contextlib, io, sys\n"
+            "import flocstat.cli as cli\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['sweep', '--preset', 'motility', '--t-end', '0.1'])\n"
+            "print(code, sorted(set(sys.modules) - before),\n"
+            "      sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                              timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == f"{EXIT_OK} [] []\n"
 
     def test_no_verb_imports_the_scipy_linalg_package(self, tmp_path):
         """No verb loads any scipy.linalg module: the LAPACK routines are
