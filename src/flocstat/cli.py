@@ -448,15 +448,14 @@ def _fmt(value: float) -> str:
 
 
 def _write_float_table(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write equal-length float columns as CSV, each cell formatted by _fmt.
-
-    ``tolist`` turns a column into Python floats once; their ``repr`` is the
-    text _fmt gives, without converting each numpy scalar on its own.
-    """
+    """Write equal-length float columns as CSV, each cell formatted by _fmt;
+    ``tolist`` gives Python floats, whose ``repr`` is that text, a chunk at a time."""
+    chunk = 256
     with path.open("w", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for row in zip(*(col.tolist() for col in columns)):
-            handle.write(",".join(map(repr, row)) + "\n")
+        for i in range(0, len(columns[0]), chunk):
+            for row in zip(*(col[i:i + chunk].tolist() for col in columns)):
+                handle.write(",".join(map(repr, row)) + "\n")
 
 
 def write_outputs(out_dir: Path, result: SimulationResult) -> None:

@@ -41,12 +41,14 @@ reads its summary columns from the last row.
 A macro step costs three ``dgttrs`` solves, two reaction evaluations, about
 twenty whole-stack numpy calls (the explicit stages and their checks, the
 extrapolation and its error estimate) and the copy of the accepted state
-into the monitor buffer.  The stepper owns every stack a macro step writes
+into the monitor block.  The stepper owns every stack a macro step writes
 and its reaction kernel owns its work rows, so a step allocates only the
 rate of the state it accepts.  On the 2-core machine of ``BENCH_step.json``
 a macro step of fig4e (n=501) costs about 230 µs: 98 µs for the solves,
 65 µs for the reaction evaluations, 17 µs for recording and 49 µs for the
-rest; at n=201 (fig2a) about 146 µs: 35, 43, 7 and 61 µs.
+rest; at n=201 (fig2a) about 146 µs: 35, 43, 7 and 61 µs.  Timed on its
+own (``BENCH_memory.json``), recording costs about 4.4 µs a state at n=201
+and 8.3 µs at n=501.
 """
 
 from __future__ import annotations
@@ -78,9 +80,10 @@ __all__ = [
 #: accepted steps must not undershoot below this before clamping
 CLAMP_TOL = 1e-12
 
-#: simulate copies each recorded state into a buffer of this many states
-#: and evaluates the monitors of the whole buffer at once
-RECORD_BLOCK = 64
+#: simulate copies recorded states into a block of at most this many bytes
+#: (at least one state) and evaluates the monitors of the whole block at
+#: once, so that the block and the temporaries of its evaluation stay in L2
+RECORD_BYTES = 256 * 1024
 
 #: relative and absolute tolerance of the step-doubling error estimate.
 #: Values below ATOL/RTOL = 1e-7 are held to an absolute error, so that a
@@ -412,10 +415,13 @@ def monitor_keys(m: int) -> list[str]:
 class _MonitorRecorder:
     """The monitor rows of one run (columns: ``monitor_keys``).
 
-    Recorded states wait in a buffer of RECORD_BLOCK states.  When it fills,
-    and when the run ends, the monitors of the whole buffer are evaluated at
-    once, one row per state, with the same floating-point operations as
-    state by state.
+    Recorded states wait in a block of ``max(1, RECORD_BYTES // (8*(2m+1)*n))``
+    states.  When it fills, and when the run ends, the monitors of the whole
+    block are evaluated at once, one row per state, with the same
+    floating-point operations as state by state; the evaluation's temporaries
+    take about 2.3 blocks more.  At n=201 a block holds 54 states and
+    recording costs 4.3–4.8 µs a state; at n=501 it holds 21 and costs
+    about 8.3 µs, where 64 cost 9.1–9.6 µs (``BENCH_memory.json``).
     """
 
     def __init__(self, params: ModelParams, grid: Grid, q_weight: Array):
@@ -424,14 +430,15 @@ class _MonitorRecorder:
         self.q_weight = q_weight
         self.weights = np.asarray(weight_vector(params))
         self.keys = monitor_keys(params.m)
-        self.block = np.empty((RECORD_BLOCK, 2 * params.m + 1, grid.n))
+        c = 2 * params.m + 1
+        self.block = np.empty((max(1, RECORD_BYTES // (8 * c * grid.n)), c, grid.n))
         self.pending: list[tuple[float, float]] = []  # (t, dt used)
-        self.rows: list[Array] = []
+        self.columns: list[Array] = []  # (column, state) blocks
 
     def record(self, W: Array, t: float, dt_used: float) -> None:
         self.block[len(self.pending)] = W
         self.pending.append((t, dt_used))
-        if len(self.pending) == RECORD_BLOCK:
+        if len(self.pending) == len(self.block):
             self.flush()
 
     def flush(self) -> None:
@@ -440,23 +447,26 @@ class _MonitorRecorder:
             return
         Ws = self.block[:k]
         c = Ws.shape[1]  # columns: t, c sups, c l1s, mass, Q, dt
-        rows = np.empty((k, len(self.keys)))
-        rows[:, [0, 2 * c + 3]] = self.pending
-        rows[:, 1:c + 1] = Ws.max(axis=-1)
+        cols = np.empty((len(self.keys), k))
+        cols[[0, 2 * c + 3]] = np.array(self.pending).T
+        cols[1:c + 1] = Ws.max(axis=-1).T
         l1s = trapezoid(Ws, self.h)
-        rows[:, c + 1:2 * c + 1] = l1s
-        rows[:, 2 * c + 1] = [self.weights @ l1 for l1 in l1s]
+        cols[c + 1:2 * c + 1] = l1s.T
+        cols[2 * c + 1] = [self.weights @ l1 for l1 in l1s]
         YZ = trapezoid(Ws[:, 1:3] * self.q_weight, self.h)
         yu, yv = self.params.yu[0], self.params.yv[0]
-        rows[:, 2 * c + 2] = (yu + 1.0) * YZ[:, 0] + (yv + 1.0) * YZ[:, 1]
-        self.rows.append(rows)
+        cols[2 * c + 2] = (yu + 1.0) * YZ[:, 0] + (yv + 1.0) * YZ[:, 1]
+        self.columns.append(cols)
         self.pending.clear()
 
     def monitors(self) -> dict[str, Array]:
-        """Flush what is pending and return the columns by name."""
+        """Flush what is pending and return the columns by name: the rows of
+        one (column, state) array, built while the blocks it joins are its
+        only other copy."""
         self.flush()
-        data = np.concatenate(self.rows)
-        return {key: data[:, j].copy() for j, key in enumerate(self.keys)}
+        data = np.concatenate(self.columns, axis=1)
+        self.columns.clear()
+        return dict(zip(self.keys, data))
 
 
 def _targets_reached(targets: list[float], k: int, t: float) -> int:

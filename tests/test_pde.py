@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from conftest import floc_kinetics, mass_growth_class, standard_params
 from flocstat.cli import build_initial_state
 from flocstat.model import component_labels
 from flocstat.operators import trapezoid as package_trapezoid
-from flocstat.pde import ATOL, EXTINCT_SUP, RECORD_BLOCK, RTOL, _Stepper, monitor_keys
+from flocstat.pde import (ATOL, EXTINCT_SUP, RECORD_BYTES, RTOL, _MonitorRecorder, _Stepper,
+                          monitor_keys)
 from oracles import imex_step_banded
 
 
@@ -257,19 +259,48 @@ def per_row_monitors(result, params, kin):
     return {key: np.array([row[key] for row in rows]) for key in rows[0]}, states[-1]
 
 
+def block_states(params, grid):
+    """The number of states the recorder of a run on ``grid`` holds in a block."""
+    return len(_MonitorRecorder(params, grid, grid.x).block)
+
+
+def assert_rows_match_per_row_monitors(result, params, kin):
+    expected, final = per_row_monitors(result, params, kin)
+    for key, column in expected.items():
+        np.testing.assert_array_equal(result.monitors[key], column, err_msg=key)
+    np.testing.assert_array_equal(result.snapshots[-1].stack(), final.stack())
+
+
 class TestBlockRecording:
-    """simulate evaluates its monitors a block of RECORD_BLOCK states at a
-    time; every row must equal the same row computed on its own."""
+    """simulate evaluates its monitors a block of states at a time, the
+    block at most RECORD_BYTES and at least one state; every row must equal
+    the same row computed on its own."""
+
+    def test_block_length_follows_the_byte_budget(self):
+        params = standard_params()
+        assert block_states(params, fs.Grid(201)) == RECORD_BYTES // (8 * 3 * 201) == 54
+        assert block_states(params, fs.Grid(501)) == 21
+        assert block_states(params, fs.Grid(20001)) == 1
 
     def test_partial_last_block(self):
         params, kin, state = two_species_setup()
+        block = block_states(params, state.grid)
         result = fs.simulate(state, params, kin, t_end=1.5)
         rows = len(result.monitors["t"])
-        assert rows > RECORD_BLOCK and rows % RECORD_BLOCK != 0
-        expected, final = per_row_monitors(result, params, kin)
-        for key, column in expected.items():
-            np.testing.assert_array_equal(result.monitors[key], column, err_msg=key)
-        np.testing.assert_array_equal(result.snapshots[-1].stack(), final.stack())
+        # a full block, then a partial one of many states
+        assert rows > block and rows % block > block // 2
+        assert_rows_match_per_row_monitors(result, params, kin)
+
+    def test_grid_whose_block_is_one_state(self):
+        params, kin = standard_params(du=0.1, dv=10.0), floc_kinetics()
+        grid = fs.Grid(11001)
+        assert 8 * 3 * grid.n > RECORD_BYTES and block_states(params, grid) == 1
+        x = grid.x
+        state = fs.StateField(grid=grid, S=0.1 + 0.9 * x**2, u=(1.0 + np.sin(3 * x))[None, :],
+                              v=(1.0 - 0.5 * x)[None, :])
+        result = fs.simulate(state, params, kin, t_end=0.02)
+        assert len(result.monitors["t"]) > 10
+        assert_rows_match_per_row_monitors(result, params, kin)
 
     def test_blow_up_ends_mid_block(self, grid_201):
         params = standard_params(du=1.0, dv=1.0, yu=2.0, yv=2.0)
@@ -277,12 +308,28 @@ class TestBlockRecording:
         state = fs.StateField.constant(grid_201, S=1.0, u=2.0, v=2.0)
         result = fs.simulate(state, params, kin, t_end=20.0)
         assert result.verdict == fs.Verdict("blow_up", result.verdict.t_final, "sup-threshold")
-        assert len(result.monitors["t"]) % RECORD_BLOCK != 0
-        expected, final = per_row_monitors(result, params, kin)
-        for key, column in expected.items():
-            np.testing.assert_array_equal(result.monitors[key], column, err_msg=key)
-        np.testing.assert_array_equal(result.snapshots[-1].stack(), final.stack())
+        assert len(result.monitors["t"]) % block_states(params, grid_201) != 0
+        assert_rows_match_per_row_monitors(result, params, kin)
         assert float(result.snapshots[-1].stack().max()) > 1e8
+
+    def test_fine_grid_run_memory_is_linear_in_the_state(self):
+        """At n = 20001 a run holds its stepper (about 16 states of
+        8*(2m+1)*n bytes), the LU factors of four step sizes (about 20), its
+        11 snapshots and a record block of one state with its evaluation:
+        its traced peak stays below 64 states, a bound with no term for the
+        block length."""
+        config = fs.load_preset("fig2a")
+        grid = fs.Grid(20001)
+        initial = build_initial_state(config, grid)
+        state_bytes = 8 * (2 * config.params.m + 1) * grid.n
+        tracemalloc.start()
+        try:
+            result = fs.simulate(initial, config.params, config.kin, t_end=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.snapshots) == fs.pde.SNAPSHOTS
+        assert peak < 64 * state_bytes
 
 
 class TestSimulate:
@@ -546,10 +593,7 @@ class TestStepBuffers:
         # a step is retried from the same state only after a rejection
         attempts = [len(list(group)) for _, group in itertools.groupby(starts)]
         assert max(attempts[1:]) >= 3
-        expected, final = per_row_monitors(result, params, kin)
-        for key, column in expected.items():
-            np.testing.assert_array_equal(result.monitors[key], column, err_msg=key)
-        np.testing.assert_array_equal(result.snapshots[-1].stack(), final.stack())
+        assert_rows_match_per_row_monitors(result, params, kin)
 
     def test_lu_cache_keeps_the_four_step_sizes_used_last(self, monkeypatch):
         """fig4e steps with more than four sizes; the stepper never holds the
