@@ -8,6 +8,8 @@ Runs, in this one process and through ``flocstat.cli.main``:
 - ``run``, ``eigen``, ``steady`` and ``check`` on a short two-species
   configuration, whose run ends in ``extinction-u2,v2`` and whose check
   prints a ray on species 2;
+- ``run``, ``eigen``, ``steady`` and ``check`` on a configuration with
+  ``power_total`` attachment and detachment, a law no preset uses;
 - ``sweep`` over the benchmark's motility configuration, with its values
   in ascending and in descending order, and over the motility preset.
 
@@ -103,6 +105,34 @@ grid_n = 41
         config.write_text(MOTILITY_CONFIG.format(values=" ".join(repr(v) for v in values)))
         out.append((f"sweep motility {order}", ["sweep", "--config", str(config)]))
     out.append(("sweep motility", ["sweep", "--preset", "motility"]))
+    power_law = config_dir / "power_law.ini"
+    power_law.write_text("""\
+[model]
+m = 1
+d0 = 1
+du = 0.2
+dv = 1
+yu = 0.5
+yv = 0.5
+gamma_s = 1
+
+[kinetics]
+f = monod 4 1
+g = monod 5 1
+alpha = power_total 0.5 2
+beta = power_total 0.2 3
+
+[initial]
+S = 0.1
+u = 1
+v = 1
+
+[controls]
+t_end = 3
+grid_n = 41
+""")
+    for verb in ("run", "eigen", "steady", "check"):
+        out.append((f"{verb} power_law", [verb, "--config", str(power_law)]))
     return out
 
 

@@ -42,9 +42,9 @@ def _as_float(value: float, name: str) -> float:
 
 
 def _as_profile(value, name: str) -> Array:
-    """``np.asarray(value, dtype=float)``, or a ValueError naming the profile
-    if value holds anything but real numbers (strings and objects included),
-    or a value that is not finite or is negative."""
+    """A new float array of the samples, each -0.0 made +0.0, or a ValueError
+    naming the profile if value holds anything but real numbers (strings and
+    objects included), or a value that is not finite or is negative."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "biuf":
         raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
@@ -53,7 +53,7 @@ def _as_profile(value, name: str) -> Array:
         raise ValueError(f"{name} contains non-finite values")
     if arr.size and float(arr.min()) < 0.0:
         raise ValueError(f"{name} contains negative values")
-    return arr
+    return arr + 0.0
 
 
 def _as_float_tuple(value: Union[float, Sequence[float]], m: int, name: str) -> tuple[float, ...]:
@@ -205,10 +205,9 @@ def _require_nonneg_substrate(S) -> None:
 # coefficients, so it is nonnegative on the nonnegative orthant and
 # nondecreasing in every density.
 #
-# A law is declared twice, in two forms of the same formula: its ``terms``,
-# the table ``{(j, k): c}`` of its terms ``c * T**j * V**k`` without the zero
-# coefficients, from which the structural checks decide the conditions;
-# and its ``_plan(row)``, as for the growth laws, whose evaluation takes
+# A law is its ``terms``, the table ``{(j, k): c}`` of its terms
+# ``c * T**j * V**k`` without the zero coefficients: the structural checks
+# decide the conditions from it, and ``_TotalsRate._plan`` evaluates it at
 # ``(T, V)``, which the reaction kernel forms once per state for all laws.
 
 
@@ -222,6 +221,30 @@ class _TotalsRate:
         if evaluate is not None:
             evaluate(U + V, V)
         return row if row.ndim else row[()]
+
+    def _plan(self, row):
+        """As for the growth laws, from the term table: ``c0 * T**j``, ``V * T``
+        or ``(c0 + V) * T``.  V's coefficient 1 is not multiplied, nor an
+        absent c0 added: either could change the sign of a zero."""
+        terms = self.terms
+        if set(terms) <= {(0, 0)}:  # a constant, or the zero law
+            row[...] = terms.get((0, 0), 0.0)
+            return None
+        j = next(iter(terms))[0]  # every term has the same power of T
+        c0 = np.array(terms.get((j, 0), 0.0))
+        if (j, 1) in terms:
+            if (j, 0) not in terms:
+                return lambda total, V: np.multiply(total, V, out=row)
+            return lambda total, V: np.multiply(np.add(c0, V, out=row), total, out=row)
+        if j == 1:
+            return lambda total, V: np.multiply(c0, total, out=row)
+
+        def evaluate(total, V):
+            np.copyto(row, total)
+            power = row  # a local name, for the in-place operator
+            power **= j  # numpy takes the same power as for total**j
+            np.multiply(c0, row, out=row)
+        return evaluate
 
     @property
     def degree(self) -> int:
@@ -258,9 +281,6 @@ class ConstantRate(_ScaledRate):
     c: float
     _power = 0
 
-    def _plan(self, row):
-        row[...] = self.c
-
 
 @dataclass(frozen=True)
 class LinearTotalRate(_ScaledRate):
@@ -268,10 +288,6 @@ class LinearTotalRate(_ScaledRate):
 
     c: float
     _power = 1
-
-    def _plan(self, row):
-        c = np.array(self.c)
-        return lambda total, V: np.multiply(c, total, out=row)
 
 
 @dataclass(frozen=True)
@@ -284,23 +300,12 @@ class AttachedTimesTotalRate(_TotalsRate):
 
     terms = {(1, 1): 1.0}
 
-    def _plan(self, row):
-        return lambda total, V: np.multiply(total, V, out=row)
-
 
 @dataclass(frozen=True)
 class OnePlusAttachedTimesTotalRate(_TotalsRate):
     """Rate ``(1 + sum_j v_j) * (sum_j(u_j + v_j))``."""
 
     terms = {(1, 0): 1.0, (1, 1): 1.0}
-
-    def _plan(self, row):
-        one = np.array(1.0)
-
-        def evaluate(total, V):
-            np.add(one, V, out=row)
-            np.multiply(row, total, out=row)
-        return evaluate
 
 
 @dataclass(frozen=True)
@@ -315,16 +320,6 @@ class PowerTotalRate(_ScaledRate):
         if not (isinstance(self.l, numbers.Integral) and self.l >= 1):
             raise ValueError(f"PowerTotalRate exponent must be an integer >= 1, got {self.l}")
         object.__setattr__(self, "l", int(self.l))
-
-    def _plan(self, row):
-        c = np.array(self.c)
-
-        def evaluate(total, V):
-            np.copyto(row, total)
-            power = row  # a local name, for the in-place operator
-            power **= self.l  # numpy takes the same power as for total**l
-            np.multiply(c, row, out=row)
-        return evaluate
 
     @property
     def _power(self) -> int:
@@ -644,7 +639,11 @@ def _growth_constant(law: FlocRate, m: int, l: int) -> float:
     q[0], q[-1] = m ** (1 - l), 1.0
     stationary = np.polysub(np.polymul(np.polyder(p), q), np.polymul(p, np.polyder(q)))
     # every candidate is a value of p/q or its limit, so none exceeds the sup
-    candidates = [p[-1], p[0] / q[0]]
+    # the limit T -> inf is p[0] / q[0] (a Python division, which overflows
+    # to inf without a warning), inf where q[0] = m**(1-l) underflows to 0,
+    # and 0 <= p[-1] where p[0] = 0
+    top, bottom = float(p[0]), float(q[0])
+    candidates = [p[-1]] + ([top / bottom if bottom else math.inf] if top else [])
     candidates += [np.polyval(p, T) / np.polyval(q, T) for T in np.roots(stationary).real if T > 0]
     return float(max(candidates))
 

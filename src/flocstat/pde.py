@@ -4,9 +4,9 @@ Time stepping is IMEX: the linear transport of every component
 (diffusion, drift, boundary feed) is folded into a tridiagonal solve per
 step, while the kinetic coupling is stepped explicitly.  The 2m+1
 components are solved together as one block-diagonal tridiagonal system,
-whose LU factors (LAPACK ``dgttrf``) are computed once per distinct step
-size and reused by every step of that size (``dgttrs``); both routines come
-from :mod:`flocstat._lapack`.  On grids whose
+whose LU factors (LAPACK ``dgttrf``) are kept for the four step sizes used
+last and reused by every step of those sizes (``dgttrs``); both routines
+come from :mod:`flocstat._lapack`.  On grids whose
 cell Peclet number ``h/(2*min d)`` does not exceed 1, the implicit
 matrix is an M-matrix, which yields two discrete structure theorems this
 module leans on:
@@ -193,7 +193,7 @@ class StateField:
 
     @classmethod
     def from_stack(cls, grid: Grid, W: Array, t: float) -> "StateField":
-        return cls(grid=grid, S=W[0].copy(), u=W[1::2].copy(), v=W[2::2].copy(), t=t)
+        return cls(grid=grid, S=W[0], u=W[1::2], v=W[2::2], t=t)
 
     def sup(self) -> float:
         """Largest value over all components and nodes."""

@@ -86,18 +86,24 @@ def _growth_reference(law, S):
 
 
 def rate_reference(law, total, attached):
-    """An exchange-rate law's formula on total and attached biomass."""
+    """An exchange-rate law's formula on total and attached biomass, read off
+    its class and coefficients, in the floating-point operations the package
+    has always evaluated it with: ``c*T`` as ``np.multiply(c, T)``, ``T*V``,
+    ``(1 + V)*T`` as ``np.add(1, V) * T``, ``c*T**l`` with the in-place power
+    operator, and a constant as a filled row."""
     name = type(law).__name__
     if name == "ConstantRate":
-        return law.c * np.ones_like(total)
+        return np.full(np.shape(total), law.c)
     if name == "LinearTotalRate":
-        return law.c * total
+        return np.multiply(law.c, total)
     if name == "AttachedTimesTotalRate":
         return total * attached
     if name == "OnePlusAttachedTimesTotalRate":
-        return (1.0 + attached) * total
+        return np.add(1, attached) * total
     if name == "PowerTotalRate":
-        return law.c * total**law.l
+        power = np.array(total, dtype=float)
+        power **= law.l
+        return law.c * power
     raise NotImplementedError(name)
 
 

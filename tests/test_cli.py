@@ -393,6 +393,19 @@ class TestRunExperiment:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_negative_zero_sample_is_written_as_zero(self, tmp_path, capsys):
+        """``u = -0`` is a nonnegative sample, and the run starts from +0.0:
+        no ``-0.0`` in the initial snapshot or in the first monitor row."""
+        config = tmp_path / "minus_zero.ini"
+        config.write_text(preset_text("fig6n").replace("\nu = 1\n", "\nu = -0\n"))
+        assert main(["run", "--config", str(config), "--t-end", "0.1",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert "-0.0" not in (tmp_path / "out" / "snapshot_0.csv").read_text()
+        with (tmp_path / "out" / "monitors.csv").open(newline="") as handle:
+            assert next(csv.DictReader(handle))["sup_u_1"] == "0.0"
+        state = build_initial_state(fs.parse_config(config.read_text()), fs.Grid(21))
+        assert not np.signbit(state.u).any()
+
     def test_rerun_replaces_the_snapshots_of_an_earlier_run(self, tmp_path, capsys):
         """A blow-up run into the directory of a longer run leaves only its
         own snapshots there; files the run does not name stay."""
@@ -959,6 +972,22 @@ class TestMainEntry:
         assert captured.out.endswith(
             "reproductive numbers: defined for single-species models only (m=2)\n")
         assert "R_u" not in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("l, bound", [(400, "h=3.87337e+120"), (1024, "h=inf"),
+                                          (1600, "h=inf")])
+    def test_check_rate_growth_bound_beyond_the_float_range(self, tmp_path, capsys, l, bound):
+        """With two species the T -> inf limit of h is c * 2**(l-1): past
+        the float range it is inf, with nothing on stderr, also where
+        2**(1-l) underflows to 0 and the zero-degree detachment's limit is
+        0 / 0."""
+        config = tmp_path / "power.ini"
+        config.write_text(TWO_SPECIES.replace("alpha = attached_times_total",
+                                              f"alpha = power_total 3 {l}")
+                          .replace("beta = one_plus_attached_times_total", "beta = constant 1"))
+        assert main(["check", "--config", str(config)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert f"rate_growth_bound: degree={l}, {bound}\n" in captured.out
         assert captured.err == ""
 
     def test_steady_verb(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import flocstat as fs
 from conftest import floc_kinetics, standard_params
 from flocstat.cli import _GROWTH_LAWS
+from flocstat.model import _ReactionKernel
 from flocstat.operators import trapezoid
 from oracles import rate_reference, reaction_reference, sample_box
 
@@ -24,6 +25,10 @@ RATE_LAWS = (
     fs.OnePlusAttachedTimesTotalRate(),
     fs.PowerTotalRate(0.5, 3),
 )
+#: densities for the bit-for-bit law tests: zero, the least subnormal, and
+#: values up to 1e150, where T**3 and T**7 overflow
+DENSITIES = st.one_of(st.sampled_from([0.0, 5e-324, 1e150]),
+                      st.floats(min_value=0.0, max_value=1e150))
 
 
 class TestGrowthLaws:
@@ -111,27 +116,56 @@ class TestRateLaws:
         assert r(1.0, 1.0) == pytest.approx(16.0)
         assert r.degree == 3
 
+    @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("law, terms", [
         (fs.ConstantRate(0.7), {(0, 0): 0.7}),
         (fs.LinearTotalRate(1.3), {(1, 0): 1.3}),
         (fs.AttachedTimesTotalRate(), {(1, 1): 1.0}),
         (fs.OnePlusAttachedTimesTotalRate(), {(1, 0): 1.0, (1, 1): 1.0}),
-        (fs.PowerTotalRate(0.5, 3), {(3, 0): 0.5}),
+        *((fs.PowerTotalRate(0.5, l), {(l, 0): 0.5}) for l in (1, 2, 3, 7)),
         (fs.ConstantRate(0.0), {}),
         (fs.LinearTotalRate(0.0), {}),
         (fs.PowerTotalRate(0.0, 3), {}),
+        (fs.PowerTotalRate(0.0, 7), {}),
     ])
-    def test_term_table_is_the_formula(self, law, terms):
-        """The table {(j, k): c} of terms c*T**j*V**k evaluates to the law,
-        and a zero law has no terms, degree 0 and vanishes on both faces."""
+    @given(st.lists(DENSITIES, min_size=8, max_size=8))
+    def test_term_table_is_the_formula(self, law, terms, m, densities):
+        """The table {(j, k): c} of terms c*T**j*V**k is the law: the
+        kernel's alpha and beta rows and ``law(u, v)`` carry, bit for bit,
+        the formula of ``oracles.rate_reference``.  A zero law has no terms,
+        degree 0 and vanishes on both faces."""
         assert law.terms == terms
-        u, v = np.array([[0.0, 2.0, 0.5, 3.0]]), np.array([[0.0, 0.0, 1.5, 4.0]])
-        T, V = u[0] + v[0], v[0]
-        expected = sum(c * T**j * V**k for (j, k), c in terms.items()) + 0.0 * T
-        np.testing.assert_allclose(law(u, v), expected, rtol=1e-15)
+        uv = np.reshape(densities, (m, 2, -1))
+        u, v = uv[:, 0], uv[:, 1]
+        T, V = u.sum(axis=0) + v.sum(axis=0), v.sum(axis=0)
+        params = fs.ModelParams(m=m, d0=1.0, du=1.0, dv=1.0, yu=0.5, yv=0.5, gamma_s=1.0)
+        kin = fs.KineticsSpec(f=(fs.Monod(4.0, 1.0),) * m, g=(fs.Monod(5.0, 1.0),) * m,
+                              alpha=(law,) * m, beta=(law,) * m)
+        kernel = _ReactionKernel(params, kin, T.size)
+        with np.errstate(all="ignore"):  # T**7 overflows near 1e150
+            expected = rate_reference(law, T, V)
+            kernel(np.zeros(T.size), uv, np.empty((2 * m + 1, T.size)))
+            rates = law(u, v)
+        # the formula takes 0 * inf = NaN where a zero law's T**l overflows;
+        # the law is 0 there (test_zero_law_is_zero_where_its_power_overflows)
+        defined = ~np.isnan(expected)
+        for row in (*kernel._exchange_rates.reshape(2 * m, -1), rates):
+            row, want = row[defined], expected[defined]
+            np.testing.assert_array_equal(row, want)
+            np.testing.assert_array_equal(np.signbit(row), np.signbit(want))  # of each zero too
         if not terms:
             assert law.degree == 0
             assert law.vanishes_without_attached and law.vanishes_without_isolated
+
+    @pytest.mark.parametrize("law", [fs.PowerTotalRate(0.0, 3), fs.PowerTotalRate(0.0, 7)])
+    def test_zero_law_is_zero_where_its_power_overflows(self, law):
+        """A zero coefficient is the zero law, +0.0 wherever T**l overflows,
+        with the reaction field finite and no overflow warned."""
+        u, v = np.array([[1e150, 0.0]]), np.array([[1e150, 1e150]])
+        assert np.signbit(law(u, v)).tolist() == [False, False]
+        np.testing.assert_array_equal(law(u, v), 0.0)
+        kin = floc_kinetics(alpha=law, beta=law)
+        assert np.isfinite(fs.reaction_field(standard_params(), kin, np.zeros(2), u, v)).all()
 
     @pytest.mark.parametrize("make, expected", [
         (lambda: fs.Monod(np.float32(4), 1), fs.Monod(4.0, 1.0)),
